@@ -16,10 +16,8 @@ from .errors import (
     InputError,
     ParseError,
     StreamDataError,
-    UndefinedMetricError,
 )
 from .fuzzy import (
-    Classification,
     FuzzyInterval,
     Vocabulary,
     classify,
@@ -35,11 +33,9 @@ from .mining import (
     WindowConfig,
     aggregate,
     apply_thresholds,
-    confidence,
     extract_numerical,
     fuzzify,
     mine,
-    support,
 )
 from .report import render_json, render_table, ruleset_to_report
 from .streams import (
@@ -65,7 +61,6 @@ from .validation import Finding, has_errors
 __version__ = "0.1.0"
 
 __all__ = [
-    "Classification",
     "ConfigError",
     "Event",
     "EventStream",
@@ -83,7 +78,6 @@ __all__ = [
     "StreamBundle",
     "StreamDataError",
     "TreeNode",
-    "UndefinedMetricError",
     "Vocabulary",
     "WindowConfig",
     "aggregate",
@@ -92,7 +86,6 @@ __all__ = [
     "bundle_to_long_csv",
     "classify",
     "config_findings",
-    "confidence",
     "extract_numerical",
     "fuzzify",
     "has_errors",
@@ -107,7 +100,6 @@ __all__ = [
     "render_json",
     "render_table",
     "ruleset_to_report",
-    "support",
     "tree_from_structured",
     "tree_to_structured",
     "validate_bundle",

@@ -146,7 +146,7 @@ def main(argv=None):
 
 def _read_text(path):
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             return handle.read()
     except OSError as exc:
         raise InputError(f"cannot read input file: {exc}") from None

@@ -40,10 +40,6 @@ class PipelineConfig:
     roles: dict
     mining: MiningConfig
 
-    @property
-    def windows(self):
-        return self.mining.windows
-
 
 def load_config(path):
     """Read, parse, and validate a config file.
@@ -62,13 +58,15 @@ def load_config(path):
 
 def read_config_file(path):
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             text = handle.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not valid UTF-8: {exc}") from None
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past the interpreter's digit limit
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
 
 
@@ -146,11 +144,11 @@ def _parse_windows(doc):
                           f"'trigger' and 'consequence'; got {sorted(doc)}")
     values = {}
     for key in ("trigger", "consequence"):
-        value = doc[key]
-        if not _is_number(value) or not isfinite(value) or value <= 0:
+        value = _number(doc[key], f"windows.{key}")
+        if not (isfinite(value) and value > 0):
             raise ConfigError(f"'windows.{key}' must be a positive finite number, "
-                              f"got {value!r}")
-        values[key] = float(value)
+                              f"got {doc[key]!r}")
+        values[key] = value
     return WindowConfig(trigger_window=values["trigger"],
                         consequence_window=values["consequence"])
 
@@ -176,24 +174,28 @@ def _parse_vocabularies(doc):
             label = entry.get("label")
             if not isinstance(label, str) or not label:
                 raise ConfigError(f"'{where}.label' must be a non-empty string")
-            corners = {}
-            for corner in ("a", "b", "c", "d"):
-                value = entry.get(corner)
-                if not _is_number(value):
-                    raise ConfigError(f"'{where}.{corner}' must be a number, "
-                                      f"got {value!r}")
-                corners[corner] = float(value)
+            corners = {corner: _number(entry.get(corner), f"{where}.{corner}")
+                       for corner in ("a", "b", "c", "d")}
             intervals.append(FuzzyInterval(label=label, **corners))
         vocabs[key] = Vocabulary(name=key, intervals=tuple(intervals))
     return vocabs
 
 
 def _parse_threshold(doc, key):
-    value = doc.get(key, 0)
-    if not _is_number(value) or not 0 <= value <= 1:
-        raise ConfigError(f"'{key}' must be a number in [0, 1], got {value!r}")
-    return float(value)
+    value = _number(doc.get(key, 0), key)
+    if not 0 <= value <= 1:
+        raise ConfigError(f"'{key}' must be a number in [0, 1], got {doc[key]!r}")
+    return value
 
 
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _number(value, where):
+    """A JSON number as a float, or ConfigError naming ``where``.
+
+    Non-finite floats pass: each caller decides whether they are legal.
+    """
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"'{where}' is too large for a float") from None
+    raise ConfigError(f"'{where}' must be a number, got {value!r}")

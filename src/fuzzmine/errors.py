@@ -14,8 +14,8 @@ class InputError(FuzzmineError):
     """A problem with the event-stream input data."""
 
 
-class ParseError(InputError):
-    """Malformed CSV content. Carries the 1-based line number."""
+class _LineError(InputError):
+    """An input error that may carry the 1-based line number it is about."""
 
     def __init__(self, message, line=None):
         self.line = line
@@ -24,19 +24,13 @@ class ParseError(InputError):
         super().__init__(message)
 
 
-class StreamDataError(InputError):
+class ParseError(_LineError):
+    """Malformed CSV content."""
+
+
+class StreamDataError(_LineError):
     """Well-formed CSV whose values violate stream constraints."""
-
-    def __init__(self, message, line=None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
 
 
 class ConfigError(FuzzmineError):
     """Invalid pipeline configuration (schema, roles, or vocabularies)."""
-
-
-class UndefinedMetricError(FuzzmineError):
-    """A metric was requested on a rule set whose denominator is zero."""

@@ -37,9 +37,6 @@ class FuzzyInterval:
     c: float
     d: float
 
-    def membership(self, x):
-        return membership(self, x)
-
 
 @dataclass(frozen=True)
 class Vocabulary:
@@ -54,43 +51,6 @@ class Vocabulary:
     @property
     def labels(self):
         return tuple(iv.label for iv in self.intervals)
-
-    def classify(self, x):
-        return classify(self, x)
-
-
-@dataclass(frozen=True)
-class Classification:
-    """Positive-degree labels assigned to one value, in vocabulary order.
-
-    Labels with zero membership are omitted entirely, so an empty
-    classification means the value lies outside every interval.
-    """
-
-    memberships: tuple = field(default=())
-
-    def __post_init__(self):
-        object.__setattr__(self, "memberships", tuple(self.memberships))
-
-    def __iter__(self):
-        return iter(self.memberships)
-
-    def __len__(self):
-        return len(self.memberships)
-
-    def __bool__(self):
-        return bool(self.memberships)
-
-    @property
-    def labels(self):
-        return tuple(label for label, _ in self.memberships)
-
-    def degree(self, label):
-        """Membership degree of ``label``, 0.0 if it was not assigned."""
-        for candidate, degree in self.memberships:
-            if candidate == label:
-                return degree
-        return 0.0
 
 
 def membership(interval, x):
@@ -112,16 +72,16 @@ def membership(interval, x):
 def classify(vocab, x):
     """Assign linguistic labels to ``x`` with their membership degrees.
 
-    Returns a :class:`Classification` holding (label, degree) pairs for
-    exactly those intervals with positive membership, in vocabulary
-    order. An empty classification is a legal outcome.
+    Returns a tuple of ``(label, degree)`` pairs for exactly those
+    intervals with positive membership, in vocabulary order. An empty
+    tuple is a legal outcome: ``x`` lies outside every interval.
     """
     pairs = []
     for iv in vocab.intervals:
         degree = membership(iv, x)
         if degree > 0.0:
             pairs.append((iv.label, degree))
-    return Classification(tuple(pairs))
+    return tuple(pairs)
 
 
 def validate_vocabulary(vocab):

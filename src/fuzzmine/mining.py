@@ -20,7 +20,6 @@ from itertools import product
 from math import isfinite
 from typing import NamedTuple
 
-from .errors import UndefinedMetricError
 from .fuzzy import Vocabulary, classify
 
 
@@ -110,13 +109,6 @@ class RuleSet:
     def __len__(self):
         return len(self.rules)
 
-    def find(self, l1, l2, l_dt, l3):
-        """The rule with these labels, or None."""
-        for rule in self.rules:
-            if rule.labels == (l1, l2, l_dt, l3):
-                return rule
-        return None
-
 
 @dataclass(frozen=True)
 class MiningConfig:
@@ -172,7 +164,8 @@ def fuzzify(assoc, cfg):
     combination weighs the product of its membership degrees. Zero
     factors never occur because classification omits zero-degree labels,
     and if any dimension classifies to nothing the result is empty: the
-    association then contributes no weight at all.
+    association then contributes no weight at all. A product can still
+    underflow to 0.0; :func:`aggregate` skips such instances.
     """
     c1 = classify(cfg.vocab_t1, assoc.v1)
     c2 = classify(cfg.vocab_t2, assoc.v2)
@@ -188,15 +181,20 @@ def aggregate(instances):
     """Accumulate weighted instances into a rule set with metrics.
 
     Weights of identical label tuples add up; support and confidence are
-    populated from the resulting totals. Rules are ordered by descending
-    weight, then lexicographically by label tuple, and the trigger pairs
-    are distinct keys in their stream-bound order: (Small, Medium) and
-    (Medium, Small) are different triggers.
+    populated from the resulting totals. Zero-weight instances (the
+    degree product can underflow) are skipped, so every weight a metric
+    divides by is positive and an all-zero input yields an empty set.
+    Rules are ordered by descending weight, then lexicographically by
+    label tuple, and the trigger pairs are distinct keys in their
+    stream-bound order: (Small, Medium) and (Medium, Small) are
+    different triggers.
     """
     weights = {}
     trigger_weights = {}
     total_weight = 0.0
     for l1, l2, l_dt, l3, weight in instances:
+        if weight == 0.0:
+            continue
         key = (l1, l2, l_dt, l3)
         pair = (l1, l2)
         weights[key] = weights.get(key, 0.0) + weight
@@ -212,19 +210,6 @@ def aggregate(instances):
     )
     return RuleSet(rules=rules, total_weight=total_weight,
                    trigger_weights=trigger_weights)
-
-
-def support(ruleset, rule):
-    """The rule's weight relative to the combined weight of all rules."""
-    if ruleset.total_weight == 0:
-        raise UndefinedMetricError(
-            "support is undefined on a rule set with zero total weight")
-    return rule.weight / ruleset.total_weight
-
-
-def confidence(ruleset, rule):
-    """The rule's weight relative to the rules sharing its trigger pair."""
-    return rule.weight / ruleset.trigger_weights[(rule.l1, rule.l2)]
 
 
 def apply_thresholds(ruleset, min_support, min_confidence):

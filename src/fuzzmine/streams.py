@@ -48,10 +48,6 @@ class EventStream:
     def __len__(self):
         return len(self.events)
 
-    @property
-    def timestamps(self):
-        return tuple(e.timestamp for e in self.events)
-
 
 @dataclass(frozen=True)
 class StreamBundle:
@@ -60,9 +56,6 @@ class StreamBundle:
     trigger1: EventStream
     trigger2: EventStream
     consequence: EventStream
-
-    def by_role(self):
-        return dict(zip(ROLES, (self.trigger1, self.trigger2, self.consequence)))
 
 
 def parse_streams(text):

@@ -47,8 +47,9 @@ def test_golden_rule_set(quickstart_bundle, quickstart_config):
     ruleset = mine(quickstart_bundle, quickstart_config.mining)
     assert len(ruleset) == 4
     assert ruleset.total_weight == pytest.approx(3.0, abs=1e-9)
+    by_labels = {r.labels: r for r in ruleset}
     for labels, (weight, support, confidence) in QUICKSTART_RULES.items():
-        rule = ruleset.find(*labels)
+        rule = by_labels.get(labels)
         assert rule is not None, labels
         assert rule.weight == pytest.approx(weight, abs=1e-9)
         assert rule.support == pytest.approx(support, abs=1e-9)

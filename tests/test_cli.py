@@ -13,12 +13,27 @@ from dot_grammar import check_dot
 
 CSV = str(QUICKSTART_CSV)
 CONFIG = str(QUICKSTART_CONFIG)
+BOM = b"\xef\xbb\xbf"
+
+TINY = {"label": "Tiny", "a": 0, "b": 1, "c": 2, "d": 3}
+BIG = {"label": "Big", "a": 10, "b": 10, "c": 20, "d": 20}
+ANY = {"label": "Any", "a": 0, "b": 0, "c": 100, "d": 100}
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def write_case(tmp_path, csv_text, vocabularies):
+    """Write a long-layout CSV and a config over the quickstart roles."""
+    doc = json.loads(QUICKSTART_CONFIG.read_text())
+    doc["vocabularies"] = vocabularies
+    csv_path, config_path = tmp_path / "streams.csv", tmp_path / "config.json"
+    csv_path.write_text("timestamp,stream,value\n" + csv_text)
+    config_path.write_text(json.dumps(doc))
+    return str(csv_path), str(config_path)
 
 
 class TestMineCommand:
@@ -99,6 +114,57 @@ class TestMineCommand:
                              "--config", CONFIG, "--format", "json")
         assert code == 0
         assert json.loads(out)["rules"] == []
+
+    def test_underflowing_total_weight_mines_zero_rules(self, capsys, tmp_path):
+        # Every degree is 1e-120, so each triple's weight product is 0.0.
+        csv_path, config_path = write_case(
+            tmp_path, "0,stream1,1e-120\n0,stream2,1e-120\n1e-120,stream3,1e-120\n",
+            {key: [TINY] for key in ("trigger1", "trigger2", "delta_t", "consequence")})
+        code, out, err = run(capsys, "mine", "--input", csv_path,
+                             "--config", config_path)
+        assert code == 0 and err == ""
+        assert "0 rules, total weight 0" in out
+
+    def test_underflowing_trigger_pair_is_left_out(self, capsys, tmp_path):
+        # (Tiny, Tiny) weighs 1e-200 * 1e-200 == 0.0; (Big, Tiny) stays positive.
+        csv_path, config_path = write_case(
+            tmp_path, "0,stream1,1e-200\n0,stream1,15\n1,stream2,1e-200\n2,stream3,5\n",
+            {"trigger1": [TINY, BIG], "trigger2": [TINY, BIG],
+             "delta_t": [ANY], "consequence": [ANY]})
+        code, out, err = run(capsys, "mine", "--input", csv_path,
+                             "--config", config_path, "--format", "json")
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert [(r["trigger1"], r["trigger2"]) for r in report["rules"]] == [
+            ("Big", "Tiny")]
+        assert report["rules"][0]["support"] == 1.0
+        assert report["rules"][0]["confidence"] == 1.0
+
+    def test_csv_with_bom_gives_same_report(self, capsys, tmp_path):
+        bom_csv = tmp_path / "bom.csv"
+        bom_csv.write_bytes(BOM + QUICKSTART_CSV.read_bytes())
+        _, plain, _ = run(capsys, "mine", "--input", CSV, "--config", CONFIG)
+        code, out, err = run(capsys, "mine", "--input", str(bom_csv),
+                             "--config", CONFIG)
+        assert code == 0 and err == ""
+        assert out == plain
+
+    def test_config_with_bom_gives_same_report(self, capsys, tmp_path):
+        bom_config = tmp_path / "bom.json"
+        bom_config.write_bytes(BOM + QUICKSTART_CONFIG.read_bytes())
+        _, plain, _ = run(capsys, "mine", "--input", CSV, "--config", CONFIG,
+                          "--format", "json")
+        code, out, err = run(capsys, "mine", "--input", CSV,
+                             "--config", str(bom_config), "--format", "json")
+        assert code == 0 and err == ""
+        assert out == plain
+
+    def test_non_utf8_config_exits_3(self, capsys, tmp_path):
+        bad = tmp_path / "latin.json"
+        bad.write_bytes(b'{"roles": "\xff"}')
+        code, out, err = run(capsys, "mine", "--input", CSV, "--config", str(bad))
+        assert code == 3 and out == ""
+        assert err.startswith("fuzzmine:") and "UTF-8" in err
 
     def test_missing_input_exits_2(self, capsys):
         code, out, err = run(capsys, "mine", "--input", "missing.csv",
@@ -186,6 +252,13 @@ class TestValidateCommand:
                            "--input", str(empty))
         assert code == 0
         assert "warning" in out
+
+    def test_non_utf8_config_exits_3(self, capsys, tmp_path):
+        bad = tmp_path / "latin.json"
+        bad.write_bytes(b'{"roles": "\xff"}')
+        code, out, _ = run(capsys, "validate", "--config", str(bad))
+        assert code == 3
+        assert "error: [config]" in out and "UTF-8" in out
 
     def test_role_mismatch_exits_3(self, capsys, tmp_path):
         doc = json.loads(QUICKSTART_CONFIG.read_text())

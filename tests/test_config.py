@@ -25,8 +25,8 @@ class TestLoadConfig:
         cfg = load_config(QUICKSTART_CONFIG)
         assert cfg.roles == {"trigger1": "stream1", "trigger2": "stream2",
                              "consequence": "stream3"}
-        assert cfg.windows.trigger_window == 10
-        assert cfg.windows.consequence_window == 10
+        assert cfg.mining.windows.trigger_window == 10
+        assert cfg.mining.windows.consequence_window == 10
         assert cfg.mining.min_support == 0
         assert cfg.mining.min_confidence == 0
         assert cfg.mining.vocab_t1.labels == (
@@ -42,6 +42,15 @@ class TestLoadConfig:
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ConfigError, match="not valid JSON"):
+            load_config(path)
+
+    def test_integer_beyond_digit_limit(self, tmp_path):
+        # json rejects integers past the interpreter's digit limit with a
+        # bare ValueError; without that limit the window is too large a float.
+        path = tmp_path / "digits.json"
+        path.write_text(QUICKSTART_CONFIG.read_text(encoding="utf-8").replace(
+            '"trigger": 10', '"trigger": ' + "1" * 5000), encoding="utf-8")
+        with pytest.raises(ConfigError, match="trigger|JSON"):
             load_config(path)
 
     def test_vocabulary_error_blocks_loading(self, tmp_path):
@@ -107,7 +116,8 @@ class TestSchema:
         with pytest.raises(ConfigError, match="trigger1"):
             parse_config_dict(doc)
 
-    @pytest.mark.parametrize("value", [0, -1, "ten", None, True])
+    @pytest.mark.parametrize("value", [0, -1, "ten", None, True,
+                                       pytest.param(10**400, id="10**400")])
     def test_bad_window_values(self, value):
         doc = quickstart_doc()
         doc["windows"]["trigger"] = value
@@ -150,6 +160,12 @@ class TestSchema:
         with pytest.raises(ConfigError, match=r"consequence\[1\]\.c"):
             parse_config_dict(doc)
 
+    def test_vocabulary_corner_beyond_float_range(self):
+        doc = quickstart_doc()
+        doc["vocabularies"]["delta_t"][2]["d"] = 10**400
+        with pytest.raises(ConfigError, match=r"delta_t\[2\]\.d"):
+            parse_config_dict(doc)
+
     def test_vocabulary_label_required(self):
         doc = quickstart_doc()
         del doc["vocabularies"]["trigger2"][0]["label"]
@@ -164,3 +180,10 @@ class TestConfigFindings:
         ruspini = [f for f in findings if f.code == "ruspini"]
         assert len(ruspini) == 4
         assert all(f.severity == INFO for f in ruspini)
+
+    def test_infinite_corner_reaches_vocabulary_validator(self, tmp_path):
+        # JSON ``Infinity`` passes the schema; the validator rejects it.
+        doc = quickstart_doc()
+        doc["vocabularies"]["trigger2"][2]["d"] = float("inf")
+        with pytest.raises(ConfigError, match="corners must be finite"):
+            load_config(write_config(tmp_path, doc))

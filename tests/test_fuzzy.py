@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fuzzmine import (
-    Classification,
     FuzzyInterval,
     Vocabulary,
     classify,
@@ -68,37 +67,39 @@ class TestMembership:
             assert 0.0 <= membership(iv, x) <= 1.0
 
     @given(x=quarters(0, 15))
-    def test_interval_method_matches_function(self, x):
-        assert MEDIUM.membership(x) == membership(MEDIUM, x)
+    def test_classify_reports_membership_degree(self, x):
+        degrees = dict(classify(volume_vocab(), x))
+        assert degrees.get("Medium Volume", 0.0) == membership(MEDIUM, x)
 
 
 class TestClassify:
     def test_value_in_two_sets(self):
         result = classify(volume_vocab(), 10.5)
-        assert result.memberships == (("Medium Volume", 0.5), ("Large Volume", 0.5))
+        assert result == (("Medium Volume", 0.5), ("Large Volume", 0.5))
 
     def test_value_in_single_plateau(self):
         result = classify(volume_vocab(), 8)
-        assert result.memberships == (("Medium Volume", 1.0),)
+        assert result == (("Medium Volume", 1.0),)
 
     def test_value_below_all_sets(self):
         result = classify(volume_vocab(), -1)
-        assert result.memberships == ()
+        assert result == ()
         assert not result
 
-    def test_labels_and_degree_helpers(self):
+    def test_pairs_give_labels_and_degrees(self):
         result = classify(volume_vocab(), 10.5)
-        assert result.labels == ("Medium Volume", "Large Volume")
-        assert result.degree("Large Volume") == 0.5
-        assert result.degree("Small Volume") == 0.0
+        assert tuple(label for label, _ in result) == ("Medium Volume", "Large Volume")
+        assert dict(result)["Large Volume"] == 0.5
+        assert "Small Volume" not in dict(result)
         assert len(result) == 2
 
     @given(x=quarters(-5, 20))
     def test_no_zero_degrees_ever_reported(self, x):
         for vocab in (volume_vocab(), timing_vocab()):
             result = classify(vocab, x)
+            labels = [label for label, _ in result]
             assert all(degree > 0.0 for _, degree in result)
-            assert len(set(result.labels)) == len(result.labels)
+            assert len(set(labels)) == len(labels)
 
     @given(vocab=ruspini_vocabs("v", 0, 12), x=quarters(0, 12))
     def test_ruspini_degrees_sum_to_one(self, vocab, x):
@@ -106,8 +107,8 @@ class TestClassify:
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_classification_coerces_to_tuple(self):
-        result = Classification([("x", 0.5)])
-        assert isinstance(result.memberships, tuple)
+        assert isinstance(classify(volume_vocab(), 10.5), tuple)
+        assert isinstance(classify(volume_vocab(), -1), tuple)
 
 
 class TestValidateVocabulary:

@@ -13,15 +13,12 @@ from fuzzmine import (
     NumericalAssociation,
     RuleInstance,
     StreamBundle,
-    UndefinedMetricError,
     WindowConfig,
     aggregate,
     apply_thresholds,
-    confidence,
     extract_numerical,
     fuzzify,
     mine,
-    support,
 )
 
 from common import QUICKSTART_RULES, quickstart_bundle, quickstart_mining_config
@@ -166,8 +163,9 @@ class TestAggregate:
         ruleset = aggregate(instances)
         assert len(ruleset) == 4
         assert ruleset.total_weight == pytest.approx(3.0, abs=1e-9)
+        by_labels = {r.labels: r for r in ruleset}
         for labels, (weight, _, _) in QUICKSTART_RULES.items():
-            assert ruleset.find(*labels).weight == pytest.approx(weight, abs=1e-9)
+            assert by_labels[labels].weight == pytest.approx(weight, abs=1e-9)
 
     def test_identical_tuples_merge(self):
         instances = [RuleInstance("a", "b", "t", "c", 0.5),
@@ -181,6 +179,18 @@ class TestAggregate:
         assert len(ruleset) == 0
         assert ruleset.total_weight == 0.0
         assert ruleset.trigger_weights == {}
+
+    def test_zero_weight_instances_are_skipped(self):
+        # An underflowed degree product adds no rule, trigger pair or total,
+        # so no metric divides by zero.
+        instances = [RuleInstance("a", "b", "t", "c", 0.0),
+                     RuleInstance("x", "y", "t", "c", 0.5),
+                     RuleInstance("x", "y", "t", "d", 0.0)]
+        ruleset = aggregate(instances)
+        assert [r.labels for r in ruleset] == [("x", "y", "t", "c")]
+        assert ruleset.total_weight == 0.5
+        assert ruleset.trigger_weights == {("x", "y"): 0.5}
+        assert aggregate(instances[:1]) == aggregate([])
 
     def test_ordering_descending_weight_then_lexicographic(self):
         instances = [RuleInstance("b", "b", "t", "c", 0.5),
@@ -214,25 +224,21 @@ class TestAggregate:
 class TestMetrics:
     def test_quickstart_support_and_confidence(self):
         ruleset = mine(quickstart_bundle(), quickstart_mining_config())
+        by_labels = {r.labels: r for r in ruleset}
         for labels, (weight, sup, conf) in QUICKSTART_RULES.items():
-            rule = ruleset.find(*labels)
+            rule = by_labels[labels]
             assert rule.weight == pytest.approx(weight, abs=1e-9)
-            assert support(ruleset, rule) == pytest.approx(sup, abs=1e-9)
-            assert confidence(ruleset, rule) == pytest.approx(conf, abs=1e-9)
+            assert rule.weight / ruleset.total_weight == pytest.approx(sup, abs=1e-9)
+            assert (rule.weight / ruleset.trigger_weights[labels[:2]]
+                    == pytest.approx(conf, abs=1e-9))
             assert rule.support == pytest.approx(sup, abs=1e-9)
             assert rule.confidence == pytest.approx(conf, abs=1e-9)
 
     def test_single_rule_set_self_normalizes(self):
         ruleset = aggregate([RuleInstance("a", "b", "t", "c", 0.25)])
         rule = ruleset.rules[0]
-        assert support(ruleset, rule) == 1.0
-        assert confidence(ruleset, rule) == 1.0
-
-    def test_support_undefined_on_empty_set(self):
-        empty = aggregate([])
-        probe = aggregate([RuleInstance("a", "b", "t", "c", 1.0)]).rules[0]
-        with pytest.raises(UndefinedMetricError):
-            support(empty, probe)
+        assert rule.support == 1.0
+        assert rule.confidence == 1.0
 
 
 class TestApplyThresholds:
@@ -258,8 +264,8 @@ class TestApplyThresholds:
         pruned = apply_thresholds(ruleset, 0.3, 0.0)
         assert pruned.total_weight == ruleset.total_weight
         assert pruned.trigger_weights == ruleset.trigger_weights
-        rule = pruned.find("Small Volume", "Medium Volume",
-                           "Long Time After", "Large Volume")
+        rule = {r.labels: r for r in pruned}[
+            ("Small Volume", "Medium Volume", "Long Time After", "Large Volume")]
         assert rule.support == pytest.approx(1 / 3, abs=1e-9)
         assert rule.confidence == pytest.approx(0.5, abs=1e-9)
 
