@@ -27,14 +27,11 @@ from .fuzzy import (
 from .mining import (
     FuzzyRule,
     MiningConfig,
-    NumericalAssociation,
-    RuleInstance,
     RuleSet,
     WindowConfig,
     aggregate,
     apply_thresholds,
     extract_numerical,
-    fuzzify,
     mine,
 )
 from .report import render_json, render_table, ruleset_to_report
@@ -70,10 +67,8 @@ __all__ = [
     "FuzzyRule",
     "InputError",
     "MiningConfig",
-    "NumericalAssociation",
     "ParseError",
     "PipelineConfig",
-    "RuleInstance",
     "RuleSet",
     "StreamBundle",
     "StreamDataError",
@@ -87,7 +82,6 @@ __all__ = [
     "classify",
     "config_findings",
     "extract_numerical",
-    "fuzzify",
     "has_errors",
     "load_config",
     "membership",

@@ -66,7 +66,7 @@ def read_config_file(path):
         raise ConfigError(f"config file {path} is not valid UTF-8: {exc}") from None
     try:
         return json.loads(text)
-    except ValueError as exc:  # also an integer past the interpreter's digit limit
+    except (ValueError, RecursionError) as exc:  # also too many digits or too deep
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
 
 
@@ -103,15 +103,9 @@ def parse_config_dict(doc):
 
 def config_findings(cfg):
     """All validator findings for a parsed config (any severity)."""
-    findings = []
-    for vocab in _vocabularies(cfg):
-        findings.extend(validate_vocabulary(vocab))
-    return findings
-
-
-def _vocabularies(cfg):
     m = cfg.mining
-    return (m.vocab_t1, m.vocab_t2, m.vocab_dt, m.vocab_c)
+    return [finding for vocab in (m.vocab_t1, m.vocab_t2, m.vocab_dt, m.vocab_c)
+            for finding in validate_vocabulary(vocab)]
 
 
 def _require(doc, key, kind):

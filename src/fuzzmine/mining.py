@@ -1,16 +1,18 @@
 """Windowed association extraction, fuzzification, and rule metrics.
 
 The pipeline turns three role-bound streams into linguistic rules of the
-form (trigger1, trigger2) => (elapsed-time, consequence):
+form (trigger1, trigger2) => (elapsed-time, consequence) in one lazy pass:
 
-1. extract every event triple that satisfies the two time windows,
-2. classify each triple's values into linguistic labels, producing one
+1. generate every event triple that satisfies the two time windows,
+2. classify each triple's values into linguistic labels, giving one
    weighted instance per label combination (weight = product of the four
    membership degrees),
-3. accumulate instances into rules and compute each rule's support
-   (weight over the combined weight of all rules) and confidence (weight
-   over the combined weight of rules sharing its trigger pair).
+3. add each instance straight into the rule totals and compute each
+   rule's support (weight over the combined weight of all rules) and
+   confidence (weight over the combined weight of rules sharing its
+   trigger pair).
 
+Nothing per triple is materialized: memory grows with the rule count.
 Everything here is pure and deterministic; rule sets are immutable.
 """
 
@@ -18,7 +20,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import product
 from math import isfinite
-from typing import NamedTuple
 
 from .fuzzy import Vocabulary, classify
 
@@ -41,34 +42,6 @@ class WindowConfig:
             value = getattr(self, name)
             if not (isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-
-
-@dataclass(frozen=True)
-class NumericalAssociation:
-    """One extracted event triple, before any classification.
-
-    ``v1``/``v2``/``v3`` are the event values, ``delta_t`` the elapsed
-    time from the trigger-2 event to the consequence event, and
-    ``t1``/``t2``/``t3`` the source timestamps kept for provenance.
-    """
-
-    v1: float
-    v2: float
-    delta_t: float
-    v3: float
-    t1: float
-    t2: float
-    t3: float
-
-
-class RuleInstance(NamedTuple):
-    """One weighted linguistic reading of a numerical association."""
-
-    l1: str
-    l2: str
-    l_dt: str
-    l3: str
-    weight: float
 
 
 @dataclass(frozen=True)
@@ -130,19 +103,19 @@ class MiningConfig:
 
 
 def extract_numerical(bundle, windows):
-    """Enumerate every event triple allowed by the windows.
+    """Generate every event triple allowed by the windows.
 
     A triple (e1, e2, e3) qualifies when e2 falls within the trigger
     window after e1 (e1.t <= e2.t <= e1.t + trigger_window) and e3 falls
     within the consequence window after e2. Enumeration is exhaustive:
     one event may participate in any number of associations, and one
-    trigger pair may yield several. Output is ordered by (t1, t2, t3).
+    trigger pair may yield several. Triples of :class:`Event` objects are
+    yielded lazily, ordered by (t1, t2, t3).
     """
     t2_events = bundle.trigger2.events
     t3_events = bundle.consequence.events
     t2_times = [e.timestamp for e in t2_events]
     t3_times = [e.timestamp for e in t3_events]
-    out = []
     for e1 in bundle.trigger1.events:
         lo2 = bisect_left(t2_times, e1.timestamp)
         hi2 = bisect_right(t2_times, e1.timestamp + windows.trigger_window)
@@ -150,40 +123,18 @@ def extract_numerical(bundle, windows):
             lo3 = bisect_left(t3_times, e2.timestamp)
             hi3 = bisect_right(t3_times, e2.timestamp + windows.consequence_window)
             for e3 in t3_events[lo3:hi3]:
-                out.append(NumericalAssociation(
-                    v1=e1.value, v2=e2.value,
-                    delta_t=e3.timestamp - e2.timestamp, v3=e3.value,
-                    t1=e1.timestamp, t2=e2.timestamp, t3=e3.timestamp))
-    return out
-
-
-def fuzzify(assoc, cfg):
-    """Expand one association into weighted linguistic instances.
-
-    Takes the cartesian product of the four classifications; each
-    combination weighs the product of its membership degrees. Zero
-    factors never occur because classification omits zero-degree labels,
-    and if any dimension classifies to nothing the result is empty: the
-    association then contributes no weight at all. A product can still
-    underflow to 0.0; :func:`aggregate` skips such instances.
-    """
-    c1 = classify(cfg.vocab_t1, assoc.v1)
-    c2 = classify(cfg.vocab_t2, assoc.v2)
-    c_dt = classify(cfg.vocab_dt, assoc.delta_t)
-    c3 = classify(cfg.vocab_c, assoc.v3)
-    return [
-        RuleInstance(l1, l2, l_dt, l3, m1 * m2 * m_dt * m3)
-        for (l1, m1), (l2, m2), (l_dt, m_dt), (l3, m3) in product(c1, c2, c_dt, c3)
-    ]
+                yield e1, e2, e3
 
 
 def aggregate(instances):
     """Accumulate weighted instances into a rule set with metrics.
 
-    Weights of identical label tuples add up; support and confidence are
-    populated from the resulting totals. Zero-weight instances (the
-    degree product can underflow) are skipped, so every weight a metric
-    divides by is positive and an all-zero input yields an empty set.
+    ``instances`` is any iterable of (l1, l2, l_dt, l3, weight) tuples.
+    Weights of identical label tuples add up, in input order; support
+    and confidence are populated from the resulting totals. Zero-weight
+    instances (the degree product can underflow) are skipped, so every
+    weight a metric divides by is positive and an all-zero input yields
+    an empty set.
     Rules are ordered by descending weight, then lexicographically by
     label tuple, and the trigger pairs are distinct keys in their
     stream-bound order: (Small, Medium) and (Medium, Small) are
@@ -228,9 +179,23 @@ def apply_thresholds(ruleset, min_support, min_confidence):
 
 
 def mine(bundle, cfg):
-    """Run the full pipeline: extract, fuzzify, aggregate, threshold."""
-    instances = []
-    for assoc in extract_numerical(bundle, cfg.windows):
-        instances.extend(fuzzify(assoc, cfg))
+    """Run the full pipeline: extract, fuzzify, aggregate, threshold.
+
+    Each triple yields one instance per combination of its four
+    classifications, weighing the product of their degrees taken left to
+    right, in (t1, t2, t3) order, then vocabulary label order. Zero
+    factors never occur because classification omits zero-degree labels;
+    a dimension that classifies to nothing leaves the triple weightless.
+    A product can still underflow to 0.0; :func:`aggregate` skips those.
+    """
+    instances = (
+        (l1, l2, l_dt, l3, m1 * m2 * m_dt * m3)
+        for e1, e2, e3 in extract_numerical(bundle, cfg.windows)
+        for (l1, m1), (l2, m2), (l_dt, m_dt), (l3, m3) in product(
+            classify(cfg.vocab_t1, e1.value),
+            classify(cfg.vocab_t2, e2.value),
+            classify(cfg.vocab_dt, e3.timestamp - e2.timestamp),
+            classify(cfg.vocab_c, e3.value))
+    )
     ruleset = aggregate(instances)
     return apply_thresholds(ruleset, cfg.min_support, cfg.min_confidence)

@@ -106,6 +106,13 @@ def _parse(text):
     """Shared parser. Returns (streams by name, declared names or None)."""
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
+        return _parse_rows(reader)
+    except csv.Error as exc:  # e.g. a field past the csv field limit
+        raise ParseError(str(exc), line=reader.line_num) from None
+
+
+def _parse_rows(reader):
+    try:
         header = next(reader)
     except StopIteration:
         raise ParseError("empty input, expected a header row", line=1) from None

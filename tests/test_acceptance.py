@@ -32,13 +32,15 @@ CONFIG = str(QUICKSTART_CONFIG)
 
 @pytest.mark.criterion(1, "golden extraction")
 def test_golden_extraction_is_exact(quickstart_bundle):
-    found = extract_numerical(quickstart_bundle, WindowConfig(10, 10))
-    assert [(a.v1, a.v2, a.delta_t, a.v3) for a in found] == [
+    found = list(extract_numerical(quickstart_bundle, WindowConfig(10, 10)))
+    assert [(e1.value, e2.value, e3.timestamp - e2.timestamp, e3.value)
+            for e1, e2, e3 in found] == [
         (2, 8, 4, 10.5),
         (2, 8, 10, 15),
         (7, 2, 10, 7),
     ]
-    assert [(a.t1, a.t2, a.t3) for a in found] == [
+    assert [(e1.timestamp, e2.timestamp, e3.timestamp)
+            for e1, e2, e3 in found] == [
         (0, 3, 7), (0, 3, 13), (1000, 1003, 1013)]
 
 
@@ -73,7 +75,7 @@ def test_membership_anchor_points():
 @given(case=ruspini_settings(max_events=16))
 def test_normalization_properties(case):
     bundle, cfg = case
-    associations = extract_numerical(bundle, cfg.windows)
+    associations = list(extract_numerical(bundle, cfg.windows))
     ruleset = mine(bundle, cfg)
     assert ruleset.total_weight == pytest.approx(len(associations), abs=1e-9)
     if not ruleset.rules:

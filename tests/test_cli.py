@@ -19,6 +19,16 @@ TINY = {"label": "Tiny", "a": 0, "b": 1, "c": 2, "d": 3}
 BIG = {"label": "Big", "a": 10, "b": 10, "c": 20, "d": 20}
 ANY = {"label": "Any", "a": 0, "b": 0, "c": 100, "d": 100}
 
+# Fields the csv module itself rejects: one past its 131,072-character field
+# limit, and a NUL (rejected before Python 3.11, a non-numeric value after).
+UNREADABLE_FIELDS = pytest.mark.parametrize(
+    "cell", ["9" * 200_000, "1\x00"], ids=["oversized", "nul"])
+# Config files json cannot decode: bad UTF-8, and nesting past the recursion limit.
+UNDECODABLE_CONFIGS = pytest.mark.parametrize("content, reason", [
+    (b'{"roles": "\xff"}', "UTF-8"),
+    (b"[" * 200_000, "recursion"),
+], ids=["non-utf8", "too-deep"])
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -159,12 +169,21 @@ class TestMineCommand:
         assert code == 0 and err == ""
         assert out == plain
 
-    def test_non_utf8_config_exits_3(self, capsys, tmp_path):
-        bad = tmp_path / "latin.json"
-        bad.write_bytes(b'{"roles": "\xff"}')
+    @UNDECODABLE_CONFIGS
+    def test_undecodable_config_exits_3(self, capsys, tmp_path, content, reason):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
         code, out, err = run(capsys, "mine", "--input", CSV, "--config", str(bad))
         assert code == 3 and out == ""
-        assert err.startswith("fuzzmine:") and "UTF-8" in err
+        assert err.startswith("fuzzmine:") and reason in err
+
+    @UNREADABLE_FIELDS
+    def test_unreadable_csv_field_exits_2(self, capsys, tmp_path, cell):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"timestamp,stream,value\n0,s,{cell}\n")
+        code, out, err = run(capsys, "mine", "--input", str(bad), "--config", CONFIG)
+        assert code == 2 and out == ""
+        assert "line 2:" in err
 
     def test_missing_input_exits_2(self, capsys):
         code, out, err = run(capsys, "mine", "--input", "missing.csv",
@@ -253,12 +272,21 @@ class TestValidateCommand:
         assert code == 0
         assert "warning" in out
 
-    def test_non_utf8_config_exits_3(self, capsys, tmp_path):
-        bad = tmp_path / "latin.json"
-        bad.write_bytes(b'{"roles": "\xff"}')
+    @UNDECODABLE_CONFIGS
+    def test_undecodable_config_exits_3(self, capsys, tmp_path, content, reason):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
         code, out, _ = run(capsys, "validate", "--config", str(bad))
         assert code == 3
-        assert "error: [config]" in out and "UTF-8" in out
+        assert "error: [config]" in out and reason in out
+
+    @UNREADABLE_FIELDS
+    def test_unreadable_csv_field_exits_2(self, capsys, tmp_path, cell):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"timestamp,stream,value\n0,s,{cell}\n")
+        code, out, err = run(capsys, "validate", "--input", str(bad))
+        assert code == 2 and out == ""
+        assert "line 2:" in err
 
     def test_role_mismatch_exits_3(self, capsys, tmp_path):
         doc = json.loads(QUICKSTART_CONFIG.read_text())

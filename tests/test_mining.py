@@ -1,35 +1,82 @@
 """Tests for association extraction, fuzzification, and rule metrics."""
 
 from collections import Counter
+from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fuzzmine import (
     Event,
     EventStream,
+    FuzzyInterval,
     MiningConfig,
-    NumericalAssociation,
-    RuleInstance,
     StreamBundle,
+    Vocabulary,
     WindowConfig,
     aggregate,
     apply_thresholds,
+    classify,
     extract_numerical,
-    fuzzify,
     mine,
 )
 
 from common import QUICKSTART_RULES, quickstart_bundle, quickstart_mining_config
-from oracle import brute_force_associations
-from strategies import arbitrary_settings, bundles
+from oracle import brute_force_associations, brute_force_rule_table
+from strategies import STREAM_NAMES, arbitrary_settings, bundles, ruspini_settings
 
 WINDOWS = WindowConfig(trigger_window=10, consequence_window=10)
 
 
-def as_value_tuples(associations):
-    return [(a.v1, a.v2, a.delta_t, a.v3, a.t1, a.t2, a.t3) for a in associations]
+def as_value_tuples(triples):
+    """(v1, v2, delta_t, v3, t1, t2, t3) per triple, as the oracle gives them."""
+    return [(e1.value, e2.value, e3.timestamp - e2.timestamp, e3.value,
+             e1.timestamp, e2.timestamp, e3.timestamp) for e1, e2, e3 in triples]
+
+
+def one_triple_rules(e1, e2, e3):
+    """(labels, weight) of the quickstart rules mined from a single triple."""
+    bundle = StreamBundle(*(EventStream(name, (Event(*event),))
+                            for name, event in zip(STREAM_NAMES, (e1, e2, e3))))
+    return [(r.labels, r.weight) for r in mine(bundle, quickstart_mining_config())]
+
+
+def same_streams(events, windows, vocabs):
+    """Three streams holding the same (timestamp, value) events."""
+    bundle = StreamBundle(*(EventStream.from_events(name, [Event(*e) for e in events])
+                            for name in STREAM_NAMES))
+    return bundle, MiningConfig(windows, *vocabs)
+
+
+def ramps(name, top):
+    """Two labels splitting [0, top] linearly: inexact degrees almost anywhere,
+    so a change in the order of the float operations shows in the low bits."""
+    return Vocabulary(name, (FuzzyInterval("low", 0, 0, 0, top),
+                             FuzzyInterval("high", 0, top, top, top)))
+
+
+# Every stream has events at 0, 2 and 5, so triples tie across streams and
+# land on both closed window boundaries (2 after t1, 3 after t2).
+BOUNDARY_TIES = same_streams(
+    [(0, 4), (2, 5), (2, 10), (5, 7.25), (5, 11)], WindowConfig(2, 3),
+    (ramps("t1", 12), ramps("t2", 12), ramps("dt", 3), ramps("c", 12)))
+
+# a == b == c == d: the point set has degree 1 at its corner and 0 elsewhere.
+POINT = Vocabulary("point", (FuzzyInterval("at5", 5, 5, 5, 5),
+                             FuzzyInterval("near5", 2, 5, 5, 8)))
+ZERO_WIDTH = same_streams(
+    [(0, 5), (0, 4.5), (1, 5), (1, 6)], WindowConfig(1, 1),
+    (POINT, POINT, Vocabulary("dt", (FuzzyInterval("now", 0, 0, 0, 0),
+                                     FuzzyInterval("soon", 0, 1, 1, 1))), POINT))
+
+# Ramps 3e160 wide give degrees near 1e-160: two such factors make a
+# subnormal product, three or four underflow to 0.0.
+FAINT = Vocabulary("faint", (FuzzyInterval("faint", 0, 3e160, 3e160, 6e160),
+                             FuzzyInterval("plain", 0, 12, 12, 12)))
+SUBNORMAL = same_streams(
+    [(0, 2.5), (1, 0.75), (2, 11), (3, 6.5)], WindowConfig(2, 2),
+    (FAINT, FAINT, FAINT, FAINT))
 
 
 class TestExtractNumerical:
@@ -45,41 +92,41 @@ class TestExtractNumerical:
         bundle = StreamBundle(EventStream("a", (Event(0, 1),)),
                               EventStream("b"),
                               EventStream("c", (Event(1, 1),)))
-        assert extract_numerical(bundle, WINDOWS) == []
+        assert list(extract_numerical(bundle, WINDOWS)) == []
 
     def test_window_boundaries_are_closed(self):
         bundle = StreamBundle(EventStream("a", (Event(0, 1),)),
                               EventStream("b", (Event(10, 2),)),
                               EventStream("c", (Event(20, 3),)))
-        found = extract_numerical(bundle, WINDOWS)
+        found = as_value_tuples(extract_numerical(bundle, WINDOWS))
         assert len(found) == 1
-        assert found[0].delta_t == 10
+        assert found[0][2] == 10
 
     def test_just_beyond_window_is_excluded(self):
         bundle = StreamBundle(EventStream("a", (Event(0, 1),)),
                               EventStream("b", (Event(10.25, 2),)),
                               EventStream("c", (Event(20, 3),)))
-        assert extract_numerical(bundle, WINDOWS) == []
+        assert list(extract_numerical(bundle, WINDOWS)) == []
 
     def test_triggers_may_coincide_and_delta_may_be_zero(self):
         bundle = StreamBundle(EventStream("a", (Event(5, 1),)),
                               EventStream("b", (Event(5, 2),)),
                               EventStream("c", (Event(5, 3),)))
-        found = extract_numerical(bundle, WINDOWS)
+        found = as_value_tuples(extract_numerical(bundle, WINDOWS))
         assert len(found) == 1
-        assert found[0].delta_t == 0
+        assert found[0][2] == 0
 
     def test_consequence_before_trigger2_is_excluded(self):
         bundle = StreamBundle(EventStream("a", (Event(0, 1),)),
                               EventStream("b", (Event(5, 2),)),
                               EventStream("c", (Event(4, 3),)))
-        assert extract_numerical(bundle, WINDOWS) == []
+        assert list(extract_numerical(bundle, WINDOWS)) == []
 
     def test_one_event_can_join_many_associations(self):
         bundle = StreamBundle(EventStream("a", (Event(0, 1), Event(1, 2))),
                               EventStream("b", (Event(2, 3),)),
                               EventStream("c", (Event(3, 4), Event(4, 5))))
-        assert len(extract_numerical(bundle, WINDOWS)) == 4
+        assert len(list(extract_numerical(bundle, WINDOWS))) == 4
 
     def test_output_sorted_by_timestamps(self):
         bundle = StreamBundle(
@@ -87,8 +134,8 @@ class TestExtractNumerical:
             EventStream("b", (Event(1, 2), Event(2, 2))),
             EventStream("c", (Event(2, 3), Event(3, 3))),
         )
-        found = extract_numerical(bundle, WINDOWS)
-        keys = [(a.t1, a.t2, a.t3) for a in found]
+        keys = [(e1.timestamp, e2.timestamp, e3.timestamp)
+                for e1, e2, e3 in extract_numerical(bundle, WINDOWS)]
         assert keys == sorted(keys)
 
     @given(bundle=bundles(max_events=12),
@@ -118,48 +165,50 @@ class TestExtractNumerical:
 
         moved = StreamBundle(shifted(bundle.trigger1), shifted(bundle.trigger2),
                              shifted(bundle.consequence))
-        original = Counter((a.v1, a.v2, a.delta_t, a.v3)
-                           for a in extract_numerical(bundle, WINDOWS))
-        after = Counter((a.v1, a.v2, a.delta_t, a.v3)
-                        for a in extract_numerical(moved, WINDOWS))
-        assert original == after
+        original = as_value_tuples(extract_numerical(bundle, WINDOWS))
+        after = as_value_tuples(extract_numerical(moved, WINDOWS))
+        assert Counter(t[:4] for t in original) == Counter(t[:4] for t in after)
 
 
 class TestFuzzify:
+    """Label expansion of one window triple, seen through mine()."""
+
     def test_split_consequence_produces_two_instances(self):
-        assoc = NumericalAssociation(2, 8, 4, 10.5, 0, 3, 7)
-        assert fuzzify(assoc, quickstart_mining_config()) == [
-            RuleInstance("Small Volume", "Medium Volume", "Short Time After",
-                         "Medium Volume", 0.5),
-            RuleInstance("Small Volume", "Medium Volume", "Short Time After",
-                         "Large Volume", 0.5),
+        assert one_triple_rules((0, 2), (3, 8), (7, 10.5)) == [
+            (("Small Volume", "Medium Volume", "Short Time After", "Large Volume"),
+             0.5),
+            (("Small Volume", "Medium Volume", "Short Time After", "Medium Volume"),
+             0.5),
         ]
 
     def test_fully_contained_association(self):
-        assoc = NumericalAssociation(7, 2, 10, 7, 1000, 1003, 1013)
-        assert fuzzify(assoc, quickstart_mining_config()) == [
-            RuleInstance("Medium Volume", "Small Volume", "Long Time After",
-                         "Medium Volume", 1.0),
+        assert one_triple_rules((1000, 7), (1003, 2), (1013, 7)) == [
+            (("Medium Volume", "Small Volume", "Long Time After", "Medium Volume"),
+             1.0),
         ]
 
     def test_value_outside_all_sets_annihilates(self):
-        assoc = NumericalAssociation(-5, 8, 4, 10.5, 0, 3, 7)
-        assert fuzzify(assoc, quickstart_mining_config()) == []
+        assert one_triple_rules((0, -5), (3, 8), (7, 10.5)) == []
 
     def test_instance_count_is_product_of_classification_sizes(self):
         # 10.5 splits on both volume dimensions; 6 splits the timing sets.
-        assoc = NumericalAssociation(10.5, 10.5, 6, 10.5, 0, 0, 6)
-        instances = fuzzify(assoc, quickstart_mining_config())
-        assert len(instances) == 2 * 2 * 2 * 2
-        assert sum(i.weight for i in instances) == pytest.approx(1.0, abs=1e-12)
+        rules = one_triple_rules((0, 10.5), (0, 10.5), (6, 10.5))
+        assert len(rules) == 2 * 2 * 2 * 2
+        assert sum(weight for _, weight in rules) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestAggregate:
     def test_quickstart_weights(self):
         cfg = quickstart_mining_config()
-        instances = []
-        for assoc in extract_numerical(quickstart_bundle(), cfg.windows):
-            instances.extend(fuzzify(assoc, cfg))
+        # aggregate consumes any iterable, here a lazy stream of instances.
+        instances = (
+            (l1, l2, l_dt, l3, m1 * m2 * m_dt * m3)
+            for e1, e2, e3 in extract_numerical(quickstart_bundle(), cfg.windows)
+            for (l1, m1), (l2, m2), (l_dt, m_dt), (l3, m3) in product(
+                classify(cfg.vocab_t1, e1.value), classify(cfg.vocab_t2, e2.value),
+                classify(cfg.vocab_dt, e3.timestamp - e2.timestamp),
+                classify(cfg.vocab_c, e3.value))
+        )
         ruleset = aggregate(instances)
         assert len(ruleset) == 4
         assert ruleset.total_weight == pytest.approx(3.0, abs=1e-9)
@@ -168,8 +217,8 @@ class TestAggregate:
             assert by_labels[labels].weight == pytest.approx(weight, abs=1e-9)
 
     def test_identical_tuples_merge(self):
-        instances = [RuleInstance("a", "b", "t", "c", 0.5),
-                     RuleInstance("a", "b", "t", "c", 0.5)]
+        instances = [("a", "b", "t", "c", 0.5),
+                     ("a", "b", "t", "c", 0.5)]
         ruleset = aggregate(instances)
         assert len(ruleset) == 1
         assert ruleset.rules[0].weight == 1.0
@@ -183,9 +232,9 @@ class TestAggregate:
     def test_zero_weight_instances_are_skipped(self):
         # An underflowed degree product adds no rule, trigger pair or total,
         # so no metric divides by zero.
-        instances = [RuleInstance("a", "b", "t", "c", 0.0),
-                     RuleInstance("x", "y", "t", "c", 0.5),
-                     RuleInstance("x", "y", "t", "d", 0.0)]
+        instances = [("a", "b", "t", "c", 0.0),
+                     ("x", "y", "t", "c", 0.5),
+                     ("x", "y", "t", "d", 0.0)]
         ruleset = aggregate(instances)
         assert [r.labels for r in ruleset] == [("x", "y", "t", "c")]
         assert ruleset.total_weight == 0.5
@@ -193,9 +242,9 @@ class TestAggregate:
         assert aggregate(instances[:1]) == aggregate([])
 
     def test_ordering_descending_weight_then_lexicographic(self):
-        instances = [RuleInstance("b", "b", "t", "c", 0.5),
-                     RuleInstance("a", "b", "t", "c", 0.5),
-                     RuleInstance("a", "a", "t", "c", 1.0)]
+        instances = [("b", "b", "t", "c", 0.5),
+                     ("a", "b", "t", "c", 0.5),
+                     ("a", "a", "t", "c", 1.0)]
         ruleset = aggregate(instances)
         assert [r.labels for r in ruleset] == [
             ("a", "a", "t", "c"), ("a", "b", "t", "c"), ("b", "b", "t", "c")]
@@ -204,7 +253,7 @@ class TestAggregate:
            keys=st.integers(1, 4))
     def test_total_weight_is_plain_sum(self, weights, keys):
         instances = [
-            RuleInstance(f"l{i % keys}", "x", "t", "y", w)
+            (f"l{i % keys}", "x", "t", "y", w)
             for i, w in enumerate(weights)
         ]
         ruleset = aggregate(instances)
@@ -235,7 +284,7 @@ class TestMetrics:
             assert rule.confidence == pytest.approx(conf, abs=1e-9)
 
     def test_single_rule_set_self_normalizes(self):
-        ruleset = aggregate([RuleInstance("a", "b", "t", "c", 0.25)])
+        ruleset = aggregate([("a", "b", "t", "c", 0.25)])
         rule = ruleset.rules[0]
         assert rule.support == 1.0
         assert rule.confidence == 1.0
@@ -301,6 +350,21 @@ class TestMine:
             by_pair.setdefault((rule.l1, rule.l2), []).append(rule)
         for rules in by_pair.values():
             assert sum(r.confidence for r in rules) == pytest.approx(1.0, abs=1e-9)
+
+    @given(case=st.one_of(arbitrary_settings(max_events=8),
+                          ruspini_settings(max_events=8)))
+    @example(case=BOUNDARY_TIES)
+    @example(case=ZERO_WIDTH)
+    @example(case=SUBNORMAL)
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_rule_table_equals_oracle_exactly(self, case):
+        # The oracle adds the same products in the same order, so every
+        # weight and metric must agree to the last bit, not within a tolerance.
+        bundle, cfg = case
+        found = {r.labels: (r.weight, r.support, r.confidence)
+                 for r in mine(bundle, cfg)}
+        assert found == brute_force_rule_table(bundle, cfg)
 
 
 class TestConfigTypes:

@@ -3,7 +3,6 @@
 import json
 
 from fuzzmine import (
-    RuleInstance,
     aggregate,
     build_tree,
     mine,
@@ -67,8 +66,8 @@ class TestTableRendering:
 
     def test_columns_align_to_longest_cell(self):
         ruleset = aggregate([
-            RuleInstance("a-very-long-label", "b", "t", "c", 1.0),
-            RuleInstance("x", "y", "t", "c", 1.0),
+            ("a-very-long-label", "b", "t", "c", 1.0),
+            ("x", "y", "t", "c", 1.0),
         ])
         header, separator, first, *_ = render_table(ruleset).splitlines()
         assert len(separator.split("  ")[0]) == len("a-very-long-label")

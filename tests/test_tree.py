@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fuzzmine import (
-    RuleInstance,
     aggregate,
     build_tree,
     mine,
@@ -62,7 +61,7 @@ def rule_paths(node, prefix=()):
 
 def small_rulesets():
     label = st.sampled_from(["p", "q", "r"])
-    instance = st.builds(RuleInstance, label, label, label, label,
+    instance = st.tuples(label, label, label, label,
                          st.integers(1, 16).map(lambda k: k / 4))
     return st.lists(instance, min_size=1, max_size=25).map(aggregate)
 
@@ -98,7 +97,7 @@ class TestBuildTree:
         assert tree.leaf_metrics is None
 
     def test_single_rule_is_a_path_of_depth_four(self):
-        tree = build_tree(aggregate([RuleInstance("a", "b", "t", "c", 1.0)]))
+        tree = build_tree(aggregate([("a", "b", "t", "c", 1.0)]))
         levels = []
         node = tree
         while True:
@@ -179,8 +178,8 @@ class TestRenderDot:
 
     def test_awkward_labels_stay_valid_and_distinct(self):
         ruleset = aggregate([
-            RuleInstance('la "bel', "x/y", "t\\u", "c", 1.0),
-            RuleInstance("la ", '"bel', "x/y", "t\\u", 1.0),
+            ('la "bel', "x/y", "t\\u", "c", 1.0),
+            ("la ", '"bel', "x/y", "t\\u", 1.0),
         ])
         text = render_dot(build_tree(ruleset))
         assert check_dot(text)
@@ -217,8 +216,8 @@ class TestStructuredTree:
         assert doc == {"level": "root", "label": "", "children": []}
 
     def test_metrics_keep_full_precision(self):
-        ruleset = aggregate([RuleInstance("a", "b", "t", "c", 0.1),
-                             RuleInstance("a", "b", "t", "d", 0.2)])
+        ruleset = aggregate([("a", "b", "t", "c", 0.1),
+                             ("a", "b", "t", "d", 0.2)])
         doc = tree_to_structured(build_tree(ruleset))
         restored = tree_from_structured(doc)
         for rule in ruleset:
