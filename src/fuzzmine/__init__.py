@@ -6,17 +6,11 @@ classifies the values and the elapsed time into fuzzy linguistic labels,
 and aggregates the weighted readings into rules of the form
 (trigger1, trigger2) => (elapsed-time, consequence) scored by support
 and confidence. The rule set can be rendered as a table, a JSON report,
-or a decision tree (text or DOT).
+or a decision tree (text or DOT) whose JSON document the report embeds.
 """
 
 from .config import PipelineConfig, config_findings, load_config, parse_config_dict
-from .errors import (
-    ConfigError,
-    FuzzmineError,
-    InputError,
-    ParseError,
-    StreamDataError,
-)
+from .errors import ConfigError, FuzzmineError, InputError
 from .fuzzy import (
     FuzzyInterval,
     Vocabulary,
@@ -34,25 +28,17 @@ from .mining import (
     extract_numerical,
     mine,
 )
-from .report import render_json, render_table, ruleset_to_report
+from .report import render_json, render_table
 from .streams import (
     Event,
     EventStream,
     StreamBundle,
-    bundle_to_long_csv,
     parse_streams,
     parse_streams_csv,
     validate_bundle,
     validate_stream,
 )
-from .tree import (
-    TreeNode,
-    build_tree,
-    render_ascii,
-    render_dot,
-    tree_from_structured,
-    tree_to_structured,
-)
+from .tree import build_tree, render_ascii, render_dot
 from .validation import Finding, has_errors
 
 __version__ = "0.1.0"
@@ -67,18 +53,14 @@ __all__ = [
     "FuzzyRule",
     "InputError",
     "MiningConfig",
-    "ParseError",
     "PipelineConfig",
     "RuleSet",
     "StreamBundle",
-    "StreamDataError",
-    "TreeNode",
     "Vocabulary",
     "WindowConfig",
     "aggregate",
     "apply_thresholds",
     "build_tree",
-    "bundle_to_long_csv",
     "classify",
     "config_findings",
     "extract_numerical",
@@ -93,9 +75,6 @@ __all__ = [
     "render_dot",
     "render_json",
     "render_table",
-    "ruleset_to_report",
-    "tree_from_structured",
-    "tree_to_structured",
     "validate_bundle",
     "validate_stream",
     "validate_vocabulary",

@@ -3,9 +3,9 @@
 Two subcommands: ``mine`` runs ingestion, mining, and rendering end to
 end; ``validate`` runs the config and input validators and lists their
 findings. Reports go to standard output (or ``--out``), diagnostics to
-standard error. Exit codes: 0 success, 1 usage error, 2 input error,
-3 configuration error (for ``validate``, also any error-severity
-finding).
+standard error. Exit codes: 0 success, 1 usage error, 2 input error
+(also a report that cannot be written), 3 configuration error (for
+``validate``, also any error-severity finding).
 """
 
 import argparse
@@ -14,9 +14,9 @@ import sys
 from .config import config_findings, load_config, parse_config_dict, read_config_file
 from .errors import ConfigError, InputError
 from .mining import mine
-from .report import render_json, render_table, ruleset_to_report
+from .report import render_json, render_table
 from .streams import parse_streams, parse_streams_csv, validate_bundle, validate_stream
-from .tree import build_tree, render_ascii, render_dot, tree_to_structured
+from .tree import build_tree, render_ascii, render_dot
 from .validation import ERROR, Finding, has_errors
 
 EXIT_OK = 0
@@ -69,10 +69,6 @@ def build_parser():
 def cmd_mine(args):
     try:
         cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"fuzzmine: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         bundle = parse_streams_csv(_read_text(args.input), cfg.roles)
     except InputError as exc:
         print(f"fuzzmine: {args.input}: {exc}", file=sys.stderr)
@@ -83,8 +79,7 @@ def cmd_mine(args):
 
     ruleset = mine(bundle, cfg.mining)
     if args.format == "json":
-        tree_doc = tree_to_structured(build_tree(ruleset)) if args.tree else None
-        text = render_json(ruleset_to_report(ruleset, tree_doc))
+        text = render_json(ruleset, build_tree(ruleset) if args.tree else None)
     else:
         text = render_table(ruleset)
         if args.tree == "ascii":
@@ -95,7 +90,8 @@ def cmd_mine(args):
     try:
         _write_output(text, args.out)
     except OSError as exc:
-        print(f"fuzzmine: cannot write {args.out}: {exc}", file=sys.stderr)
+        print(f"fuzzmine: cannot write {args.out or 'standard output'}: {exc}",
+              file=sys.stderr)
         return EXIT_INPUT
     return EXIT_OK
 

@@ -1,8 +1,9 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: input-data problems exit with 2,
-configuration problems with 3 (usage errors are handled by argparse and
-exit with 1).
+One class per exit code of the CLI: :class:`InputError` (malformed or
+unreadable event-stream input) exits with 2, :class:`ConfigError`
+(configuration problems) with 3. Usage errors are handled by argparse
+and exit with 1.
 """
 
 
@@ -11,25 +12,13 @@ class FuzzmineError(Exception):
 
 
 class InputError(FuzzmineError):
-    """A problem with the event-stream input data."""
-
-
-class _LineError(InputError):
-    """An input error that may carry the 1-based line number it is about."""
+    """A problem with the event-stream input, at a 1-based ``line`` if known."""
 
     def __init__(self, message, line=None):
         self.line = line
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-
-
-class ParseError(_LineError):
-    """Malformed CSV content."""
-
-
-class StreamDataError(_LineError):
-    """Well-formed CSV whose values violate stream constraints."""
 
 
 class ConfigError(FuzzmineError):

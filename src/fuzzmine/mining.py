@@ -13,7 +13,7 @@ form (trigger1, trigger2) => (elapsed-time, consequence) in one lazy pass:
    trigger pair).
 
 Nothing per triple is materialized: memory grows with the rule count.
-Everything here is pure and deterministic; rule sets are immutable.
+Everything here is pure and deterministic; rule sets are frozen dataclasses.
 """
 
 from bisect import bisect_left, bisect_right

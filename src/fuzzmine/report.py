@@ -11,8 +11,9 @@ _COLUMNS = ("trigger1", "trigger2", "delta_t", "consequence",
             "weight", "support", "confidence")
 
 
-def ruleset_to_report(ruleset, tree_doc=None):
-    """The report document: rules, total weight, optional tree."""
+def render_json(ruleset, tree=None):
+    """The JSON report: rules, total weight and, if given, the tree
+    document of :func:`fuzzmine.tree.build_tree`."""
     report = {
         "rules": [
             {
@@ -28,12 +29,8 @@ def ruleset_to_report(ruleset, tree_doc=None):
         ],
         "total_weight": ruleset.total_weight,
     }
-    if tree_doc is not None:
-        report["tree"] = tree_doc
-    return report
-
-
-def render_json(report):
+    if tree is not None:
+        report["tree"] = tree
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 

@@ -6,6 +6,10 @@ wide layout has a ``timestamp`` column followed by one column per stream,
 where ``-`` or an empty cell means the stream has no event at that
 timestamp. Timestamps are non-negative reals in a generic time unit;
 values are reals in a generic volume unit.
+
+Every :class:`EventStream` is sorted by timestamp, however it was built,
+so the miner's window search can rely on the order. Malformed input
+raises :class:`InputError` naming its line.
 """
 
 import csv
@@ -13,7 +17,7 @@ import io
 from dataclasses import dataclass, field
 from math import isfinite
 
-from .errors import ConfigError, ParseError, StreamDataError
+from .errors import ConfigError, InputError
 from .validation import ERROR, INFO, WARNING, Finding
 
 ROLES = ("trigger1", "trigger2", "consequence")
@@ -31,19 +35,16 @@ class Event:
 class EventStream:
     """A named, time-ordered sequence of events.
 
-    The constructor stores events as given; use :meth:`from_events` to
-    sort them (stably, so input order among equal timestamps survives).
+    The constructor stores the events sorted by timestamp, stably, so
+    input order among equal timestamps survives.
     """
 
     name: str
     events: tuple = field(default=())
 
     def __post_init__(self):
-        object.__setattr__(self, "events", tuple(self.events))
-
-    @classmethod
-    def from_events(cls, name, events):
-        return cls(name, tuple(sorted(events, key=lambda e: e.timestamp)))
+        object.__setattr__(self, "events",
+                           tuple(sorted(self.events, key=lambda e: e.timestamp)))
 
     def __len__(self):
         return len(self.events)
@@ -108,14 +109,14 @@ def _parse(text):
     try:
         return _parse_rows(reader)
     except csv.Error as exc:  # e.g. a field past the csv field limit
-        raise ParseError(str(exc), line=reader.line_num) from None
+        raise InputError(str(exc), line=reader.line_num) from None
 
 
 def _parse_rows(reader):
     try:
         header = next(reader)
     except StopIteration:
-        raise ParseError("empty input, expected a header row", line=1) from None
+        raise InputError("empty input, expected a header row", line=1) from None
 
     head = [cell.strip() for cell in header]
     if tuple(h.lower() for h in head) == _LONG_HEADER:
@@ -123,12 +124,12 @@ def _parse_rows(reader):
     if head and head[0].lower() == "timestamp":
         names = head[1:]
         if not names or any(not n for n in names):
-            raise ParseError("wide layout requires a non-empty name per stream column",
+            raise InputError("wide layout requires a non-empty name per stream column",
                              line=1)
         if len(set(names)) != len(names):
-            raise ParseError(f"duplicate stream names in header: {names}", line=1)
+            raise InputError(f"duplicate stream names in header: {names}", line=1)
         return _parse_wide(reader, names), tuple(names)
-    raise ParseError(
+    raise InputError(
         "unrecognized header: expected 'timestamp,stream,value' or "
         "'timestamp,<name>,...'", line=1)
 
@@ -140,16 +141,15 @@ def _parse_long(reader):
             continue
         line = reader.line_num
         if len(row) != 3:
-            raise ParseError(f"expected 3 columns, got {len(row)}", line=line)
+            raise InputError(f"expected 3 columns, got {len(row)}", line=line)
         ts = _number(row[0], "timestamp", line)
         name = row[1].strip()
         if not name:
-            raise ParseError("stream name is empty", line=line)
+            raise InputError("stream name is empty", line=line)
         value = _number(row[2], "value", line)
         _check_event(ts, value, line)
         collected.setdefault(name, []).append(Event(ts, value))
-    return {name: EventStream.from_events(name, events)
-            for name, events in collected.items()}
+    return {name: EventStream(name, events) for name, events in collected.items()}
 
 
 def _parse_wide(reader, names):
@@ -159,7 +159,7 @@ def _parse_wide(reader, names):
             continue
         line = reader.line_num
         if len(row) != len(names) + 1:
-            raise ParseError(f"expected {len(names) + 1} columns, got {len(row)}",
+            raise InputError(f"expected {len(names) + 1} columns, got {len(row)}",
                              line=line)
         ts = _number(row[0], "timestamp", line)
         for name, cell in zip(names, row[1:]):
@@ -169,44 +169,30 @@ def _parse_wide(reader, names):
             value = _number(cell, f"value for {name!r}", line)
             _check_event(ts, value, line)
             collected[name].append(Event(ts, value))
-    return {name: EventStream.from_events(name, events)
-            for name, events in collected.items()}
+    return {name: EventStream(name, events) for name, events in collected.items()}
 
 
 def _number(cell, what, line):
     try:
         return float(cell)
     except ValueError:
-        raise ParseError(f"non-numeric {what}: {cell.strip()!r}", line=line) from None
+        raise InputError(f"non-numeric {what}: {cell.strip()!r}", line=line) from None
 
 
 def _check_event(ts, value, line):
     if not isfinite(ts):
-        raise StreamDataError(f"timestamp must be finite, got {ts}", line=line)
+        raise InputError(f"timestamp must be finite, got {ts}", line=line)
     if ts < 0:
-        raise StreamDataError(f"timestamp must be non-negative, got {ts:g}", line=line)
+        raise InputError(f"timestamp must be non-negative, got {ts:g}", line=line)
     if not isfinite(value):
-        raise StreamDataError(f"value must be finite, got {value}", line=line)
-
-
-def bundle_to_long_csv(bundle):
-    """Serialize a bundle to the canonical long layout.
-
-    Streams are written in role order with their events in stream order;
-    parsing the result reproduces the bundle exactly.
-    """
-    lines = [",".join(_LONG_HEADER)]
-    for stream in (bundle.trigger1, bundle.trigger2, bundle.consequence):
-        for event in stream.events:
-            lines.append(f"{event.timestamp!r},{stream.name},{event.value!r}")
-    return "\n".join(lines) + "\n"
+        raise InputError(f"value must be finite, got {value}", line=line)
 
 
 def validate_stream(stream, where=None):
     """Check one stream and report findings.
 
-    Errors flag invariant breaches (empty name, unsorted events,
-    negative or non-finite fields). An empty stream is a warning since
+    Errors flag invariant breaches (empty name, negative or non-finite
+    fields). An empty stream is a warning since
     it makes the mining output trivially empty, and repeated
     (timestamp, value) events are reported informationally.
     """
@@ -220,7 +206,6 @@ def validate_stream(stream, where=None):
                     f"{where} has no events; no associations can involve it")
         )
         return findings
-    previous = None
     seen = set()
     duplicates = set()
     for event in stream.events:
@@ -235,13 +220,6 @@ def validate_stream(stream, where=None):
                 Finding(ERROR, "event-value",
                         f"{where}: values must be finite, got {event.value}")
             )
-        if previous is not None and event.timestamp < previous:
-            findings.append(
-                Finding(ERROR, "unsorted-events",
-                        f"{where}: events are not sorted by timestamp "
-                        f"({event.timestamp:g} after {previous:g})")
-            )
-        previous = event.timestamp
         key = (event.timestamp, event.value)
         if key in seen:
             duplicates.add(key)

@@ -7,29 +7,18 @@ prefix, and each leaf carries its rule's support and confidence. At
 every level children are ordered by descending subtree weight with
 lexicographic tie-break, so the strongest branches come first and the
 layout is reproducible.
-"""
 
-from dataclasses import dataclass
+The tree is a plain JSON document, the one the JSON report embeds:
+every node is a dict with ``level``, ``label`` and a ``children`` list,
+and leaves (consequence-level nodes) add ``support`` and ``confidence``.
+The root has level ``root`` and an empty label.
+"""
 
 LEVELS = ("root", "trigger1", "trigger2", "delta_t", "consequence")
 
 
-@dataclass(frozen=True)
-class TreeNode:
-    """One node of the rule tree.
-
-    ``leaf_metrics`` is a (support, confidence) pair on consequence-level
-    nodes and None everywhere else. The root carries an empty label.
-    """
-
-    level: str
-    label: str
-    children: tuple = ()
-    leaf_metrics: "tuple | None" = None
-
-
 def build_tree(ruleset):
-    """Arrange a rule set as a prefix-merged tree.
+    """Arrange a rule set as a prefix-merged tree document.
 
     An empty rule set yields a bare root. Otherwise every rule maps to
     exactly one leaf, reachable by following its four labels from the
@@ -39,16 +28,16 @@ def build_tree(ruleset):
 
 
 def _subtree(depth, label, rules):
+    node = {"level": LEVELS[depth], "label": label, "children": []}
     if depth == len(LEVELS) - 1:
-        rule = rules[0]
-        return TreeNode(LEVELS[depth], label,
-                        leaf_metrics=(rule.support, rule.confidence))
+        node["support"], node["confidence"] = rules[0].support, rules[0].confidence
+        return node
     groups = {}
     for rule in rules:
         groups.setdefault(rule.labels[depth], []).append(rule)
     ordered = sorted(groups, key=lambda lab: (-sum(r.weight for r in groups[lab]), lab))
-    children = tuple(_subtree(depth + 1, lab, groups[lab]) for lab in ordered)
-    return TreeNode(LEVELS[depth], label, children)
+    node["children"] = [_subtree(depth + 1, lab, groups[lab]) for lab in ordered]
+    return node
 
 
 def render_ascii(tree):
@@ -65,13 +54,12 @@ def render_ascii(tree):
 def _ascii_lines(node, depth, lines):
     if depth == 0:
         text = "(root)"
-    elif node.leaf_metrics is not None:
-        sup, conf = node.leaf_metrics
-        text = f"{node.label} [sup={sup:.4f}, conf={conf:.4f}]"
+    elif "support" in node:
+        text = f"{node['label']} {_metrics(node)}"
     else:
-        text = node.label
+        text = node["label"]
     lines.append("  " * depth + text)
-    for child in node.children:
+    for child in node["children"]:
         _ascii_lines(child, depth + 1, lines)
 
 
@@ -93,20 +81,22 @@ def render_dot(tree):
 
 
 def _dot_walk(node, path, node_lines, edge_lines):
-    if node.level == "root":
+    if node["level"] == "root":
         display = _dot_quote("(root)")
-    elif node.leaf_metrics is not None:
+    elif "support" in node:
         # \n inside a DOT label string is a line break when drawn.
-        sup, conf = node.leaf_metrics
-        display = ('"' + _dot_escape(node.label)
-                   + f"\\n[sup={sup:.4f}, conf={conf:.4f}]" + '"')
+        display = '"' + _dot_escape(node["label"]) + "\\n" + _metrics(node) + '"'
     else:
-        display = _dot_quote(node.label)
+        display = _dot_quote(node["label"])
     node_lines.append(f"  {_dot_quote(path)} [label={display}];")
-    for child in node.children:
-        child_path = path + "/" + child.label.replace("\\", "\\\\").replace("/", "\\/")
+    for child in node["children"]:
+        child_path = path + "/" + child["label"].replace("\\", "\\\\").replace("/", "\\/")
         edge_lines.append(f"  {_dot_quote(path)} -> {_dot_quote(child_path)};")
         _dot_walk(child, child_path, node_lines, edge_lines)
+
+
+def _metrics(leaf):
+    return f"[sup={leaf['support']:.4f}, conf={leaf['confidence']:.4f}]"
 
 
 def _dot_escape(text):
@@ -115,24 +105,3 @@ def _dot_escape(text):
 
 def _dot_quote(text):
     return '"' + _dot_escape(text) + '"'
-
-
-def tree_to_structured(tree):
-    """Lossless dict form of the tree (levels, labels, leaf metrics)."""
-    doc = {
-        "level": tree.level,
-        "label": tree.label,
-        "children": [tree_to_structured(child) for child in tree.children],
-    }
-    if tree.leaf_metrics is not None:
-        doc["support"], doc["confidence"] = tree.leaf_metrics
-    return doc
-
-
-def tree_from_structured(doc):
-    """Rebuild a tree from its dict form; inverse of tree_to_structured."""
-    children = tuple(tree_from_structured(child) for child in doc.get("children", ()))
-    metrics = None
-    if "support" in doc:
-        metrics = (doc["support"], doc["confidence"])
-    return TreeNode(doc["level"], doc["label"], children, metrics)

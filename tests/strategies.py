@@ -35,7 +35,7 @@ def bundles(max_events=10, max_time=30, max_value=12):
 
     def build(parts):
         streams = [
-            EventStream.from_events(name, [Event(t, v) for t, v in part])
+            EventStream(name, [Event(t, v) for t, v in part])
             for name, part in zip(STREAM_NAMES, parts)
         ]
         return StreamBundle(*streams)
@@ -130,7 +130,7 @@ def crisp_settings(draw, max_events=8, max_time=20, max_value=9):
     )
     parts = draw(st.tuples(events, events, events))
     streams = [
-        EventStream.from_events(name, [Event(float(t), float(v)) for t, v in part])
+        EventStream(name, [Event(float(t), float(v)) for t, v in part])
         for name, part in zip(STREAM_NAMES, parts)
     ]
     cfg = MiningConfig(

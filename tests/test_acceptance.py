@@ -167,10 +167,10 @@ def test_repeated_cli_runs_are_byte_identical(fmt, tmp_path):
 
 def _collect_leaves(tree, prefix=()):
     """Map from label path to leaf metrics."""
-    if tree.leaf_metrics is not None:
-        return {prefix + (tree.label,): tree.leaf_metrics}
-    next_prefix = prefix if tree.level == "root" else prefix + (tree.label,)
+    if "support" in tree:
+        return {prefix + (tree["label"],): (tree["support"], tree["confidence"])}
+    next_prefix = prefix if tree["level"] == "root" else prefix + (tree["label"],)
     found = {}
-    for child in tree.children:
+    for child in tree["children"]:
         found.update(_collect_leaves(child, next_prefix))
     return found

@@ -185,6 +185,16 @@ class TestMineCommand:
         assert code == 2 and out == ""
         assert "line 2:" in err
 
+    def test_failed_stdout_write_names_standard_output(self, capsys, monkeypatch):
+        class BrokenStdout:
+            def write(self, text):
+                raise OSError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", BrokenStdout())
+        code, _, err = run(capsys, "mine", "--input", CSV, "--config", CONFIG)
+        assert code == 2
+        assert err == "fuzzmine: cannot write standard output: [Errno 32] Broken pipe\n"
+
     def test_missing_input_exits_2(self, capsys):
         code, out, err = run(capsys, "mine", "--input", "missing.csv",
                              "--config", CONFIG)

@@ -44,7 +44,7 @@ def one_triple_rules(e1, e2, e3):
 
 def same_streams(events, windows, vocabs):
     """Three streams holding the same (timestamp, value) events."""
-    bundle = StreamBundle(*(EventStream.from_events(name, [Event(*e) for e in events])
+    bundle = StreamBundle(*(EventStream(name, [Event(*e) for e in events])
                             for name in STREAM_NAMES))
     return bundle, MiningConfig(windows, *vocabs)
 

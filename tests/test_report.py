@@ -8,8 +8,6 @@ from fuzzmine import (
     mine,
     render_json,
     render_table,
-    ruleset_to_report,
-    tree_to_structured,
 )
 
 from common import quickstart_bundle, quickstart_mining_config
@@ -21,7 +19,7 @@ def quickstart_ruleset():
 
 class TestReportDocument:
     def test_rule_entries_carry_all_fields(self):
-        report = ruleset_to_report(quickstart_ruleset())
+        report = json.loads(render_json(quickstart_ruleset()))
         assert set(report) == {"rules", "total_weight"}
         for entry in report["rules"]:
             assert set(entry) == {"trigger1", "trigger2", "delta_t", "consequence",
@@ -29,23 +27,25 @@ class TestReportDocument:
 
     def test_tree_is_attached_when_given(self):
         ruleset = quickstart_ruleset()
-        doc = tree_to_structured(build_tree(ruleset))
-        report = ruleset_to_report(ruleset, doc)
-        assert report["tree"] == doc
+        tree = build_tree(ruleset)
+        report = json.loads(render_json(ruleset, tree))
+        assert report["tree"] == tree
 
     def test_json_keeps_full_precision(self):
-        report = ruleset_to_report(quickstart_ruleset())
-        parsed = json.loads(render_json(report))
-        originals = {(r["trigger1"], r["trigger2"], r["delta_t"], r["consequence"]):
-                     r["support"] for r in report["rules"]}
+        ruleset = quickstart_ruleset()
+        parsed = json.loads(render_json(ruleset))
+        originals = {rule.labels: rule.support for rule in ruleset}
+        assert len(parsed["rules"]) == len(originals)
         for entry in parsed["rules"]:
             key = (entry["trigger1"], entry["trigger2"], entry["delta_t"],
                    entry["consequence"])
             assert entry["support"] == originals[key]
+        assert parsed["total_weight"] == ruleset.total_weight
 
     def test_json_rendering_is_deterministic(self):
-        report = ruleset_to_report(quickstart_ruleset())
-        assert render_json(report) == render_json(report)
+        ruleset = quickstart_ruleset()
+        tree = build_tree(ruleset)
+        assert render_json(ruleset, tree) == render_json(ruleset, tree)
 
 
 class TestTableRendering:

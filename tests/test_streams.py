@@ -1,4 +1,4 @@
-"""Tests for CSV ingestion, serialization, and bundle validation."""
+"""Tests for CSV ingestion, stream ordering, and bundle validation."""
 
 import pytest
 from hypothesis import given
@@ -7,16 +7,17 @@ from fuzzmine import (
     ConfigError,
     Event,
     EventStream,
-    ParseError,
+    InputError,
     StreamBundle,
-    StreamDataError,
-    bundle_to_long_csv,
+    mine,
     parse_streams,
     parse_streams_csv,
+    render_table,
     validate_bundle,
 )
 from fuzzmine.validation import ERROR, INFO, WARNING, has_errors
 
+from common import quickstart_bundle, quickstart_mining_config
 from strategies import bundles
 
 ROLES = {"trigger1": "stream1", "trigger2": "stream2", "consequence": "stream3"}
@@ -30,6 +31,15 @@ WIDE = """timestamp,stream1,stream2,stream3
 1003,-,2,-
 1013,-,-,7
 """
+
+
+def long_csv(bundle):
+    """The bundle in the long layout: streams in role order, events in order."""
+    rows = [f"{event.timestamp!r},{stream.name},{event.value!r}"
+            for stream in (bundle.trigger1, bundle.trigger2, bundle.consequence)
+            for event in stream.events]
+    return "\n".join(["timestamp,stream,value", *rows]) + "\n"
+
 
 LONG = """timestamp,stream,value
 0,stream1,2
@@ -78,19 +88,20 @@ class TestWideLayout:
             parse_streams_csv(WIDE, {**ROLES, "trigger1": "stream9"})
 
     def test_duplicate_header_names_rejected(self):
-        with pytest.raises(ParseError, match="duplicate"):
+        with pytest.raises(InputError, match="duplicate"):
             parse_streams("timestamp,a,a\n")
 
     def test_wrong_column_count_names_line(self):
-        with pytest.raises(ParseError, match="line 3"):
+        with pytest.raises(InputError, match="line 3") as exc:
             parse_streams("timestamp,a,b\n1,2,3\n4,5\n")
+        assert exc.value.line == 3
 
     def test_non_numeric_value_names_line(self):
-        with pytest.raises(ParseError, match="line 2"):
+        with pytest.raises(InputError, match="line 2"):
             parse_streams("timestamp,a\n1,zap\n")
 
     def test_non_numeric_timestamp(self):
-        with pytest.raises(ParseError, match="timestamp"):
+        with pytest.raises(InputError, match="timestamp"):
             parse_streams("timestamp,a\nnoon,1\n")
 
 
@@ -115,15 +126,15 @@ class TestLongLayout:
         assert len(bundle.consequence) == 0
 
     def test_empty_stream_name_rejected(self):
-        with pytest.raises(ParseError, match="name"):
+        with pytest.raises(InputError, match="name"):
             parse_streams("timestamp,stream,value\n1,,5\n")
 
     def test_negative_timestamp_is_data_error(self):
-        with pytest.raises(StreamDataError, match="non-negative"):
+        with pytest.raises(InputError, match="non-negative"):
             parse_streams("timestamp,stream,value\n-1,a,5\n")
 
     def test_non_finite_value_is_data_error(self):
-        with pytest.raises(StreamDataError, match="finite"):
+        with pytest.raises(InputError, match="finite"):
             parse_streams("timestamp,stream,value\n1,a,nan\n")
 
     def test_crlf_input_accepted(self):
@@ -137,11 +148,11 @@ class TestLongLayout:
 
 class TestHeaderAndRoles:
     def test_unrecognized_header(self):
-        with pytest.raises(ParseError, match="header"):
+        with pytest.raises(InputError, match="header"):
             parse_streams("time,a,b\n")
 
     def test_empty_input(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(InputError):
             parse_streams("")
 
     def test_role_map_must_cover_all_roles(self):
@@ -157,13 +168,13 @@ class TestHeaderAndRoles:
 class TestRoundTrip:
     def test_serialize_then_parse_is_identity(self):
         bundle = parse_streams_csv(WIDE, ROLES)
-        again = parse_streams_csv(bundle_to_long_csv(bundle), ROLES)
+        again = parse_streams_csv(long_csv(bundle), ROLES)
         assert again == bundle
 
     def test_serialization_is_a_fixed_point(self):
         bundle = parse_streams_csv(WIDE, ROLES)
-        once = bundle_to_long_csv(bundle)
-        twice = bundle_to_long_csv(parse_streams_csv(once, ROLES))
+        once = long_csv(bundle)
+        twice = long_csv(parse_streams_csv(once, ROLES))
         assert once == twice
 
     def test_parsing_is_deterministic(self):
@@ -172,8 +183,23 @@ class TestRoundTrip:
     @given(bundle=bundles(max_events=6))
     def test_round_trip_on_random_bundles(self, bundle):
         roles = {"trigger1": "alpha", "trigger2": "beta", "consequence": "gamma"}
-        text = bundle_to_long_csv(bundle)
+        text = long_csv(bundle)
         assert parse_streams_csv(text, roles) == bundle
+
+
+class TestEventStream:
+    def test_out_of_order_streams_mine_like_sorted(self):
+        bundle = quickstart_bundle()
+        shuffled = StreamBundle(
+            bundle.trigger1, bundle.trigger2,
+            EventStream(bundle.consequence.name, bundle.consequence.events[::-1]))
+        cfg = quickstart_mining_config()
+        assert render_table(mine(shuffled, cfg)) == render_table(mine(bundle, cfg))
+        assert shuffled == bundle
+
+    def test_equal_timestamps_keep_input_order(self):
+        stream = EventStream("a", (Event(5, 3), Event(1, 9), Event(5, 1), Event(5, 2)))
+        assert stream.events == (Event(1, 9), Event(5, 3), Event(5, 1), Event(5, 2))
 
 
 class TestValidateBundle:
@@ -195,12 +221,6 @@ class TestValidateBundle:
                               EventStream("c", (Event(1, 1),)))
         assert any(f.code == "duplicate-stream"
                    for f in validate_bundle(bundle) if f.severity == ERROR)
-
-    def test_unsorted_events_is_error(self):
-        bundle = StreamBundle(EventStream("a", (Event(5, 1), Event(1, 1))),
-                              EventStream("b", (Event(1, 1),)),
-                              EventStream("c", (Event(1, 1),)))
-        assert any(f.code == "unsorted-events" for f in validate_bundle(bundle))
 
     def test_duplicate_events_are_informational(self):
         bundle = StreamBundle(EventStream("a", (Event(1, 2), Event(1, 2))),

@@ -13,8 +13,7 @@ from fuzzmine import (
     mine,
     render_ascii,
     render_dot,
-    tree_from_structured,
-    tree_to_structured,
+    render_json,
 )
 
 from common import quickstart_bundle, quickstart_mining_config
@@ -41,22 +40,27 @@ def quickstart_ruleset():
 
 
 def leaves(node):
-    if node.leaf_metrics is not None:
+    if "support" in node:
         return [node]
     found = []
-    for child in node.children:
+    for child in node["children"]:
         found.extend(leaves(child))
     return found
 
 
 def rule_paths(node, prefix=()):
-    """(label path, metrics) pairs, one per leaf."""
-    if node.leaf_metrics is not None:
-        yield prefix + (node.label,), node.leaf_metrics
+    """(label path, (support, confidence)) pairs, one per leaf."""
+    if "support" in node:
+        yield prefix + (node["label"],), (node["support"], node["confidence"])
         return
-    next_prefix = prefix if node.level == "root" else prefix + (node.label,)
-    for child in node.children:
+    next_prefix = prefix if node["level"] == "root" else prefix + (node["label"],)
+    for child in node["children"]:
         yield from rule_paths(child, next_prefix)
+
+
+def reported_tree(ruleset):
+    """The tree document as a reader of the JSON report gets it back."""
+    return json.loads(render_json(ruleset, build_tree(ruleset)))["tree"]
 
 
 def small_rulesets():
@@ -69,18 +73,18 @@ def small_rulesets():
 class TestBuildTree:
     def test_quickstart_structure(self):
         tree = build_tree(quickstart_ruleset())
-        assert tree.level == "root" and tree.label == ""
-        assert [c.label for c in tree.children] == ["Small Volume", "Medium Volume"]
-        small_medium = tree.children[0].children[0]
-        assert small_medium.label == "Medium Volume"
-        assert [c.label for c in small_medium.children] == [
+        assert tree["level"] == "root" and tree["label"] == ""
+        assert [c["label"] for c in tree["children"]] == ["Small Volume", "Medium Volume"]
+        small_medium = tree["children"][0]["children"][0]
+        assert small_medium["label"] == "Medium Volume"
+        assert [c["label"] for c in small_medium["children"]] == [
             "Long Time After", "Short Time After"]
         assert len(leaves(tree)) == 4
 
     def test_heavier_branches_come_first(self):
         tree = build_tree(quickstart_ruleset())
         # (Small, Medium, *) carries weight 2.0 vs 1.0 for (Medium, Small, *).
-        assert tree.children[0].label == "Small Volume"
+        assert tree["children"][0]["label"] == "Small Volume"
 
     def test_leaf_metrics(self):
         tree = build_tree(quickstart_ruleset())
@@ -92,22 +96,22 @@ class TestBuildTree:
 
     def test_empty_ruleset_gives_bare_root(self):
         tree = build_tree(aggregate([]))
-        assert tree.level == "root"
-        assert tree.children == ()
-        assert tree.leaf_metrics is None
+        assert tree["level"] == "root"
+        assert tree["children"] == []
+        assert "support" not in tree and "confidence" not in tree
 
     def test_single_rule_is_a_path_of_depth_four(self):
         tree = build_tree(aggregate([("a", "b", "t", "c", 1.0)]))
         levels = []
         node = tree
         while True:
-            levels.append(node.level)
-            if not node.children:
+            levels.append(node["level"])
+            if not node["children"]:
                 break
-            assert len(node.children) == 1
-            node = node.children[0]
+            assert len(node["children"]) == 1
+            node = node["children"][0]
         assert levels == ["root", "trigger1", "trigger2", "delta_t", "consequence"]
-        assert node.leaf_metrics == (1.0, 1.0)
+        assert (node["support"], node["confidence"]) == (1.0, 1.0)
 
     @given(ruleset=small_rulesets())
     def test_leaves_biject_with_rules(self, ruleset):
@@ -127,7 +131,7 @@ class TestBuildTree:
     @given(ruleset=small_rulesets())
     def test_trigger1_children_match_distinct_labels(self, ruleset):
         tree = build_tree(ruleset)
-        assert len(tree.children) == len({rule.l1 for rule in ruleset})
+        assert len(tree["children"]) == len({rule.l1 for rule in ruleset})
 
 
 class TestRenderAscii:
@@ -199,32 +203,30 @@ class TestRenderDot:
 
 
 class TestStructuredTree:
+    """The tree a JSON report embeds reads back as the same document."""
+
     def test_round_trip_is_byte_identical(self):
-        tree = build_tree(quickstart_ruleset())
-        doc = tree_to_structured(tree)
-        once = json.dumps(doc, sort_keys=True)
-        twice = json.dumps(tree_to_structured(tree_from_structured(doc)),
-                           sort_keys=True)
-        assert once == twice
+        ruleset = quickstart_ruleset()
+        tree = build_tree(ruleset)
+        again = reported_tree(ruleset)
+        assert render_ascii(again) == render_ascii(tree)
+        assert render_dot(again) == render_dot(tree)
 
     def test_round_trip_restores_equal_tree(self):
-        tree = build_tree(quickstart_ruleset())
-        assert tree_from_structured(tree_to_structured(tree)) == tree
+        ruleset = quickstart_ruleset()
+        assert reported_tree(ruleset) == build_tree(ruleset)
 
     def test_empty_tree_shape(self):
-        doc = tree_to_structured(build_tree(aggregate([])))
+        doc = build_tree(aggregate([]))
         assert doc == {"level": "root", "label": "", "children": []}
 
     def test_metrics_keep_full_precision(self):
         ruleset = aggregate([("a", "b", "t", "c", 0.1),
                              ("a", "b", "t", "d", 0.2)])
-        doc = tree_to_structured(build_tree(ruleset))
-        restored = tree_from_structured(doc)
+        path_metrics = dict(rule_paths(reported_tree(ruleset)))
         for rule in ruleset:
-            path_metrics = dict(rule_paths(restored))
             assert path_metrics[rule.labels] == (rule.support, rule.confidence)
 
     @given(ruleset=small_rulesets())
     def test_round_trip_on_random_trees(self, ruleset):
-        tree = build_tree(ruleset)
-        assert tree_from_structured(tree_to_structured(tree)) == tree
+        assert reported_tree(ruleset) == build_tree(ruleset)
