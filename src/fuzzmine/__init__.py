@@ -23,9 +23,7 @@ from .mining import (
     MiningConfig,
     RuleSet,
     WindowConfig,
-    aggregate,
     apply_thresholds,
-    extract_numerical,
     mine,
 )
 from .report import render_json, render_table
@@ -58,12 +56,10 @@ __all__ = [
     "StreamBundle",
     "Vocabulary",
     "WindowConfig",
-    "aggregate",
     "apply_thresholds",
     "build_tree",
     "classify",
     "config_findings",
-    "extract_numerical",
     "has_errors",
     "load_config",
     "membership",

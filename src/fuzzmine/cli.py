@@ -9,6 +9,7 @@ standard error. Exit codes: 0 success, 1 usage error, 2 input error
 """
 
 import argparse
+import os
 import sys
 
 from .config import config_findings, load_config, parse_config_dict, read_config_file
@@ -151,11 +152,26 @@ def _read_text(path):
 
 
 def _write_output(text, path):
-    if path is None:
-        sys.stdout.write(text)
-    else:
+    if path is not None:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+        return
+    out = sys.stdout
+    if not hasattr(out, "buffer"):   # a text-only stand-in for standard output
+        out.write(text)
+        return
+    try:   # every byte, now: a short write or the flush at exit must lose none
+        out.flush()
+        data = memoryview(text.encode(out.encoding, out.errors))
+        while data:
+            data = data[out.buffer.write(data) or 0:]   # None: would block, retry
+        out.buffer.flush()
+    except OSError:
+        # Python flushes standard output again at exit: drop what it holds.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, out.fileno())
+        os.close(devnull)
+        raise
 
 
 if __name__ == "__main__":

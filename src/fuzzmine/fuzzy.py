@@ -88,10 +88,11 @@ def validate_vocabulary(vocab):
     """Check a vocabulary definition and report findings.
 
     Error findings flag invariant breaches (corner ordering, non-finite
-    corners, empty or duplicate labels, no intervals at all). When the
-    definition is sound, informational findings describe coverage gaps
-    and whether the vocabulary forms a Ruspini partition (membership
-    degrees summing to 1 across the covered range).
+    corners, a ramp wider than the float range, empty or duplicate
+    labels, no intervals at all). When the definition is sound,
+    informational findings describe coverage gaps and whether the
+    vocabulary forms a Ruspini partition (membership degrees summing to
+    1 across the covered range).
     """
     findings = []
     if not vocab.name:
@@ -127,6 +128,9 @@ def validate_vocabulary(vocab):
                         f"{where} ({iv.label!r}): requires a <= b <= c <= d, "
                         f"got ({iv.a:g}, {iv.b:g}, {iv.c:g}, {iv.d:g})")
             )
+        elif not (isfinite(iv.b - iv.a) and isfinite(iv.d - iv.c)):
+            findings.append(Finding(ERROR, "interval-span", f"{where} ({iv.label!r}): "
+                                    f"a ramp is wider than the float range, got {corners}"))
 
     if any(f.severity == ERROR for f in findings):
         return findings

@@ -1,22 +1,15 @@
-"""Windowed association extraction, fuzzification, and rule metrics.
+"""Windowed association mining: rules, their metrics and thresholds.
 
-The pipeline turns three role-bound streams into linguistic rules of the
-form (trigger1, trigger2) => (elapsed-time, consequence) in one lazy pass:
-
-1. generate every event triple that satisfies the two time windows,
-2. classify each triple's values into linguistic labels, giving one
-   weighted instance per label combination (weight = product of the four
-   membership degrees),
-3. add each instance straight into the rule totals and compute each
-   rule's support (weight over the combined weight of all rules) and
-   confidence (weight over the combined weight of rules sharing its
-   trigger pair).
-
-Nothing per triple is materialized: memory grows with the rule count.
-Everything here is pure and deterministic; rule sets are frozen dataclasses.
+Three role-bound streams become rules (trigger1, trigger2) =>
+(elapsed-time, consequence). Each combination of the labels of an event
+triple the two windows allow is one instance, weighing the product of
+its four membership degrees. A rule's support is its weight over that of
+all rules, its confidence its weight over that of the rules sharing its
+trigger pair. :func:`mine` does it all in one fused, deterministic pass.
 """
 
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import product
 from math import isfinite
@@ -102,67 +95,6 @@ class MiningConfig:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
 
-def extract_numerical(bundle, windows):
-    """Generate every event triple allowed by the windows.
-
-    A triple (e1, e2, e3) qualifies when e2 falls within the trigger
-    window after e1 (e1.t <= e2.t <= e1.t + trigger_window) and e3 falls
-    within the consequence window after e2. Enumeration is exhaustive:
-    one event may participate in any number of associations, and one
-    trigger pair may yield several. Triples of :class:`Event` objects are
-    yielded lazily, ordered by (t1, t2, t3).
-    """
-    t2_events = bundle.trigger2.events
-    t3_events = bundle.consequence.events
-    t2_times = [e.timestamp for e in t2_events]
-    t3_times = [e.timestamp for e in t3_events]
-    for e1 in bundle.trigger1.events:
-        lo2 = bisect_left(t2_times, e1.timestamp)
-        hi2 = bisect_right(t2_times, e1.timestamp + windows.trigger_window)
-        for e2 in t2_events[lo2:hi2]:
-            lo3 = bisect_left(t3_times, e2.timestamp)
-            hi3 = bisect_right(t3_times, e2.timestamp + windows.consequence_window)
-            for e3 in t3_events[lo3:hi3]:
-                yield e1, e2, e3
-
-
-def aggregate(instances):
-    """Accumulate weighted instances into a rule set with metrics.
-
-    ``instances`` is any iterable of (l1, l2, l_dt, l3, weight) tuples.
-    Weights of identical label tuples add up, in input order; support
-    and confidence are populated from the resulting totals. Zero-weight
-    instances (the degree product can underflow) are skipped, so every
-    weight a metric divides by is positive and an all-zero input yields
-    an empty set.
-    Rules are ordered by descending weight, then lexicographically by
-    label tuple, and the trigger pairs are distinct keys in their
-    stream-bound order: (Small, Medium) and (Medium, Small) are
-    different triggers.
-    """
-    weights = {}
-    trigger_weights = {}
-    total_weight = 0.0
-    for l1, l2, l_dt, l3, weight in instances:
-        if weight == 0.0:
-            continue
-        key = (l1, l2, l_dt, l3)
-        pair = (l1, l2)
-        weights[key] = weights.get(key, 0.0) + weight
-        trigger_weights[pair] = trigger_weights.get(pair, 0.0) + weight
-        total_weight += weight
-
-    ordered = sorted(weights, key=lambda key: (-weights[key], key))
-    rules = tuple(
-        FuzzyRule(*key, weight=weights[key],
-                  support=weights[key] / total_weight,
-                  confidence=weights[key] / trigger_weights[key[:2]])
-        for key in ordered
-    )
-    return RuleSet(rules=rules, total_weight=total_weight,
-                   trigger_weights=trigger_weights)
-
-
 def apply_thresholds(ruleset, min_support, min_confidence):
     """Keep only rules meeting both thresholds.
 
@@ -179,23 +111,74 @@ def apply_thresholds(ruleset, min_support, min_confidence):
 
 
 def mine(bundle, cfg):
-    """Run the full pipeline: extract, fuzzify, aggregate, threshold.
+    """Mine a bundle's rules in one fused pass, then apply the thresholds.
 
-    Each triple yields one instance per combination of its four
-    classifications, weighing the product of their degrees taken left to
-    right, in (t1, t2, t3) order, then vocabulary label order. Zero
-    factors never occur because classification omits zero-degree labels;
-    a dimension that classifies to nothing leaves the triple weightless.
-    A product can still underflow to 0.0; :func:`aggregate` skips those.
+    Each window triple yields one instance per combination of its four
+    readings' labels, weighing ``((m1 * m2) * m_dt) * m3``. A value is
+    classified once, when first needed; a trigger-2 event's consequence
+    combos are built once and dropped when the trigger-1 scan has passed
+    it. Instances are added one at a time, in (t1, t2, t3) then label
+    order, into their rule's, their trigger pair's and the grand total,
+    so every sum is bit-reproducible. A product that underflows to 0.0
+    adds nothing; intervals sharing a label add into one rule.
     """
-    instances = (
-        (l1, l2, l_dt, l3, m1 * m2 * m_dt * m3)
-        for e1, e2, e3 in extract_numerical(bundle, cfg.windows)
-        for (l1, m1), (l2, m2), (l_dt, m_dt), (l3, m3) in product(
-            classify(cfg.vocab_t1, e1.value),
-            classify(cfg.vocab_t2, e2.value),
-            classify(cfg.vocab_dt, e3.timestamp - e2.timestamp),
-            classify(cfg.vocab_c, e3.value))
-    )
-    ruleset = aggregate(instances)
-    return apply_thresholds(ruleset, cfg.min_support, cfg.min_confidence)
+    # The rule totals of an (l1, l2) pair sit in a flat row indexed like
+    # tails, with the pair's own total in the last slot.
+    tails = list(product(dict.fromkeys(cfg.vocab_dt.labels),
+                         dict.fromkeys(cfg.vocab_c.labels)))
+    slots = {tail: k for k, tail in enumerate(tails)}
+    width = len(tails)
+    rows = defaultdict(lambda: [0.0] * (width + 1))
+    total = 0.0
+    span12, span23 = cfg.windows.trigger_window, cfg.windows.consequence_window
+    events2, events3 = bundle.trigger2.events, bundle.consequence.events
+    times2, times3 = [e.timestamp for e in events2], [e.timestamp for e in events3]
+    degrees3 = [None] * len(events3)
+    # For the trigger-2 events first, first + 1, ...: None if no labelled
+    # consequence is in reach, else the event's degrees and, per such
+    # consequence, its (l_dt, l3) combos.
+    window, first = [], 0
+    for e1 in bundle.trigger1.events:
+        t1 = e1.timestamp
+        lo = bisect_left(times2, t1)
+        if lo == len(times2) or times2[lo] > t1 + span12:
+            continue
+        hi = bisect_right(times2, t1 + span12, lo)
+        del window[:lo - first]
+        first = lo
+        for j in range(lo + len(window), hi):
+            t2, group = times2[j], []
+            for k in range(bisect_left(times3, t2), bisect_right(times3, t2 + span23)):
+                if degrees3[k] is None:
+                    degrees3[k] = classify(cfg.vocab_c, events3[k].value)
+                combos = [(slots[l_dt, l3], m_dt, m3)
+                          for l_dt, m_dt in classify(cfg.vocab_dt, times3[k] - t2)
+                          for l3, m3 in degrees3[k]] if degrees3[k] else None
+                if combos:
+                    group.append(combos)
+            window.append((classify(cfg.vocab_t2, events2[j].value), group)
+                          if group else None)
+        live = [entry for entry in window if entry]
+        d1 = classify(cfg.vocab_t1, e1.value) if live else ()
+        for d2, group in live:
+            pairs = [(rows[l1, l2], m1 * m2) for l1, m1 in d1 for l2, m2 in d2]
+            for combos in group:
+                for row, m12 in pairs:
+                    pair_total = row[width]
+                    for k, m_dt, m3 in combos:
+                        weight = m12 * m_dt * m3
+                        if weight:
+                            row[k] += weight
+                            pair_total += weight
+                            total += weight
+                    row[width] = pair_total
+
+    trigger_weights = {pair: row[width] for pair, row in rows.items() if row[width]}
+    found = sorted(((pair + tails[k], w) for pair, row in rows.items()
+                    for k, w in enumerate(row[:width]) if w),
+                   key=lambda item: (-item[1], item[0]))
+    rules = tuple(FuzzyRule(*labels, weight=w, support=w / total,
+                            confidence=w / trigger_weights[labels[:2]])
+                  for labels, w in found)
+    return apply_thresholds(RuleSet(rules, total, trigger_weights),
+                            cfg.min_support, cfg.min_confidence)

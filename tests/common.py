@@ -1,4 +1,5 @@
-"""Shared fixture data: the quickstart example in code and on disk."""
+"""Shared fixture data: the quickstart example in code and on disk, and
+hand-made rule sets for the renderers."""
 
 from pathlib import Path
 
@@ -6,7 +7,9 @@ from fuzzmine import (
     Event,
     EventStream,
     FuzzyInterval,
+    FuzzyRule,
     MiningConfig,
+    RuleSet,
     StreamBundle,
     Vocabulary,
     WindowConfig,
@@ -66,3 +69,30 @@ def quickstart_mining_config(min_support=0.0, min_confidence=0.0):
         min_support=min_support,
         min_confidence=min_confidence,
     )
+
+
+def points(name, values):
+    """One label per distinct value, named by its repr, with degree 1 there
+    and 0 everywhere else: mining with these spells out each triple."""
+    return Vocabulary(name, tuple(FuzzyInterval(repr(float(v)), v, v, v, v)
+                                  for v in sorted(set(values))))
+
+
+def ruleset_of(rows):
+    """A hand-made RuleSet from (l1, l2, l_dt, l3, weight) rows.
+
+    Rows sharing a label tuple merge into one rule; rules are scored and
+    ordered as mine() does (descending weight, then label tuple). For
+    tree and report fixtures that need no streams behind them.
+    """
+    weights, pairs = {}, {}
+    for *labels, weight in rows:
+        key = tuple(labels)
+        weights[key] = weights.get(key, 0.0) + weight
+        pairs[key[:2]] = pairs.get(key[:2], 0.0) + weight
+    total = sum(weights.values())
+    rules = tuple(
+        FuzzyRule(*key, weight=w, support=w / total, confidence=w / pairs[key[:2]])
+        for key, w in sorted(weights.items(), key=lambda item: (-item[1], item[0]))
+    )
+    return RuleSet(rules=rules, total_weight=total, trigger_weights=pairs)

@@ -12,19 +12,19 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from fuzzmine import (
+    FuzzyInterval,
+    MiningConfig,
     WindowConfig,
     build_tree,
-    extract_numerical,
     membership,
     mine,
     render_dot,
 )
 from fuzzmine.cli import main
-from fuzzmine.fuzzy import FuzzyInterval
 
-from common import QUICKSTART_CONFIG, QUICKSTART_CSV, QUICKSTART_RULES
+from common import QUICKSTART_CONFIG, QUICKSTART_CSV, QUICKSTART_RULES, points
 from dot_grammar import check_dot
-from oracle import brute_force_rule_table, crisp_rule_counts
+from oracle import brute_force_associations, brute_force_rule_table, crisp_rule_counts
 from strategies import arbitrary_settings, crisp_settings, ruspini_settings
 
 CSV = str(QUICKSTART_CSV)
@@ -32,16 +32,16 @@ CONFIG = str(QUICKSTART_CONFIG)
 
 @pytest.mark.criterion(1, "golden extraction")
 def test_golden_extraction_is_exact(quickstart_bundle):
-    found = list(extract_numerical(quickstart_bundle, WindowConfig(10, 10)))
-    assert [(e1.value, e2.value, e3.timestamp - e2.timestamp, e3.value)
-            for e1, e2, e3 in found] == [
-        (2, 8, 4, 10.5),
-        (2, 8, 10, 15),
-        (7, 2, 10, 7),
+    # One point label per value and per elapsed time that occurs: each
+    # window triple then weighs exactly 1 in the rule that spells its readings.
+    cfg = MiningConfig(WindowConfig(10, 10), points("t1", (2, 7)), points("t2", (8, 2)),
+                       points("dt", (4, 10)), points("c", (10.5, 15, 7)))
+    ruleset = mine(quickstart_bundle, cfg)
+    assert sorted((r.labels, r.weight) for r in ruleset) == [
+        (("2.0", "8.0", "10.0", "15.0"), 1.0),
+        (("2.0", "8.0", "4.0", "10.5"), 1.0),
+        (("7.0", "2.0", "10.0", "7.0"), 1.0),
     ]
-    assert [(e1.timestamp, e2.timestamp, e3.timestamp)
-            for e1, e2, e3 in found] == [
-        (0, 3, 7), (0, 3, 13), (1000, 1003, 1013)]
 
 
 @pytest.mark.criterion(2, "golden rule set")
@@ -75,7 +75,8 @@ def test_membership_anchor_points():
 @given(case=ruspini_settings(max_events=16))
 def test_normalization_properties(case):
     bundle, cfg = case
-    associations = list(extract_numerical(bundle, cfg.windows))
+    associations = brute_force_associations(
+        bundle, cfg.windows.trigger_window, cfg.windows.consequence_window)
     ruleset = mine(bundle, cfg)
     assert ruleset.total_weight == pytest.approx(len(associations), abs=1e-9)
     if not ruleset.rules:

@@ -1,6 +1,9 @@
 """Tests for the command-line driver: flags, exit codes, report formats."""
 
+import hashlib
 import json
+import os
+import random
 import subprocess
 import sys
 
@@ -224,6 +227,17 @@ class TestMineCommand:
         assert code == 3
         assert "a <= b <= c <= d" in err
 
+    def test_ramp_wider_than_float_range_exits_3(self, capsys, tmp_path):
+        # b - a overflows: membership() would read nan or 0 inside the ramp.
+        doc = json.loads(QUICKSTART_CONFIG.read_text())
+        doc["vocabularies"]["trigger1"].append(
+            {"label": "Huge", "a": -1.5e308, "b": 1.5e308, "c": 1.6e308, "d": 1.7e308})
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "mine", "--input", CSV, "--config", str(bad))
+        assert code == 3 and out == ""
+        assert "interval-span" in err
+
     def test_role_selecting_absent_stream_exits_3(self, capsys, tmp_path):
         doc = json.loads(QUICKSTART_CONFIG.read_text())
         doc["roles"]["consequence"] = "stream9"
@@ -328,6 +342,107 @@ class TestDeterminism:
         _, second, _ = run(capsys, "mine", "--input", CSV, "--config", CONFIG,
                            "--format", fmt, "--tree", "ascii")
         assert first == second
+
+
+def seeded_wide_case(tmp_path, seed=6):
+    """60 events per stream, about 10 per window, and 9 overlapping labels
+    per dimension that do not sum to 1, as CSV and config files."""
+    rng = random.Random(seed)
+    rows = ["timestamp,stream,value"]
+    for name in ("stream1", "stream2", "stream3"):
+        rows += [f"{i + rng.random():.3f},{name},{rng.uniform(0, 15):.2f}"
+                 for i in range(60)]
+
+    def labels(prefix, top):
+        step = top / 8
+        return [{"label": f"{prefix}{k}", "a": round(step * (k - 1.05), 4),
+                 "b": round(step * (k - 0.2 * (k % 2 == 0)), 4),
+                 "c": round(step * (k + 0.2 * (k % 2 == 0)), 4),
+                 "d": round(step * (k + 1.05), 4)} for k in range(9)]
+
+    doc = json.loads(QUICKSTART_CONFIG.read_text())
+    doc["vocabularies"] = {"trigger1": labels("v", 15), "trigger2": labels("v", 15),
+                           "delta_t": labels("dt", 8.8), "consequence": labels("v", 15)}
+    csv_path, config_path = tmp_path / "wide.csv", tmp_path / "wide.json"
+    csv_path.write_text("\n".join(rows) + "\n")
+    config_path.write_text(json.dumps(doc))
+    return str(csv_path), str(config_path)
+
+
+# The JSON report with its tree of seeded_wide_case at seed 6, taken from the
+# triple-at-a-time miner (extract, then aggregate) whose sums mine() must match.
+PINNED_RULES = 6318
+PINNED_SHA256 = "10e4851522e9450bbaa92da3c8d75c00b34730abc62c2e5676499f1cb7f13995"
+
+
+class TestPinnedReport:
+    def test_seeded_wide_vocabulary_report_bytes(self, tmp_path):
+        # Any change in the float order of the mining sums changes low bits
+        # of the weights and metrics, and so the hash.
+        csv_path, config_path = seeded_wide_case(tmp_path)
+        out = tmp_path / "report.json"
+        code = main(["mine", "--input", csv_path, "--config", config_path,
+                     "--format", "json", "--tree", "dot", "--out", str(out)])
+        assert code == 0
+        report = out.read_bytes()
+        assert len(json.loads(report)["rules"]) == PINNED_RULES
+        assert hashlib.sha256(report).hexdigest() == PINNED_SHA256
+
+
+def run_child(stdout, unbuffered, *argv):
+    """``python -m fuzzmine mine`` with the given standard output, buffered
+    or not; returns the child process, started."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen([sys.executable, "-m", "fuzzmine", "mine", *argv],
+                            stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+BUFFERING = pytest.mark.parametrize("unbuffered", [False, True],
+                                    ids=["buffered", "unbuffered"])
+
+
+class TestStandardOutput:
+    """A report standard output does not take is an input error (exit 2)
+    with one message, whatever the buffering, and never a silent exit 0."""
+
+    @BUFFERING
+    def test_closed_pipe_exits_2(self, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        child = run_child(write_end, unbuffered, "--input", CSV, "--config", CONFIG)
+        os.close(write_end)
+        _, err = child.communicate(timeout=60)
+        assert child.returncode == 2
+        assert err == b"fuzzmine: cannot write standard output: [Errno 32] Broken pipe\n"
+
+    @BUFFERING
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_device_exits_2(self, unbuffered):
+        with open("/dev/full", "wb") as full:
+            child = run_child(full, unbuffered, "--input", CSV, "--config", CONFIG)
+            _, err = child.communicate(timeout=60)
+        assert child.returncode == 2
+        assert err == (b"fuzzmine: cannot write standard output: "
+                       b"[Errno 28] No space left on device\n")
+
+    def test_reader_closing_mid_report_exits_2(self, tmp_path):
+        # A report of about 240 KB overfills the pipe; once the reader has
+        # taken 10 bytes and gone, an unbuffered write returns short, and the
+        # rest must not be dropped silently.
+        doc = json.loads(QUICKSTART_CONFIG.read_text())
+        for intervals in doc["vocabularies"].values():
+            for interval in intervals:
+                interval["label"] += "." * 12_000
+        config = tmp_path / "long-labels.json"
+        config.write_text(json.dumps(doc))
+        child = run_child(subprocess.PIPE, True, "--input", CSV, "--config", str(config))
+        assert len(child.stdout.read(10)) == 10
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=60) == 2
+        assert err == b"fuzzmine: cannot write standard output: [Errno 32] Broken pipe\n"
 
 
 class TestModuleEntryPoint:

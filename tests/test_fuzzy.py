@@ -151,6 +151,22 @@ class TestValidateVocabulary:
         assert any(f.severity == ERROR and f.code == "interval-corners"
                    for f in findings)
 
+    @pytest.mark.parametrize("corners", [
+        (-1.5e308, 1.5e308, 1.6e308, 1.7e308),
+        (-1.7e308, -1.6e308, -1.5e308, 1.5e308),
+    ], ids=["up-ramp", "down-ramp"])
+    def test_ramp_wider_than_float_range_is_an_error(self, corners):
+        # b - a or d - c overflows to inf, so membership() would give nan or 0
+        # where the ramp is half way up: the interval cannot be evaluated.
+        vocab = Vocabulary("v", (FuzzyInterval("X", *corners),))
+        findings = validate_vocabulary(vocab)
+        assert [f.code for f in findings if f.severity == ERROR] == ["interval-span"]
+
+    def test_widest_ramp_that_fits_is_legal(self):
+        vocab = Vocabulary("v", (FuzzyInterval("X", -8e307, 8e307, 9e307, 1e308),))
+        assert not has_errors(validate_vocabulary(vocab))
+        assert classify(vocab, 0.0) == (("X", 0.5),)
+
     def test_coverage_gap_reported(self):
         vocab = Vocabulary("v", (
             FuzzyInterval("low", 0, 1, 2, 3),

@@ -1,4 +1,8 @@
-"""Tests for association extraction, fuzzification, and rule metrics."""
+"""Tests for window semantics, label expansion, rule totals and metrics.
+
+All of it runs through mine(), the one mining entry point, and is
+checked against the independent oracle where the oracle has an answer.
+"""
 
 from collections import Counter
 from itertools import product
@@ -15,24 +19,62 @@ from fuzzmine import (
     StreamBundle,
     Vocabulary,
     WindowConfig,
-    aggregate,
     apply_thresholds,
-    classify,
-    extract_numerical,
     mine,
 )
 
-from common import QUICKSTART_RULES, quickstart_bundle, quickstart_mining_config
-from oracle import brute_force_associations, brute_force_rule_table
+from common import QUICKSTART_RULES, points, quickstart_bundle, quickstart_mining_config
+from oracle import brute_force_associations, brute_force_rule_table, trapezoid_degree
 from strategies import STREAM_NAMES, arbitrary_settings, bundles, ruspini_settings
 
 WINDOWS = WindowConfig(trigger_window=10, consequence_window=10)
 
+# One label covering every value and elapsed time the tests produce.
+ANY = Vocabulary("any", (FuzzyInterval("any", -1e9, -1e9, 1e9, 1e9),))
 
-def as_value_tuples(triples):
-    """(v1, v2, delta_t, v3, t1, t2, t3) per triple, as the oracle gives them."""
-    return [(e1.value, e2.value, e3.timestamp - e2.timestamp, e3.value,
-             e1.timestamp, e2.timestamp, e3.timestamp) for e1, e2, e3 in triples]
+
+def mined_triples(bundle, windows):
+    """(Counter of (v1, v2, delta_t, v3), total_weight) as mine() finds them.
+
+    Point labels on every value and every elapsed time in the bundle make
+    each window triple add exactly 1 to the rule named by its readings,
+    so total_weight is the triple count.
+    """
+    t1, t2, c = (s.events for s in (bundle.trigger1, bundle.trigger2,
+                                    bundle.consequence))
+    cfg = MiningConfig(
+        windows, points("t1", [e.value for e in t1]),
+        points("t2", [e.value for e in t2]),
+        points("dt", [e3.timestamp - e2.timestamp for e2 in t2 for e3 in c]),
+        points("c", [e.value for e in c]))
+    ruleset = mine(bundle, cfg)
+    found = Counter({tuple(map(float, r.labels)): r.weight for r in ruleset})
+    return found, ruleset.total_weight
+
+
+def rule_table(ruleset):
+    """label tuple -> (weight, support, confidence), the oracle's table form."""
+    return {r.labels: (r.weight, r.support, r.confidence) for r in ruleset}
+
+
+def oracle_fold(bundle, cfg):
+    """(total_weight, trigger_weights) added up one instance at a time in
+    the oracle's order: triples in (t1, t2, t3) order, then intervals in
+    vocabulary order, each product taken left to right."""
+    total, pairs = 0.0, {}
+    dims = (cfg.vocab_t1, cfg.vocab_t2, cfg.vocab_dt, cfg.vocab_c)
+    triples = brute_force_associations(
+        bundle, cfg.windows.trigger_window, cfg.windows.consequence_window)
+    for v1, v2, dt, v3, *_ in triples:
+        for ivs in product(*(vocab.intervals for vocab in dims)):
+            weight = 1.0
+            for iv, x in zip(ivs, (v1, v2, dt, v3)):
+                weight *= trapezoid_degree(iv.a, iv.b, iv.c, iv.d, x)
+            if weight > 0.0:
+                pair = (ivs[0].label, ivs[1].label)
+                pairs[pair] = pairs.get(pair, 0.0) + weight
+                total += weight
+    return total, pairs
 
 
 def one_triple_rules(e1, e2, e3):
@@ -78,74 +120,108 @@ SUBNORMAL = same_streams(
     [(0, 2.5), (1, 0.75), (2, 11), (3, 6.5)], WindowConfig(2, 2),
     (FAINT, FAINT, FAINT, FAINT))
 
+# Labels z, m, a in reverse lexicographic order with crisp degrees, so many
+# rules tie on weight and only the label text may order them.
+ZMA = Vocabulary("zma", (FuzzyInterval("z", 0, 0, 1, 1), FuzzyInterval("m", 1, 1, 2, 2),
+                         FuzzyInterval("a", 2, 2, 3, 3)))
+REVERSE_LEX_TIES = same_streams(
+    [(0, 0.5), (1, 1.5), (1, 2.5), (2, 0.5), (3, 2.5), (4, 1.5)], WindowConfig(2, 2),
+    (ZMA, ZMA, Vocabulary("dt", (FuzzyInterval("z", 0, 0, 1, 1),
+                                 FuzzyInterval("a", 1.25, 1.25, 2, 2))), ZMA))
+
+# A vocabulary built in code may repeat a label: its intervals share one rule,
+# summed in the same order as distinct labels would be.
+REPEATED = Vocabulary("repeated", (
+    FuzzyInterval("low", 0, 0, 0, 12), FuzzyInterval("high", 0, 12, 12, 12),
+    FuzzyInterval("low", 0, 0, 6, 9), FuzzyInterval("mid", 3, 6, 6, 9),
+    FuzzyInterval("high", 6, 12, 12, 12)))
+DUPLICATE_LABELS = same_streams(
+    [(0, 1), (0.5, 4.5), (1, 7), (1.5, 10.5), (2, 11.75)], WindowConfig(1.5, 1.5),
+    (REPEATED, REPEATED, ramps("dt", 1.5), REPEATED))
+
+# Shaped like a sparse stream: most trigger windows hold nothing, one
+# trigger-2 event has no consequence in reach, and each dimension gets
+# values no label covers (20, 30 and 40 past ramps(12); delta_t 9.5 and
+# 10.5 past "soon").
+SPARSE_SHAPE = (
+    StreamBundle(
+        EventStream("alpha", [Event(0, 4), Event(1, 20), Event(50, 5),
+                              Event(100, 6), Event(119, 3)]),
+        EventStream("beta", [Event(2, 7), Event(3, 30), Event(120, 2)]),
+        EventStream("gamma", [Event(4, 9), Event(5, 40), Event(12.5, 3),
+                              Event(200, 1)])),
+    MiningConfig(WindowConfig(2, 10), ramps("t1", 12), ramps("t2", 12),
+                 Vocabulary("dt", (FuzzyInterval("soon", 0, 0, 2, 4),)), ramps("c", 12)))
+
 
 class TestExtractNumerical:
+    """Window semantics, seen through mine(): point labels turn each window
+    triple into one unit of weight in the rule named by its readings."""
+
     def test_quickstart_associations(self):
-        found = extract_numerical(quickstart_bundle(), WINDOWS)
-        assert as_value_tuples(found) == [
-            (2, 8, 4, 10.5, 0, 3, 7),
-            (2, 8, 10, 15, 0, 3, 13),
-            (7, 2, 10, 7, 1000, 1003, 1013),
-        ]
+        found, total = mined_triples(quickstart_bundle(), WINDOWS)
+        assert found == Counter({(2, 8, 4, 10.5): 1, (2, 8, 10, 15): 1,
+                                 (7, 2, 10, 7): 1})
+        assert total == 3.0
 
     def test_empty_trigger2_yields_nothing(self):
         bundle = StreamBundle(EventStream("a", (Event(0, 1),)),
                               EventStream("b"),
                               EventStream("c", (Event(1, 1),)))
-        assert list(extract_numerical(bundle, WINDOWS)) == []
+        assert mined_triples(bundle, WINDOWS) == (Counter(), 0.0)
 
     def test_window_boundaries_are_closed(self):
         bundle = StreamBundle(EventStream("a", (Event(0, 1),)),
                               EventStream("b", (Event(10, 2),)),
                               EventStream("c", (Event(20, 3),)))
-        found = as_value_tuples(extract_numerical(bundle, WINDOWS))
-        assert len(found) == 1
-        assert found[0][2] == 10
+        assert mined_triples(bundle, WINDOWS) == (Counter({(1, 2, 10, 3): 1}), 1.0)
 
     def test_just_beyond_window_is_excluded(self):
         bundle = StreamBundle(EventStream("a", (Event(0, 1),)),
                               EventStream("b", (Event(10.25, 2),)),
                               EventStream("c", (Event(20, 3),)))
-        assert list(extract_numerical(bundle, WINDOWS)) == []
+        assert mined_triples(bundle, WINDOWS) == (Counter(), 0.0)
 
     def test_triggers_may_coincide_and_delta_may_be_zero(self):
         bundle = StreamBundle(EventStream("a", (Event(5, 1),)),
                               EventStream("b", (Event(5, 2),)),
                               EventStream("c", (Event(5, 3),)))
-        found = as_value_tuples(extract_numerical(bundle, WINDOWS))
-        assert len(found) == 1
-        assert found[0][2] == 0
+        assert mined_triples(bundle, WINDOWS) == (Counter({(1, 2, 0, 3): 1}), 1.0)
 
     def test_consequence_before_trigger2_is_excluded(self):
         bundle = StreamBundle(EventStream("a", (Event(0, 1),)),
                               EventStream("b", (Event(5, 2),)),
                               EventStream("c", (Event(4, 3),)))
-        assert list(extract_numerical(bundle, WINDOWS)) == []
+        assert mined_triples(bundle, WINDOWS) == (Counter(), 0.0)
 
     def test_one_event_can_join_many_associations(self):
         bundle = StreamBundle(EventStream("a", (Event(0, 1), Event(1, 2))),
                               EventStream("b", (Event(2, 3),)),
                               EventStream("c", (Event(3, 4), Event(4, 5))))
-        assert len(list(extract_numerical(bundle, WINDOWS))) == 4
+        found, total = mined_triples(bundle, WINDOWS)
+        assert sum(found.values()) == total == 4.0
 
     def test_output_sorted_by_timestamps(self):
+        # Triples are folded in (t1, t2, t3) order: with inexact degrees a
+        # different order would show in the low bits of the sums.
         bundle = StreamBundle(
-            EventStream("a", (Event(0, 1), Event(1, 1))),
-            EventStream("b", (Event(1, 2), Event(2, 2))),
-            EventStream("c", (Event(2, 3), Event(3, 3))),
+            EventStream("a", (Event(1, 5), Event(0, 1))),
+            EventStream("b", (Event(2, 7), Event(1, 2))),
+            EventStream("c", (Event(3, 11), Event(2, 3))),
         )
-        keys = [(e1.timestamp, e2.timestamp, e3.timestamp)
-                for e1, e2, e3 in extract_numerical(bundle, WINDOWS)]
-        assert keys == sorted(keys)
+        cfg = MiningConfig(WINDOWS, ramps("t1", 12), ramps("t2", 12),
+                           ramps("dt", 10), ramps("c", 12))
+        assert rule_table(mine(bundle, cfg)) == brute_force_rule_table(bundle, cfg)
 
     @given(bundle=bundles(max_events=12),
            w=st.tuples(st.integers(1, 48), st.integers(1, 48)))
     def test_matches_brute_force_enumeration(self, bundle, w):
         windows = WindowConfig(w[0] / 4, w[1] / 4)
-        fast = extract_numerical(bundle, windows)
         slow = brute_force_associations(bundle, windows.trigger_window,
                                         windows.consequence_window)
-        assert Counter(as_value_tuples(fast)) == Counter(slow)
+        found, total = mined_triples(bundle, windows)
+        assert found == Counter(t[:4] for t in slow)
+        assert total == len(slow)
 
     @given(bundle=bundles(max_events=10),
            w=st.tuples(st.integers(1, 20), st.integers(1, 20)),
@@ -153,8 +229,8 @@ class TestExtractNumerical:
     def test_enlarging_windows_never_drops_associations(self, bundle, w, grow):
         small = WindowConfig(w[0] / 4, w[1] / 4)
         large = WindowConfig((w[0] + grow[0]) / 4, (w[1] + grow[1]) / 4)
-        found_small = Counter(as_value_tuples(extract_numerical(bundle, small)))
-        found_large = Counter(as_value_tuples(extract_numerical(bundle, large)))
+        found_small, _ = mined_triples(bundle, small)
+        found_large, _ = mined_triples(bundle, large)
         assert all(found_large[k] >= n for k, n in found_small.items())
 
     @given(bundle=bundles(max_events=10), shift=st.integers(0, 100))
@@ -165,9 +241,7 @@ class TestExtractNumerical:
 
         moved = StreamBundle(shifted(bundle.trigger1), shifted(bundle.trigger2),
                              shifted(bundle.consequence))
-        original = as_value_tuples(extract_numerical(bundle, WINDOWS))
-        after = as_value_tuples(extract_numerical(moved, WINDOWS))
-        assert Counter(t[:4] for t in original) == Counter(t[:4] for t in after)
+        assert mined_triples(moved, WINDOWS) == mined_triples(bundle, WINDOWS)
 
 
 class TestFuzzify:
@@ -198,18 +272,10 @@ class TestFuzzify:
 
 
 class TestAggregate:
+    """Folding instances into rule totals, seen through mine()."""
+
     def test_quickstart_weights(self):
-        cfg = quickstart_mining_config()
-        # aggregate consumes any iterable, here a lazy stream of instances.
-        instances = (
-            (l1, l2, l_dt, l3, m1 * m2 * m_dt * m3)
-            for e1, e2, e3 in extract_numerical(quickstart_bundle(), cfg.windows)
-            for (l1, m1), (l2, m2), (l_dt, m_dt), (l3, m3) in product(
-                classify(cfg.vocab_t1, e1.value), classify(cfg.vocab_t2, e2.value),
-                classify(cfg.vocab_dt, e3.timestamp - e2.timestamp),
-                classify(cfg.vocab_c, e3.value))
-        )
-        ruleset = aggregate(instances)
+        ruleset = mine(quickstart_bundle(), quickstart_mining_config())
         assert len(ruleset) == 4
         assert ruleset.total_weight == pytest.approx(3.0, abs=1e-9)
         by_labels = {r.labels: r for r in ruleset}
@@ -217,14 +283,17 @@ class TestAggregate:
             assert by_labels[labels].weight == pytest.approx(weight, abs=1e-9)
 
     def test_identical_tuples_merge(self):
-        instances = [("a", "b", "t", "c", 0.5),
-                     ("a", "b", "t", "c", 0.5)]
-        ruleset = aggregate(instances)
-        assert len(ruleset) == 1
-        assert ruleset.rules[0].weight == 1.0
+        # Two triples read as (Small, Small, Long, Small) with degree 1 each.
+        bundle = StreamBundle(EventStream("a", (Event(0, 1), Event(1, 1))),
+                              EventStream("b", (Event(2, 1),)),
+                              EventStream("c", (Event(12, 1),)))
+        ruleset = mine(bundle, quickstart_mining_config())
+        assert [(r.labels, r.weight) for r in ruleset] == [
+            (("Small Volume", "Small Volume", "Long Time After", "Small Volume"), 2.0)]
 
     def test_empty_input(self):
-        ruleset = aggregate([])
+        bundle = StreamBundle(EventStream("a"), EventStream("b"), EventStream("c"))
+        ruleset = mine(bundle, quickstart_mining_config())
         assert len(ruleset) == 0
         assert ruleset.total_weight == 0.0
         assert ruleset.trigger_weights == {}
@@ -232,33 +301,39 @@ class TestAggregate:
     def test_zero_weight_instances_are_skipped(self):
         # An underflowed degree product adds no rule, trigger pair or total,
         # so no metric divides by zero.
-        instances = [("a", "b", "t", "c", 0.0),
-                     ("x", "y", "t", "c", 0.5),
-                     ("x", "y", "t", "d", 0.0)]
-        ruleset = aggregate(instances)
-        assert [r.labels for r in ruleset] == [("x", "y", "t", "c")]
-        assert ruleset.total_weight == 0.5
-        assert ruleset.trigger_weights == {("x", "y"): 0.5}
-        assert aggregate(instances[:1]) == aggregate([])
+        bundle, cfg = SUBNORMAL
+        ruleset = mine(bundle, cfg)
+        assert ruleset.rules and all(r.weight > 0.0 for r in ruleset)
+        assert all(w > 0.0 for w in ruleset.trigger_weights.values())
+        assert not any(r.labels.count("faint") >= 3 for r in ruleset)
+        # Values 100 only read as faint (degree ~3e-159), so every product
+        # of the one triple underflows to 0.0.
+        faint, _ = same_streams([(0, 100), (1, 100)], WindowConfig(1, 1),
+                                (FAINT, FAINT, FAINT, FAINT))
+        empty = StreamBundle(EventStream("a"), EventStream("b"), EventStream("c"))
+        assert mine(faint, cfg) == mine(empty, cfg)
 
     def test_ordering_descending_weight_then_lexicographic(self):
-        instances = [("b", "b", "t", "c", 0.5),
-                     ("a", "b", "t", "c", 0.5),
-                     ("a", "a", "t", "c", 1.0)]
-        ruleset = aggregate(instances)
-        assert [r.labels for r in ruleset] == [
-            ("a", "a", "t", "c"), ("a", "b", "t", "c"), ("b", "b", "t", "c")]
+        # Ties are broken by label text, not by the labels' vocabulary order.
+        bundle = StreamBundle(
+            EventStream("a", (Event(0, 0.5), Event(0.5, 0.5), Event(1, 1.5),
+                              Event(1.5, 2.5))),
+            EventStream("b", (Event(2, 0.5),)),
+            EventStream("c", (Event(3, 0.5),)))
+        cfg = MiningConfig(WINDOWS, ZMA, ZMA, ANY, ZMA)
+        assert [(r.labels, r.weight) for r in mine(bundle, cfg)] == [
+            (("z", "z", "any", "z"), 2.0),
+            (("a", "z", "any", "z"), 1.0),
+            (("m", "z", "any", "z"), 1.0)]
 
-    @given(weights=st.lists(st.integers(1, 40).map(lambda k: k / 8), max_size=30),
-           keys=st.integers(1, 4))
-    def test_total_weight_is_plain_sum(self, weights, keys):
-        instances = [
-            (f"l{i % keys}", "x", "t", "y", w)
-            for i, w in enumerate(weights)
-        ]
-        ruleset = aggregate(instances)
-        assert ruleset.total_weight == pytest.approx(sum(weights), abs=1e-9)
-        assert sum(r.weight for r in ruleset) == pytest.approx(sum(weights), abs=1e-9)
+    @given(settings_pair=arbitrary_settings(max_events=6))
+    @settings(max_examples=40)
+    def test_total_weight_is_plain_sum(self, settings_pair):
+        bundle, cfg = settings_pair
+        ruleset = mine(bundle, cfg)
+        assert ruleset.total_weight == oracle_fold(bundle, cfg)[0]
+        assert sum(r.weight for r in ruleset) == pytest.approx(
+            ruleset.total_weight, abs=1e-9)
 
     @given(settings_pair=arbitrary_settings(max_events=6))
     @settings(max_examples=40)
@@ -284,8 +359,14 @@ class TestMetrics:
             assert rule.confidence == pytest.approx(conf, abs=1e-9)
 
     def test_single_rule_set_self_normalizes(self):
-        ruleset = aggregate([("a", "b", "t", "c", 0.25)])
-        rule = ruleset.rules[0]
+        # One triple, one label per reading, degrees 0.5 * 1 * 1 * 0.5.
+        bundle = StreamBundle(EventStream("a", (Event(0, 1.5),)),
+                              EventStream("b", (Event(1, 6),)),
+                              EventStream("c", (Event(2, 1.5),)))
+        half = Vocabulary("half", (FuzzyInterval("half", 0, 3, 3, 3),))
+        ruleset = mine(bundle, MiningConfig(WINDOWS, half, ANY, ANY, half))
+        rule, = ruleset.rules
+        assert rule.weight == 0.25
         assert rule.support == 1.0
         assert rule.confidence == 1.0
 
@@ -356,15 +437,21 @@ class TestMine:
     @example(case=BOUNDARY_TIES)
     @example(case=ZERO_WIDTH)
     @example(case=SUBNORMAL)
+    @example(case=REVERSE_LEX_TIES)
+    @example(case=DUPLICATE_LABELS)
+    @example(case=SPARSE_SHAPE)
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_rule_table_equals_oracle_exactly(self, case):
         # The oracle adds the same products in the same order, so every
         # weight and metric must agree to the last bit, not within a tolerance.
         bundle, cfg = case
-        found = {r.labels: (r.weight, r.support, r.confidence)
-                 for r in mine(bundle, cfg)}
-        assert found == brute_force_rule_table(bundle, cfg)
+        ruleset = mine(bundle, cfg)
+        expected = brute_force_rule_table(bundle, cfg)
+        assert rule_table(ruleset) == expected
+        assert [r.labels for r in ruleset] == sorted(
+            expected, key=lambda labels: (-expected[labels][0], labels))
+        assert (ruleset.total_weight, ruleset.trigger_weights) == oracle_fold(bundle, cfg)
 
 
 class TestConfigTypes:

@@ -3,14 +3,13 @@
 import json
 
 from fuzzmine import (
-    aggregate,
     build_tree,
     mine,
     render_json,
     render_table,
 )
 
-from common import quickstart_bundle, quickstart_mining_config
+from common import quickstart_bundle, quickstart_mining_config, ruleset_of
 
 
 def quickstart_ruleset():
@@ -59,13 +58,13 @@ class TestTableRendering:
         assert text.rstrip().endswith("4 rules, total weight 3")
 
     def test_empty_rule_set_renders_header_only(self):
-        text = render_table(aggregate([]))
+        text = render_table(ruleset_of([]))
         lines = text.splitlines()
         assert lines[0].startswith("trigger1")
         assert "0 rules, total weight 0" in text
 
     def test_columns_align_to_longest_cell(self):
-        ruleset = aggregate([
+        ruleset = ruleset_of([
             ("a-very-long-label", "b", "t", "c", 1.0),
             ("x", "y", "t", "c", 1.0),
         ])

@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fuzzmine import (
-    aggregate,
     build_tree,
     mine,
     render_ascii,
@@ -16,7 +15,7 @@ from fuzzmine import (
     render_json,
 )
 
-from common import quickstart_bundle, quickstart_mining_config
+from common import quickstart_bundle, quickstart_mining_config, ruleset_of
 from dot_grammar import check_dot
 
 GOLDEN_ASCII = """\
@@ -67,7 +66,7 @@ def small_rulesets():
     label = st.sampled_from(["p", "q", "r"])
     instance = st.tuples(label, label, label, label,
                          st.integers(1, 16).map(lambda k: k / 4))
-    return st.lists(instance, min_size=1, max_size=25).map(aggregate)
+    return st.lists(instance, min_size=1, max_size=25).map(ruleset_of)
 
 
 class TestBuildTree:
@@ -95,13 +94,13 @@ class TestBuildTree:
         assert conf == pytest.approx(1.0, abs=1e-9)
 
     def test_empty_ruleset_gives_bare_root(self):
-        tree = build_tree(aggregate([]))
+        tree = build_tree(ruleset_of([]))
         assert tree["level"] == "root"
         assert tree["children"] == []
         assert "support" not in tree and "confidence" not in tree
 
     def test_single_rule_is_a_path_of_depth_four(self):
-        tree = build_tree(aggregate([("a", "b", "t", "c", 1.0)]))
+        tree = build_tree(ruleset_of([("a", "b", "t", "c", 1.0)]))
         levels = []
         node = tree
         while True:
@@ -143,7 +142,7 @@ class TestRenderAscii:
         assert "Medium Volume [sup=0.3333, conf=1.0000]" in text
 
     def test_empty_tree(self):
-        assert render_ascii(build_tree(aggregate([]))) == "(root)\n"
+        assert render_ascii(build_tree(ruleset_of([]))) == "(root)\n"
 
     @given(rulesets=st.lists(small_rulesets(), min_size=2, max_size=6))
     def test_distinct_trees_render_distinctly(self, rulesets):
@@ -167,7 +166,7 @@ class TestRenderDot:
         assert check_dot(render_dot(build_tree(quickstart_ruleset())))
 
     def test_empty_tree_is_one_node_no_edges(self):
-        text = render_dot(build_tree(aggregate([])))
+        text = render_dot(build_tree(ruleset_of([])))
         assert check_dot(text)
         assert len([l for l in text.splitlines() if "[label=" in l]) == 1
         assert " -> " not in text
@@ -181,7 +180,7 @@ class TestRenderDot:
         assert "[sup=0.3333, conf=1.0000]" in text
 
     def test_awkward_labels_stay_valid_and_distinct(self):
-        ruleset = aggregate([
+        ruleset = ruleset_of([
             ('la "bel', "x/y", "t\\u", "c", 1.0),
             ("la ", '"bel', "x/y", "t\\u", 1.0),
         ])
@@ -217,11 +216,11 @@ class TestStructuredTree:
         assert reported_tree(ruleset) == build_tree(ruleset)
 
     def test_empty_tree_shape(self):
-        doc = build_tree(aggregate([]))
+        doc = build_tree(ruleset_of([]))
         assert doc == {"level": "root", "label": "", "children": []}
 
     def test_metrics_keep_full_precision(self):
-        ruleset = aggregate([("a", "b", "t", "c", 0.1),
+        ruleset = ruleset_of([("a", "b", "t", "c", 0.1),
                              ("a", "b", "t", "d", 0.2)])
         path_metrics = dict(rule_paths(reported_tree(ruleset)))
         for rule in ruleset:
