@@ -334,6 +334,133 @@ class TestValidateCommand:
         assert "--config" in err
 
 
+LONG_HEADER = "timestamp,stream,value\n"
+WIDE_HEADER = "timestamp,stream1,stream2,stream3\n"
+HUGE = "9" * 5000   # a valid float literal that overflows to inf
+
+# Each input body (after its header) and what `mine` answers: the exit code
+# and the standard-error text after "fuzzmine: <path>: ", "" when it mines.
+# Within a row the cells are read left to right and the first fault wins;
+# across rows the first faulty row wins.
+INPUT_CASES = {
+    "long-columns-short": (LONG_HEADER, "1,stream1\n", 2,
+                           "line 2: expected 3 columns, got 2"),
+    "long-columns-long": (LONG_HEADER, "0,stream1,2\n1,stream1,2,3\n", 2,
+                          "line 3: expected 3 columns, got 4"),
+    "long-padded-timestamp": (LONG_HEADER, " noon ,stream1,2\n", 2,
+                              "line 2: non-numeric timestamp: 'noon'"),
+    "long-padded-value": (LONG_HEADER, "1,stream1, zap \n", 2,
+                          "line 2: non-numeric value: 'zap'"),
+    "long-nan-timestamp": (LONG_HEADER, "nan,stream1,2\n", 2,
+                           "line 2: timestamp must be finite, got nan"),
+    "long-inf-timestamp": (LONG_HEADER, "inf,stream1,2\n", 2,
+                           "line 2: timestamp must be finite, got inf"),
+    "long-1e309-timestamp": (LONG_HEADER, "1e309,stream1,2\n", 2,
+                             "line 2: timestamp must be finite, got inf"),
+    "long-huge-timestamp": (LONG_HEADER, f"{HUGE},stream1,2\n", 2,
+                            "line 2: timestamp must be finite, got inf"),
+    "long-negative-timestamp": (LONG_HEADER, "-1,stream1,2\n", 2,
+                                "line 2: timestamp must be non-negative, got -1"),
+    "long-padded-negative-timestamp": (
+        LONG_HEADER, " -2.5 ,stream1,2\n", 2,
+        "line 2: timestamp must be non-negative, got -2.5"),
+    "long-negative-zero-timestamp": (LONG_HEADER, "-0,stream1,2\n", 0, ""),
+    "long-nan-value": (LONG_HEADER, "1,stream1,nan\n", 2,
+                       "line 2: value must be finite, got nan"),
+    "long-inf-value": (LONG_HEADER, "1,stream1,-inf\n", 2,
+                       "line 2: value must be finite, got -inf"),
+    "long-1e309-value": (LONG_HEADER, "1,stream1,1e309\n", 2,
+                         "line 2: value must be finite, got inf"),
+    "long-negative-value": (LONG_HEADER, "1,stream1,-1\n", 0, ""),
+    "long-negative-zero-value": (LONG_HEADER, "1,stream1,-0\n", 0, ""),
+    "long-empty-name": (LONG_HEADER, "1, ,2\n", 2, "line 2: stream name is empty"),
+    "long-blank-rows": (LONG_HEADER, "\n0,stream1,2\n\n3,stream2,8\n\n", 0, ""),
+    "long-crlf": (LONG_HEADER, "0,stream1,2\r\n3,stream2,8\r\n7,stream3,10.5\r\n", 0, ""),
+    "long-crlf-bad-row": (LONG_HEADER, "0,stream1,2\r\n\r\n3,stream2,x\r\n", 2,
+                          "line 4: non-numeric value: 'x'"),
+    "long-first-bad-row-wins": (LONG_HEADER, "0,stream1,2\n-1,stream1,2\n3,stream2,8\n"
+                                "4,stream2,zap\n", 2,
+                                "line 3: timestamp must be non-negative, got -1"),
+    "long-quoted-newline": (LONG_HEADER, '0,"str\neam",2\n-1,stream1,2\n', 2,
+                            "line 4: timestamp must be non-negative, got -1"),
+    "long-timestamp-before-name": (LONG_HEADER, "zap,,nan\n", 2,
+                                   "line 2: non-numeric timestamp: 'zap'"),
+    "long-name-before-value": (LONG_HEADER, "-1,,zap\n", 2,
+                               "line 2: stream name is empty"),
+    "long-value-before-range": (LONG_HEADER, "nan,stream1,zap\n", 2,
+                                "line 2: non-numeric value: 'zap'"),
+    "long-timestamp-range-first": (LONG_HEADER, "-1,stream1,nan\n", 2,
+                                   "line 2: timestamp must be non-negative, got -1"),
+    "long-finite-before-sign": (LONG_HEADER, "nan,stream1,inf\n", 2,
+                                "line 2: timestamp must be finite, got nan"),
+    "wide-columns-short": (WIDE_HEADER, "1,2\n", 2, "line 2: expected 4 columns, got 2"),
+    "wide-columns-long": (WIDE_HEADER, "0,2,-,-\n1,-,-,-,-\n", 2,
+                          "line 3: expected 4 columns, got 5"),
+    "wide-padded-timestamp": (WIDE_HEADER, " noon ,1,-,-\n", 2,
+                              "line 2: non-numeric timestamp: 'noon'"),
+    "wide-padded-value": (WIDE_HEADER, "1, zap ,-,-\n", 2,
+                          "line 2: non-numeric value for 'stream1': 'zap'"),
+    "wide-nan-timestamp": (WIDE_HEADER, "nan,1,-,-\n", 2,
+                           "line 2: timestamp must be finite, got nan"),
+    "wide-inf-timestamp": (WIDE_HEADER, "inf,-,1,-\n", 2,
+                           "line 2: timestamp must be finite, got inf"),
+    "wide-1e309-timestamp": (WIDE_HEADER, "1e309,-,-,1\n", 2,
+                             "line 2: timestamp must be finite, got inf"),
+    "wide-huge-timestamp": (WIDE_HEADER, f"{HUGE},1,-,-\n", 2,
+                            "line 2: timestamp must be finite, got inf"),
+    "wide-negative-timestamp": (WIDE_HEADER, "-1,-,2,-\n", 2,
+                                "line 2: timestamp must be non-negative, got -1"),
+    "wide-negative-zero-timestamp": (WIDE_HEADER, "-0,2,-,-\n", 0, ""),
+    "wide-nan-value": (WIDE_HEADER, "1,-,nan,-\n", 2,
+                       "line 2: value must be finite, got nan"),
+    "wide-inf-value": (WIDE_HEADER, "1,-,-,inf\n", 2,
+                       "line 2: value must be finite, got inf"),
+    "wide-1e309-value": (WIDE_HEADER, "1,-1e309,-,-\n", 2,
+                         "line 2: value must be finite, got -inf"),
+    "wide-negative-value": (WIDE_HEADER, "1,-1,-,-\n", 0, ""),
+    "wide-negative-zero-value": (WIDE_HEADER, "1,-0,-,-\n", 0, ""),
+    "wide-empty-name": ("timestamp,stream1,,stream3\n", "1,2,-,3\n", 2,
+                        "line 1: wide layout requires a non-empty name per stream column"),
+    "wide-blank-rows": (WIDE_HEADER, "\n0,2,-,-\n\n3,-,8,-\n\n", 0, ""),
+    "wide-crlf": (WIDE_HEADER, "0,2,-,-\r\n3,-,8,\r\n7,,,10.5\r\n", 0, ""),
+    "wide-crlf-bad-row": (WIDE_HEADER, "0,2,-,-\r\n\r\n3,-,x,-\r\n", 2,
+                          "line 4: non-numeric value for 'stream2': 'x'"),
+    "wide-first-bad-row-wins": (WIDE_HEADER, "0,2,-,-\n-1,-,5,-\n3,-,8,-\n4,zap,-,-\n",
+                                2, "line 3: timestamp must be non-negative, got -1"),
+    "wide-negative-timestamp-without-events": (
+        WIDE_HEADER, "-1,-,-,-\n-2,, - ,\n0,2,-,-\n", 0, ""),
+    "wide-nan-timestamp-without-events": (WIDE_HEADER, "nan,-,-,-\n0,2,-,-\n", 0, ""),
+    "wide-timestamp-before-cells": (WIDE_HEADER, "zap,-,-,-\n", 2,
+                                    "line 2: non-numeric timestamp: 'zap'"),
+    "wide-cells-left-to-right": (WIDE_HEADER, "1,5,zap,nan\n", 2,
+                                 "line 2: non-numeric value for 'stream2': 'zap'"),
+    "wide-range-before-later-cell": (WIDE_HEADER, "1,nan,zap,-\n", 2,
+                                     "line 2: value must be finite, got nan"),
+    "wide-value-before-range": (WIDE_HEADER, "-1,zap,-,-\n", 2,
+                                "line 2: non-numeric value for 'stream1': 'zap'"),
+    "wide-timestamp-range-first": (WIDE_HEADER, "-1,-,nan,-\n", 2,
+                                   "line 2: timestamp must be non-negative, got -1"),
+}
+
+
+class TestInputErrors:
+    """Pins what each malformed (or oddly formed) CSV answers: the line,
+    the message and the exit code, for `mine` and for `validate`."""
+
+    @pytest.mark.parametrize("case", INPUT_CASES.values(), ids=INPUT_CASES.keys())
+    def test_exit_code_and_message(self, capsys, tmp_path, case):
+        header, body, expected_code, message = case
+        path = tmp_path / "streams.csv"
+        path.write_bytes((header + body).encode("utf-8"))
+        code, out, err = run(capsys, "mine", "--input", str(path), "--config", CONFIG)
+        expected_err = f"fuzzmine: {path}: {message}\n" if message else ""
+        assert (code, err) == (expected_code, expected_err)
+        assert (out == "") == bool(message)
+        if message:
+            code, out, err = run(capsys, "validate", "--input", str(path))
+            assert (code, out, err) == (expected_code, "", expected_err)
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("fmt", ["table", "json"])
     def test_repeated_runs_are_byte_identical(self, capsys, fmt):
@@ -373,6 +500,25 @@ def seeded_wide_case(tmp_path, seed=6):
 # triple-at-a-time miner (extract, then aggregate) whose sums mine() must match.
 PINNED_RULES = 6318
 PINNED_SHA256 = "10e4851522e9450bbaa92da3c8d75c00b34730abc62c2e5676499f1cb7f13995"
+# The table report of seeded_wide_layout_case at seed 7 over the quickstart
+# config, taken from the row-at-a-time parser that built one Event per cell.
+PINNED_WIDE_LAYOUT_SHA256 = (
+    "be526376d292f3f66a69fc80f672014b12c64844cb27c130004d5672662d8ced")
+
+
+def seeded_wide_layout_case(tmp_path, seed=7):
+    """90 wide-layout rows in random time order with CRLF line ends.
+    Timestamps lie on a quarter grid, so many repeat across and within
+    streams, and each cell is a value, a dash or blank."""
+    rng = random.Random(seed)
+    rows = ["timestamp,stream1,stream2,stream3"]
+    for _ in range(90):
+        cells = [f"{rng.uniform(0, 15):.2f}" if rng.random() < 0.5
+                 else rng.choice(("-", "", " - ")) for _ in range(3)]
+        rows.append(",".join([f"{rng.randrange(120) / 4:g}", *cells]))
+    path = tmp_path / "wide-layout.csv"
+    path.write_bytes(("\r\n".join(rows) + "\r\n").encode("utf-8"))
+    return str(path)
 
 
 class TestPinnedReport:
@@ -387,6 +533,17 @@ class TestPinnedReport:
         report = out.read_bytes()
         assert len(json.loads(report)["rules"]) == PINNED_RULES
         assert hashlib.sha256(report).hexdigest() == PINNED_SHA256
+
+    def test_seeded_wide_layout_table_bytes(self, tmp_path):
+        # Equal timestamps must keep their input order, within a stream and
+        # across streams, however the rows arrive.
+        out = tmp_path / "report.txt"
+        code = main(["mine", "--input", seeded_wide_layout_case(tmp_path),
+                     "--config", CONFIG, "--format", "table", "--out", str(out)])
+        assert code == 0
+        report = out.read_bytes()
+        assert b"81 rules, total weight 7213" in report
+        assert hashlib.sha256(report).hexdigest() == PINNED_WIDE_LAYOUT_SHA256
 
 
 def run_child(stdout, unbuffered, *argv):
