@@ -25,7 +25,7 @@ from math import isfinite
 from .errors import ConfigError
 from .fuzzy import FuzzyInterval, Vocabulary, validate_vocabulary
 from .mining import MiningConfig, WindowConfig
-from .streams import ROLES
+from .streams import ROLES, role_names
 from .validation import has_errors
 
 VOCABULARY_KEYS = ("trigger1", "trigger2", "delta_t", "consequence")
@@ -83,7 +83,7 @@ def parse_config_dict(doc):
         if key not in _TOP_LEVEL_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
 
-    roles = _parse_roles(_require(doc, "roles", dict))
+    roles = dict(zip(ROLES, role_names(_require(doc, "roles", dict))))
     windows = _parse_windows(_require(doc, "windows", dict))
     vocabs = _parse_vocabularies(_require(doc, "vocabularies", dict))
     min_support = _parse_threshold(doc, "min_support")
@@ -116,20 +116,6 @@ def _require(doc, key, kind):
         raise ConfigError(f"config key {key!r} must be a JSON "
                           f"{'object' if kind is dict else 'array'}")
     return value
-
-
-def _parse_roles(doc):
-    if set(doc) != set(ROLES):
-        raise ConfigError(f"'roles' must have exactly the keys {', '.join(ROLES)}; "
-                          f"got {sorted(doc)}")
-    for role in ROLES:
-        name = doc[role]
-        if not isinstance(name, str) or not name:
-            raise ConfigError(f"'roles.{role}' must be a non-empty stream name")
-    names = [doc[role] for role in ROLES]
-    if len(set(names)) != len(names):
-        raise ConfigError(f"'roles' must name three distinct streams, got {names}")
-    return {role: doc[role] for role in ROLES}
 
 
 def _parse_windows(doc):

@@ -165,7 +165,7 @@ def _partition_finding(vocab):
     corners = sorted({v for iv in vocab.intervals for v in (iv.a, iv.b, iv.c, iv.d)})
     probes = list(corners)
     for lo, hi in zip(corners, corners[1:]):
-        probes.append(lo + (hi - lo) / 2)
+        probes.append(lo / 2 + hi / 2)   # hi - lo may overflow
     lo, hi = corners[0], corners[-1]
     ruspini = all(
         abs(sum(membership(iv, x) for iv in vocab.intervals) - 1.0) <= _PARTITION_TOL

@@ -131,15 +131,14 @@ def mine(bundle, cfg):
     rows = defaultdict(lambda: [0.0] * (width + 1))
     total = 0.0
     span12, span23 = cfg.windows.trigger_window, cfg.windows.consequence_window
-    events2, events3 = bundle.trigger2.events, bundle.consequence.events
-    times2, times3 = [e.timestamp for e in events2], [e.timestamp for e in events3]
-    degrees3 = [None] * len(events3)
+    times2, values2 = bundle.trigger2.timestamps, bundle.trigger2.values
+    times3, values3 = bundle.consequence.timestamps, bundle.consequence.values
+    degrees3 = [None] * len(times3)
     # For the trigger-2 events first, first + 1, ...: None if no labelled
     # consequence is in reach, else the event's degrees and, per such
     # consequence, its (l_dt, l3) combos.
     window, first = [], 0
-    for e1 in bundle.trigger1.events:
-        t1 = e1.timestamp
+    for t1, v1 in zip(bundle.trigger1.timestamps, bundle.trigger1.values):
         lo = bisect_left(times2, t1)
         if lo == len(times2) or times2[lo] > t1 + span12:
             continue
@@ -150,16 +149,16 @@ def mine(bundle, cfg):
             t2, group = times2[j], []
             for k in range(bisect_left(times3, t2), bisect_right(times3, t2 + span23)):
                 if degrees3[k] is None:
-                    degrees3[k] = classify(cfg.vocab_c, events3[k].value)
+                    degrees3[k] = classify(cfg.vocab_c, values3[k])
                 combos = [(slots[l_dt, l3], m_dt, m3)
                           for l_dt, m_dt in classify(cfg.vocab_dt, times3[k] - t2)
                           for l3, m3 in degrees3[k]] if degrees3[k] else None
                 if combos:
                     group.append(combos)
-            window.append((classify(cfg.vocab_t2, events2[j].value), group)
+            window.append((classify(cfg.vocab_t2, values2[j]), group)
                           if group else None)
         live = [entry for entry in window if entry]
-        d1 = classify(cfg.vocab_t1, e1.value) if live else ()
+        d1 = classify(cfg.vocab_t1, v1) if live else ()
         for d2, group in live:
             pairs = [(rows[l1, l2], m1 * m2) for l1, m1 in d1 for l2, m2 in d2]
             for combos in group:

@@ -7,15 +7,19 @@ where ``-`` or an empty cell means the stream has no event at that
 timestamp. Timestamps are non-negative reals in a generic time unit;
 values are reals in a generic volume unit.
 
-Every :class:`EventStream` is sorted by timestamp, however it was built,
-so the miner's window search can rely on the order. Malformed input
-raises :class:`InputError` naming its line.
+An :class:`EventStream` stores two columns, its timestamps and its values,
+sorted together by timestamp however they were given, for the miner's
+window search to read directly. Each layout is parsed in one pass straight
+into those columns; malformed input raises :class:`InputError` naming its
+line.
 """
 
 import csv
 import io
-from dataclasses import dataclass, field
-from math import isfinite
+from collections import Counter, namedtuple
+from dataclasses import dataclass
+from math import inf, isfinite
+from operator import le
 
 from .errors import ConfigError, InputError
 from .validation import ERROR, INFO, WARNING, Finding
@@ -24,30 +28,40 @@ ROLES = ("trigger1", "trigger2", "consequence")
 
 _LONG_HEADER = ("timestamp", "stream", "value")
 
-
-@dataclass(frozen=True)
-class Event:
-    timestamp: float
-    value: float
+Event = namedtuple("Event", "timestamp value")
 
 
 @dataclass(frozen=True)
 class EventStream:
-    """A named, time-ordered sequence of events.
+    """A named, time-ordered stream of events, held as two columns.
 
-    The constructor stores the events sorted by timestamp, stably, so
-    input order among equal timestamps survives.
+    The constructor stores ``timestamps`` and ``values`` as tuples sorted
+    together by timestamp, stably, so input order among equal timestamps
+    survives; it sorts only when the timestamps are out of order.
     """
 
     name: str
-    events: tuple = field(default=())
+    timestamps: tuple = ()
+    values: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "events",
-                           tuple(sorted(self.events, key=lambda e: e.timestamp)))
+        times, values = tuple(self.timestamps), tuple(self.values)
+        if len(times) != len(values):
+            raise ValueError(f"stream {self.name!r} has {len(times)} timestamps "
+                             f"but {len(values)} values")
+        if not all(map(le, times, times[1:])):
+            order = sorted(range(len(times)), key=times.__getitem__)
+            times, values = (tuple(column[i] for i in order) for column in (times, values))
+        object.__setattr__(self, "timestamps", times)
+        object.__setattr__(self, "values", values)
+
+    @property
+    def events(self):
+        """The events in time order, as ``(timestamp, value)`` named tuples."""
+        return tuple(map(Event, self.timestamps, self.values))
 
     def __len__(self):
-        return len(self.events)
+        return len(self.timestamps)
 
 
 @dataclass(frozen=True)
@@ -79,28 +93,30 @@ def parse_streams_csv(text, role_map):
     streams exist, so selecting an absent name is a configuration error;
     in the long layout an unseen name simply yields an empty stream.
     """
-    if set(role_map) != set(ROLES):
-        raise ConfigError(
-            f"role map must assign exactly the roles {', '.join(ROLES)}; "
-            f"got {sorted(role_map)}"
-        )
-    names = [role_map[role] for role in ROLES]
-    if len(set(names)) != len(names):
-        raise ConfigError(f"role map must name three distinct streams, got {names}")
-
+    names = role_names(role_map)
     streams, declared = _parse(text)
-    bound = {}
     for role, name in zip(ROLES, names):
-        if name in streams:
-            bound[role] = streams[name]
-        elif declared is not None:
+        if declared is not None and name not in declared:
             raise ConfigError(
                 f"role {role!r} selects stream {name!r}, but the input only "
                 f"defines {sorted(declared)}"
             )
-        else:
-            bound[role] = EventStream(name)
-    return StreamBundle(bound["trigger1"], bound["trigger2"], bound["consequence"])
+    return StreamBundle(*(streams.get(name, EventStream(name)) for name in names))
+
+
+def role_names(role_map):
+    """The stream names ``role_map`` assigns, in role order, once it is
+    checked to map each role to a distinct non-empty name."""
+    if set(role_map) != set(ROLES):
+        raise ConfigError(f"'roles' must have exactly the keys {', '.join(ROLES)}; "
+                          f"got {sorted(role_map)}")
+    for role in ROLES:
+        if not isinstance(role_map[role], str) or not role_map[role]:
+            raise ConfigError(f"'roles.{role}' must be a non-empty stream name")
+    names = [role_map[role] for role in ROLES]
+    if len(set(names)) != len(names):
+        raise ConfigError(f"'roles' must name three distinct streams, got {names}")
+    return names
 
 
 def _parse(text):
@@ -113,10 +129,9 @@ def _parse(text):
 
 
 def _parse_rows(reader):
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise InputError("empty input, expected a header row", line=1) from None
+    header = next(reader, None)
+    if header is None:
+        raise InputError("empty input, expected a header row", line=1)
 
     head = [cell.strip() for cell in header]
     if tuple(h.lower() for h in head) == _LONG_HEADER:
@@ -135,48 +150,62 @@ def _parse_rows(reader):
 
 
 def _parse_long(reader):
-    collected = {}
+    columns = {}
     for row in reader:
         if not row:
             continue
-        line = reader.line_num
         if len(row) != 3:
-            raise InputError(f"expected 3 columns, got {len(row)}", line=line)
-        ts = _number(row[0], "timestamp", line)
-        name = row[1].strip()
+            raise InputError(f"expected 3 columns, got {len(row)}", line=reader.line_num)
+        ts_cell, name, cell = row
+        try:
+            ts = float(ts_cell)
+        except ValueError:
+            raise _non_numeric("timestamp", ts_cell, reader) from None
+        name = name.strip()
         if not name:
-            raise InputError("stream name is empty", line=line)
-        value = _number(row[2], "value", line)
-        _check_event(ts, value, line)
-        collected.setdefault(name, []).append(Event(ts, value))
-    return {name: EventStream(name, events) for name, events in collected.items()}
+            raise InputError("stream name is empty", line=reader.line_num)
+        try:
+            value = float(cell)
+        except ValueError:
+            raise _non_numeric("value", cell, reader) from None
+        if not (0 <= ts < inf and -inf < value < inf):
+            _check_event(ts, value, reader.line_num)
+        times, values = columns.get(name) or columns.setdefault(name, ([], []))
+        times.append(ts)
+        values.append(value)
+    return {name: EventStream(name, *column) for name, column in columns.items()}
 
 
 def _parse_wide(reader, names):
-    collected = {name: [] for name in names}
+    columns = [(name, [], []) for name in names]
+    width = len(names) + 1
     for row in reader:
         if not row:
             continue
-        line = reader.line_num
-        if len(row) != len(names) + 1:
-            raise InputError(f"expected {len(names) + 1} columns, got {len(row)}",
-                             line=line)
-        ts = _number(row[0], "timestamp", line)
-        for name, cell in zip(names, row[1:]):
-            cell = cell.strip()
-            if cell in ("", "-"):
+        if len(row) != width:
+            raise InputError(f"expected {width} columns, got {len(row)}",
+                             line=reader.line_num)
+        try:
+            ts = float(row[0])
+        except ValueError:
+            raise _non_numeric("timestamp", row[0], reader) from None
+        for i, (name, times, values) in enumerate(columns, 1):
+            cell = row[i].strip()
+            if cell == "-" or not cell:
                 continue
-            value = _number(cell, f"value for {name!r}", line)
-            _check_event(ts, value, line)
-            collected[name].append(Event(ts, value))
-    return {name: EventStream(name, events) for name, events in collected.items()}
+            try:
+                value = float(cell)
+            except ValueError:
+                raise _non_numeric(f"value for {name!r}", cell, reader) from None
+            if not (0 <= ts < inf and -inf < value < inf):
+                _check_event(ts, value, reader.line_num)
+            times.append(ts)
+            values.append(value)
+    return {name: EventStream(name, times, values) for name, times, values in columns}
 
 
-def _number(cell, what, line):
-    try:
-        return float(cell)
-    except ValueError:
-        raise InputError(f"non-numeric {what}: {cell.strip()!r}", line=line) from None
+def _non_numeric(what, cell, reader):
+    return InputError(f"non-numeric {what}: {cell.strip()!r}", line=reader.line_num)
 
 
 def _check_event(ts, value, line):
@@ -192,43 +221,29 @@ def validate_stream(stream, where=None):
     """Check one stream and report findings.
 
     Errors flag invariant breaches (empty name, negative or non-finite
-    fields). An empty stream is a warning since
-    it makes the mining output trivially empty, and repeated
-    (timestamp, value) events are reported informationally.
+    fields). An empty stream is a warning since it makes the mining output
+    trivially empty, and repeated (timestamp, value) events are reported
+    informationally.
     """
     where = where or repr(stream.name)
     findings = []
     if not stream.name:
         findings.append(Finding(ERROR, "stream-name", f"{where}: stream name is empty"))
-    if not stream.events:
-        findings.append(
-            Finding(WARNING, "empty-stream",
-                    f"{where} has no events; no associations can involve it")
-        )
+    if not stream.timestamps:
+        findings.append(Finding(WARNING, "empty-stream",
+                                f"{where} has no events; no associations can involve it"))
         return findings
-    seen = set()
-    duplicates = set()
-    for event in stream.events:
-        if not isfinite(event.timestamp) or event.timestamp < 0:
-            findings.append(
-                Finding(ERROR, "event-timestamp",
-                        f"{where}: timestamps must be finite and non-negative, "
-                        f"got {event.timestamp}")
-            )
-        if not isfinite(event.value):
-            findings.append(
-                Finding(ERROR, "event-value",
-                        f"{where}: values must be finite, got {event.value}")
-            )
-        key = (event.timestamp, event.value)
-        if key in seen:
-            duplicates.add(key)
-        seen.add(key)
-    for ts, value in sorted(duplicates):
-        findings.append(
-            Finding(INFO, "duplicate-event",
-                    f"{where}: repeated event (timestamp {ts:g}, value {value:g})")
-        )
+    for ts, value in zip(stream.timestamps, stream.values):
+        if not isfinite(ts) or ts < 0:
+            findings.append(Finding(ERROR, "event-timestamp", f"{where}: timestamps must "
+                                    f"be finite and non-negative, got {ts}"))
+        if not isfinite(value):
+            findings.append(Finding(ERROR, "event-value",
+                                    f"{where}: values must be finite, got {value}"))
+    repeats = Counter(zip(stream.timestamps, stream.values))
+    findings.extend(Finding(INFO, "duplicate-event", f"{where}: repeated event "
+                            f"(timestamp {ts:g}, value {value:g})")
+                    for ts, value in sorted(e for e, n in repeats.items() if n > 1))
     return findings
 
 
@@ -238,10 +253,8 @@ def validate_bundle(bundle):
     streams = (bundle.trigger1, bundle.trigger2, bundle.consequence)
     names = [s.name for s in streams]
     if len(set(names)) != len(names):
-        findings.append(
-            Finding(ERROR, "duplicate-stream",
-                    f"streams must have distinct names, got {names}")
-        )
+        findings.append(Finding(ERROR, "duplicate-stream",
+                                f"streams must have distinct names, got {names}"))
     for role, stream in zip(ROLES, streams):
         findings.extend(validate_stream(stream, where=f"{role} ({stream.name!r})"))
     return findings

@@ -1,10 +1,9 @@
-"""Shared fixture data: the quickstart example in code and on disk, and
-hand-made rule sets for the renderers."""
+"""Shared fixture data: the quickstart example in code and on disk, streams
+built from event pairs, and hand-made rule sets for the renderers."""
 
 from pathlib import Path
 
 from fuzzmine import (
-    Event,
     EventStream,
     FuzzyInterval,
     FuzzyRule,
@@ -49,13 +48,17 @@ def timing_vocab(name="timing"):
     ))
 
 
+def stream(name, pairs=()):
+    """An EventStream of (timestamp, value) pairs, given in any order."""
+    return EventStream(name, *zip(*pairs))
+
+
 def quickstart_bundle():
     """The quickstart streams, built in code (independent of the CSV)."""
     return StreamBundle(
-        trigger1=EventStream("stream1", (Event(0, 2), Event(1000, 7))),
-        trigger2=EventStream("stream2", (Event(3, 8), Event(1003, 2))),
-        consequence=EventStream("stream3",
-                                (Event(7, 10.5), Event(13, 15), Event(1013, 7))),
+        trigger1=stream("stream1", [(0, 2), (1000, 7)]),
+        trigger2=stream("stream2", [(3, 8), (1003, 2)]),
+        consequence=stream("stream3", [(7, 10.5), (13, 15), (1013, 7)]),
     )
 
 

@@ -9,14 +9,14 @@ the pipeline and the oracles.
 import hypothesis.strategies as st
 
 from fuzzmine import (
-    Event,
-    EventStream,
     FuzzyInterval,
     MiningConfig,
     StreamBundle,
     Vocabulary,
     WindowConfig,
 )
+
+from common import stream
 
 STREAM_NAMES = ("alpha", "beta", "gamma")
 
@@ -34,11 +34,7 @@ def bundles(max_events=10, max_time=30, max_value=12):
     )
 
     def build(parts):
-        streams = [
-            EventStream(name, [Event(t, v) for t, v in part])
-            for name, part in zip(STREAM_NAMES, parts)
-        ]
-        return StreamBundle(*streams)
+        return StreamBundle(*map(stream, STREAM_NAMES, parts))
 
     return st.tuples(events, events, events).map(build)
 
@@ -130,7 +126,7 @@ def crisp_settings(draw, max_events=8, max_time=20, max_value=9):
     )
     parts = draw(st.tuples(events, events, events))
     streams = [
-        EventStream(name, [Event(float(t), float(v)) for t, v in part])
+        stream(name, [(float(t), float(v)) for t, v in part])
         for name, part in zip(STREAM_NAMES, parts)
     ]
     cfg = MiningConfig(

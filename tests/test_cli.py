@@ -1,6 +1,8 @@
 """Tests for the command-line driver: flags, exit codes, report formats."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
@@ -8,6 +10,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fuzzmine.cli import main
 
@@ -459,6 +463,64 @@ class TestInputErrors:
         if message:
             code, out, err = run(capsys, "validate", "--input", str(path))
             assert (code, out, err) == (expected_code, "", expected_err)
+
+
+# A small grammar of hostile CSV text: headers of both layouts and broken
+# ones, long-, wide- and ragged-shaped rows of mostly numeric but sometimes
+# adversarial cells, blank rows, and mixed line ends.
+NUMBERS = st.one_of(
+    st.integers(0, 30).map(str),
+    st.integers(0, 60).map(lambda k: f"{k / 4:g}"),
+    st.sampled_from(["-0", "  3 ", "1e-400", "1_0", "0." + "0" * 400 + "1"]))
+ODD_CELLS = st.sampled_from([
+    "-2.5", "nan", "NaN", "inf", "-inf", "Infinity", "1e309", "-1e309", "0x10", "zap",
+    "9" * 400, "-" + "9" * 400, "9" * 200_000, "\ufeff1", "\x00", "1\x00",
+    '"', '"1"', '"1,2"', '"a\nb"', 'a"b', "timestamp"])
+CELLS = st.one_of(NUMBERS, st.sampled_from(["-", "", " - "]), ODD_CELLS)
+NAMES = st.sampled_from(["stream1", "stream2", "stream3", " stream2 ", "other", ""])
+RAGGED = st.lists(CELLS, max_size=6)
+LONG_ROWS = st.one_of(*[st.tuples(NUMBERS, NAMES, NUMBERS).map(list)] * 12,
+                      st.tuples(CELLS, NAMES, CELLS).map(list), RAGGED)
+WIDE_ROWS = st.one_of(
+    *[st.tuples(NUMBERS, *[st.one_of(NUMBERS, st.just("-"))] * 3).map(list)] * 12,
+    st.lists(CELLS, min_size=4, max_size=4), RAGGED)
+LONG_HEADERS = st.one_of(*[st.just("timestamp,stream,value")] * 4, st.sampled_from([
+    " Timestamp , Stream , Value ", "\ufefftimestamp,stream,value",
+    "time,stream,value", "timestamp", ""]))
+WIDE_HEADERS = st.one_of(*[st.just("timestamp,stream1,stream2,stream3")] * 4,
+                         st.sampled_from(["timestamp,stream3,stream1,other",
+                                          "timestamp,stream1,stream2,",
+                                          "timestamp,stream1,stream1,stream3"]))
+
+
+def csv_text(headers, rows):
+    return st.builds(
+        lambda header, rows, eol: eol.join([header, *map(",".join, rows)]) + eol,
+        headers, st.lists(rows, max_size=8), st.sampled_from(["\n", "\r\n", "\r"]))
+
+
+HOSTILE_CSV = st.one_of(csv_text(LONG_HEADERS, LONG_ROWS),
+                        csv_text(WIDE_HEADERS, WIDE_ROWS))
+
+
+def quiet_main(*argv):
+    """main(argv) with standard output and error captured and dropped."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return main(list(argv))
+
+
+class TestInputBoundary:
+    @settings(max_examples=150, deadline=2000,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(text=HOSTILE_CSV, bom=st.booleans())
+    def test_mine_exits_with_a_documented_code(self, tmp_path_factory, text, bom):
+        path = tmp_path_factory.getbasetemp() / "hostile.csv"
+        path.write_bytes(b"\xef\xbb\xbf" * bom + text.encode("utf-8"))
+        code = quiet_main("mine", "--input", str(path), "--config", CONFIG)
+        assert code in (0, 2, 3)
+        if quiet_main("validate", "--input", str(path), "--config", CONFIG) == 0:
+            assert code == 0
 
 
 class TestDeterminism:

@@ -167,6 +167,16 @@ class TestValidateVocabulary:
         assert not has_errors(validate_vocabulary(vocab))
         assert classify(vocab, 0.0) == (("X", 0.5),)
 
+    def test_partition_spanning_the_float_range_is_recognised(self):
+        # The probe between two corners more than the float range apart
+        # must lie between them, not at inf.
+        whole = Vocabulary("v", (FuzzyInterval("all", -1.7e308, -1.7e308,
+                                               1.7e308, 1.7e308),))
+        assert [f.code for f in validate_vocabulary(whole)] == ["ruspini"]
+        ends = Vocabulary("v", (FuzzyInterval("low", -1.7e308, -1.7e308, -1.7e308, 0),
+                                FuzzyInterval("high", 1, 1.7e308, 1.7e308, 1.7e308)))
+        assert "not-ruspini" in [f.code for f in validate_vocabulary(ends)]
+
     def test_coverage_gap_reported(self):
         vocab = Vocabulary("v", (
             FuzzyInterval("low", 0, 1, 2, 3),

@@ -12,7 +12,6 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fuzzmine import (
-    Event,
     EventStream,
     FuzzyInterval,
     MiningConfig,
@@ -23,7 +22,13 @@ from fuzzmine import (
     mine,
 )
 
-from common import QUICKSTART_RULES, points, quickstart_bundle, quickstart_mining_config
+from common import (
+    QUICKSTART_RULES,
+    points,
+    quickstart_bundle,
+    quickstart_mining_config,
+    stream,
+)
 from oracle import brute_force_associations, brute_force_rule_table, trapezoid_degree
 from strategies import STREAM_NAMES, arbitrary_settings, bundles, ruspini_settings
 
@@ -79,15 +84,14 @@ def oracle_fold(bundle, cfg):
 
 def one_triple_rules(e1, e2, e3):
     """(labels, weight) of the quickstart rules mined from a single triple."""
-    bundle = StreamBundle(*(EventStream(name, (Event(*event),))
+    bundle = StreamBundle(*(stream(name, [event])
                             for name, event in zip(STREAM_NAMES, (e1, e2, e3))))
     return [(r.labels, r.weight) for r in mine(bundle, quickstart_mining_config())]
 
 
 def same_streams(events, windows, vocabs):
     """Three streams holding the same (timestamp, value) events."""
-    bundle = StreamBundle(*(EventStream(name, [Event(*e) for e in events])
-                            for name in STREAM_NAMES))
+    bundle = StreamBundle(*(stream(name, events) for name in STREAM_NAMES))
     return bundle, MiningConfig(windows, *vocabs)
 
 
@@ -145,11 +149,11 @@ DUPLICATE_LABELS = same_streams(
 # 10.5 past "soon").
 SPARSE_SHAPE = (
     StreamBundle(
-        EventStream("alpha", [Event(0, 4), Event(1, 20), Event(50, 5),
-                              Event(100, 6), Event(119, 3)]),
-        EventStream("beta", [Event(2, 7), Event(3, 30), Event(120, 2)]),
-        EventStream("gamma", [Event(4, 9), Event(5, 40), Event(12.5, 3),
-                              Event(200, 1)])),
+        stream("alpha", [(0, 4), (1, 20), (50, 5),
+                              (100, 6), (119, 3)]),
+        stream("beta", [(2, 7), (3, 30), (120, 2)]),
+        stream("gamma", [(4, 9), (5, 40), (12.5, 3),
+                              (200, 1)])),
     MiningConfig(WindowConfig(2, 10), ramps("t1", 12), ramps("t2", 12),
                  Vocabulary("dt", (FuzzyInterval("soon", 0, 0, 2, 4),)), ramps("c", 12)))
 
@@ -165,39 +169,39 @@ class TestExtractNumerical:
         assert total == 3.0
 
     def test_empty_trigger2_yields_nothing(self):
-        bundle = StreamBundle(EventStream("a", (Event(0, 1),)),
+        bundle = StreamBundle(stream("a", [(0, 1)]),
                               EventStream("b"),
-                              EventStream("c", (Event(1, 1),)))
+                              stream("c", [(1, 1)]))
         assert mined_triples(bundle, WINDOWS) == (Counter(), 0.0)
 
     def test_window_boundaries_are_closed(self):
-        bundle = StreamBundle(EventStream("a", (Event(0, 1),)),
-                              EventStream("b", (Event(10, 2),)),
-                              EventStream("c", (Event(20, 3),)))
+        bundle = StreamBundle(stream("a", [(0, 1)]),
+                              stream("b", [(10, 2)]),
+                              stream("c", [(20, 3)]))
         assert mined_triples(bundle, WINDOWS) == (Counter({(1, 2, 10, 3): 1}), 1.0)
 
     def test_just_beyond_window_is_excluded(self):
-        bundle = StreamBundle(EventStream("a", (Event(0, 1),)),
-                              EventStream("b", (Event(10.25, 2),)),
-                              EventStream("c", (Event(20, 3),)))
+        bundle = StreamBundle(stream("a", [(0, 1)]),
+                              stream("b", [(10.25, 2)]),
+                              stream("c", [(20, 3)]))
         assert mined_triples(bundle, WINDOWS) == (Counter(), 0.0)
 
     def test_triggers_may_coincide_and_delta_may_be_zero(self):
-        bundle = StreamBundle(EventStream("a", (Event(5, 1),)),
-                              EventStream("b", (Event(5, 2),)),
-                              EventStream("c", (Event(5, 3),)))
+        bundle = StreamBundle(stream("a", [(5, 1)]),
+                              stream("b", [(5, 2)]),
+                              stream("c", [(5, 3)]))
         assert mined_triples(bundle, WINDOWS) == (Counter({(1, 2, 0, 3): 1}), 1.0)
 
     def test_consequence_before_trigger2_is_excluded(self):
-        bundle = StreamBundle(EventStream("a", (Event(0, 1),)),
-                              EventStream("b", (Event(5, 2),)),
-                              EventStream("c", (Event(4, 3),)))
+        bundle = StreamBundle(stream("a", [(0, 1)]),
+                              stream("b", [(5, 2)]),
+                              stream("c", [(4, 3)]))
         assert mined_triples(bundle, WINDOWS) == (Counter(), 0.0)
 
     def test_one_event_can_join_many_associations(self):
-        bundle = StreamBundle(EventStream("a", (Event(0, 1), Event(1, 2))),
-                              EventStream("b", (Event(2, 3),)),
-                              EventStream("c", (Event(3, 4), Event(4, 5))))
+        bundle = StreamBundle(stream("a", [(0, 1), (1, 2)]),
+                              stream("b", [(2, 3)]),
+                              stream("c", [(3, 4), (4, 5)]))
         found, total = mined_triples(bundle, WINDOWS)
         assert sum(found.values()) == total == 4.0
 
@@ -205,9 +209,9 @@ class TestExtractNumerical:
         # Triples are folded in (t1, t2, t3) order: with inexact degrees a
         # different order would show in the low bits of the sums.
         bundle = StreamBundle(
-            EventStream("a", (Event(1, 5), Event(0, 1))),
-            EventStream("b", (Event(2, 7), Event(1, 2))),
-            EventStream("c", (Event(3, 11), Event(2, 3))),
+            stream("a", [(1, 5), (0, 1)]),
+            stream("b", [(2, 7), (1, 2)]),
+            stream("c", [(3, 11), (2, 3)]),
         )
         cfg = MiningConfig(WINDOWS, ramps("t1", 12), ramps("t2", 12),
                            ramps("dt", 10), ramps("c", 12))
@@ -235,9 +239,9 @@ class TestExtractNumerical:
 
     @given(bundle=bundles(max_events=10), shift=st.integers(0, 100))
     def test_uniform_time_shift_changes_nothing(self, bundle, shift):
-        def shifted(stream):
-            return EventStream(stream.name, tuple(
-                Event(e.timestamp + shift, e.value) for e in stream.events))
+        def shifted(moving):
+            return EventStream(moving.name, [t + shift for t in moving.timestamps],
+                               moving.values)
 
         moved = StreamBundle(shifted(bundle.trigger1), shifted(bundle.trigger2),
                              shifted(bundle.consequence))
@@ -284,9 +288,9 @@ class TestAggregate:
 
     def test_identical_tuples_merge(self):
         # Two triples read as (Small, Small, Long, Small) with degree 1 each.
-        bundle = StreamBundle(EventStream("a", (Event(0, 1), Event(1, 1))),
-                              EventStream("b", (Event(2, 1),)),
-                              EventStream("c", (Event(12, 1),)))
+        bundle = StreamBundle(stream("a", [(0, 1), (1, 1)]),
+                              stream("b", [(2, 1)]),
+                              stream("c", [(12, 1)]))
         ruleset = mine(bundle, quickstart_mining_config())
         assert [(r.labels, r.weight) for r in ruleset] == [
             (("Small Volume", "Small Volume", "Long Time After", "Small Volume"), 2.0)]
@@ -316,10 +320,10 @@ class TestAggregate:
     def test_ordering_descending_weight_then_lexicographic(self):
         # Ties are broken by label text, not by the labels' vocabulary order.
         bundle = StreamBundle(
-            EventStream("a", (Event(0, 0.5), Event(0.5, 0.5), Event(1, 1.5),
-                              Event(1.5, 2.5))),
-            EventStream("b", (Event(2, 0.5),)),
-            EventStream("c", (Event(3, 0.5),)))
+            stream("a", [(0, 0.5), (0.5, 0.5), (1, 1.5),
+                              (1.5, 2.5)]),
+            stream("b", [(2, 0.5)]),
+            stream("c", [(3, 0.5)]))
         cfg = MiningConfig(WINDOWS, ZMA, ZMA, ANY, ZMA)
         assert [(r.labels, r.weight) for r in mine(bundle, cfg)] == [
             (("z", "z", "any", "z"), 2.0),
@@ -360,9 +364,9 @@ class TestMetrics:
 
     def test_single_rule_set_self_normalizes(self):
         # One triple, one label per reading, degrees 0.5 * 1 * 1 * 0.5.
-        bundle = StreamBundle(EventStream("a", (Event(0, 1.5),)),
-                              EventStream("b", (Event(1, 6),)),
-                              EventStream("c", (Event(2, 1.5),)))
+        bundle = StreamBundle(stream("a", [(0, 1.5)]),
+                              stream("b", [(1, 6)]),
+                              stream("c", [(2, 1.5)]))
         half = Vocabulary("half", (FuzzyInterval("half", 0, 3, 3, 3),))
         ruleset = mine(bundle, MiningConfig(WINDOWS, half, ANY, ANY, half))
         rule, = ruleset.rules

@@ -17,7 +17,7 @@ from fuzzmine import (
 )
 from fuzzmine.validation import ERROR, INFO, WARNING, has_errors
 
-from common import quickstart_bundle, quickstart_mining_config
+from common import quickstart_bundle, quickstart_mining_config, stream
 from strategies import bundles
 
 ROLES = {"trigger1": "stream1", "trigger2": "stream2", "consequence": "stream3"}
@@ -192,14 +192,14 @@ class TestEventStream:
         bundle = quickstart_bundle()
         shuffled = StreamBundle(
             bundle.trigger1, bundle.trigger2,
-            EventStream(bundle.consequence.name, bundle.consequence.events[::-1]))
+            stream(bundle.consequence.name, bundle.consequence.events[::-1]))
         cfg = quickstart_mining_config()
         assert render_table(mine(shuffled, cfg)) == render_table(mine(bundle, cfg))
         assert shuffled == bundle
 
     def test_equal_timestamps_keep_input_order(self):
-        stream = EventStream("a", (Event(5, 3), Event(1, 9), Event(5, 1), Event(5, 2)))
-        assert stream.events == (Event(1, 9), Event(5, 3), Event(5, 1), Event(5, 2))
+        ordered = stream("a", [(5, 3), (1, 9), (5, 1), (5, 2)])
+        assert ordered.events == (Event(1, 9), Event(5, 3), Event(5, 1), Event(5, 2))
 
 
 class TestValidateBundle:
@@ -207,8 +207,8 @@ class TestValidateBundle:
         assert not has_errors(validate_bundle(parse_streams_csv(WIDE, ROLES)))
 
     def test_empty_trigger_stream_warns(self):
-        bundle = StreamBundle(EventStream("a"), EventStream("b", (Event(1, 1),)),
-                              EventStream("c", (Event(1, 1),)))
+        bundle = StreamBundle(EventStream("a"), stream("b", [(1, 1)]),
+                              stream("c", [(1, 1)]))
         findings = validate_bundle(bundle)
         warnings = [f for f in findings if f.severity == WARNING]
         assert any(f.code == "empty-stream" and "trigger1" in f.message
@@ -216,23 +216,23 @@ class TestValidateBundle:
         assert not has_errors(findings)
 
     def test_shared_stream_name_is_error(self):
-        bundle = StreamBundle(EventStream("a", (Event(1, 1),)),
-                              EventStream("a", (Event(1, 1),)),
-                              EventStream("c", (Event(1, 1),)))
+        bundle = StreamBundle(stream("a", [(1, 1)]),
+                              stream("a", [(1, 1)]),
+                              stream("c", [(1, 1)]))
         assert any(f.code == "duplicate-stream"
                    for f in validate_bundle(bundle) if f.severity == ERROR)
 
     def test_duplicate_events_are_informational(self):
-        bundle = StreamBundle(EventStream("a", (Event(1, 2), Event(1, 2))),
-                              EventStream("b", (Event(1, 1),)),
-                              EventStream("c", (Event(1, 1),)))
+        bundle = StreamBundle(stream("a", [(1, 2), (1, 2)]),
+                              stream("b", [(1, 1)]),
+                              stream("c", [(1, 1)]))
         findings = validate_bundle(bundle)
         assert any(f.severity == INFO and f.code == "duplicate-event"
                    for f in findings)
         assert not has_errors(findings)
 
     def test_negative_timestamp_is_error(self):
-        bundle = StreamBundle(EventStream("a", (Event(-1, 2),)),
-                              EventStream("b", (Event(1, 1),)),
-                              EventStream("c", (Event(1, 1),)))
+        bundle = StreamBundle(stream("a", [(-1, 2)]),
+                              stream("b", [(1, 1)]),
+                              stream("c", [(1, 1)]))
         assert any(f.code == "event-timestamp" for f in validate_bundle(bundle))
