@@ -23,7 +23,6 @@ from .mining import (
     MiningConfig,
     RuleSet,
     WindowConfig,
-    apply_thresholds,
     mine,
 )
 from .report import render_json, render_table
@@ -56,7 +55,6 @@ __all__ = [
     "StreamBundle",
     "Vocabulary",
     "WindowConfig",
-    "apply_thresholds",
     "build_tree",
     "classify",
     "config_findings",

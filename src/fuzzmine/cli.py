@@ -2,13 +2,15 @@
 
 Two subcommands: ``mine`` runs ingestion, mining, and rendering end to
 end; ``validate`` runs the config and input validators and lists their
-findings. Reports go to standard output (or ``--out``), diagnostics to
-standard error. Exit codes: 0 success, 1 usage error, 2 input error
-(also a report that cannot be written), 3 configuration error (for
-``validate``, also any error-severity finding).
+findings. Reports go to standard output (or ``--out``) and the listing
+to standard output, always as UTF-8 whatever the locale; diagnostics go
+to standard error. Exit codes: 0 success, 1 usage error, 2 input error
+(also a report or listing that cannot be written), 3 configuration
+error (for ``validate``, also any error-severity finding).
 """
 
 import argparse
+import errno
 import os
 import sys
 
@@ -63,45 +65,31 @@ def build_parser():
         "validate", help="check a config file and/or an input file")
     validate_cmd.add_argument("--config", metavar="JSON")
     validate_cmd.add_argument("--input", metavar="CSV")
-    validate_cmd.set_defaults(func=cmd_validate)
+    validate_cmd.set_defaults(func=cmd_validate, out=None)
     return parser
 
 
 def cmd_mine(args):
-    try:
-        cfg = load_config(args.config)
-        bundle = parse_streams_csv(_read_text(args.input), cfg.roles)
-    except InputError as exc:
-        print(f"fuzzmine: {args.input}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ConfigError as exc:
-        print(f"fuzzmine: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    ruleset = mine(bundle, cfg.mining)
+    """The report for ``mine``, with its exit code."""
+    cfg = load_config(args.config)
+    ruleset = mine(parse_streams_csv(_read_text(args.input), cfg.roles), cfg.mining)
     if args.format == "json":
-        text = render_json(ruleset, build_tree(ruleset) if args.tree else None)
-    else:
-        text = render_table(ruleset)
-        if args.tree == "ascii":
-            text += "\n" + render_ascii(build_tree(ruleset))
-        elif args.tree == "dot":
-            text += "\n" + render_dot(build_tree(ruleset))
-
-    try:
-        _write_output(text, args.out)
-    except OSError as exc:
-        print(f"fuzzmine: cannot write {args.out or 'standard output'}: {exc}",
-              file=sys.stderr)
-        return EXIT_INPUT
-    return EXIT_OK
+        return EXIT_OK, render_json(ruleset, build_tree(ruleset) if args.tree else None)
+    text = render_table(ruleset)
+    if args.tree == "ascii":
+        text += "\n" + render_ascii(build_tree(ruleset))
+    elif args.tree == "dot":
+        text += "\n" + render_dot(build_tree(ruleset))
+    return EXIT_OK, text
 
 
 def cmd_validate(args):
+    """The findings listing for ``validate``, with its exit code (no
+    listing on a usage error)."""
     if not args.config and not args.input:
         print("fuzzmine validate: provide --config and/or --input",
               file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_USAGE, None
 
     findings = []
     cfg = None
@@ -112,33 +100,42 @@ def cmd_validate(args):
         except ConfigError as exc:
             findings.append(Finding(ERROR, "config", str(exc)))
     if args.input:
-        try:
-            text = _read_text(args.input)
-            if cfg is not None:
-                try:
-                    findings.extend(validate_bundle(parse_streams_csv(text, cfg.roles)))
-                except ConfigError as exc:
-                    findings.append(Finding(ERROR, "roles", str(exc)))
-            else:
-                streams = parse_streams(text)
-                for name in sorted(streams):
-                    findings.extend(validate_stream(streams[name]))
-        except InputError as exc:
-            print(f"fuzzmine: {args.input}: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+        text = _read_text(args.input)
+        if cfg is not None:
+            try:
+                findings.extend(validate_bundle(parse_streams_csv(text, cfg.roles)))
+            except ConfigError as exc:
+                findings.append(Finding(ERROR, "roles", str(exc)))
+        else:
+            streams = parse_streams(text)
+            for name in sorted(streams):
+                findings.extend(validate_stream(streams[name]))
 
-    if findings:
-        for finding in findings:
-            print(finding)
-    else:
-        print("no findings")
-    return EXIT_CONFIG if has_errors(findings) else EXIT_OK
+    listing = "".join(f"{finding}\n" for finding in findings) or "no findings\n"
+    return (EXIT_CONFIG if has_errors(findings) else EXIT_OK), listing
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    """Run one subcommand and write what it returns to standard output
+    (or ``--out``), the only place the CLI writes either."""
+    args = build_parser().parse_args(argv)
+    try:
+        code, text = args.func(args)
+    except InputError as exc:
+        print(f"fuzzmine: {args.input}: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except ConfigError as exc:
+        print(f"fuzzmine: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    if text is None:
+        return code
+    try:
+        _write_output(text, args.out)
+    except OSError as exc:
+        print(f"fuzzmine: cannot write {args.out or 'standard output'}: {exc}",
+              file=sys.stderr)
+        return EXIT_INPUT
+    return code
 
 
 def _read_text(path):
@@ -152,17 +149,21 @@ def _read_text(path):
 
 
 def _write_output(text, path):
+    """Write ``text`` as UTF-8 to ``path``, or to standard output if None."""
+    data = text.encode("utf-8")
     if path is not None:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        with open(path, "wb") as handle:
+            handle.write(data)
         return
     out = sys.stdout
+    if out is None:   # standard output was closed before the run
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
     if not hasattr(out, "buffer"):   # a text-only stand-in for standard output
         out.write(text)
         return
     try:   # every byte, now: a short write or the flush at exit must lose none
         out.flush()
-        data = memoryview(text.encode(out.encoding, out.errors))
+        data = memoryview(data)
         while data:
             data = data[out.buffer.write(data) or 0:]   # None: would block, retry
         out.buffer.flush()

@@ -60,9 +60,9 @@ class RuleSet:
 
     ``total_weight`` is the combined weight of all aggregated instances
     and ``trigger_weights`` maps each (l1, l2) pair to the combined
-    weight of its rules. A thresholded rule set (see
-    :func:`apply_thresholds`) keeps the pre-pruning totals, so surviving
-    rules retain the metrics they were filtered on.
+    weight of its rules. :func:`mine` keeps only the rules meeting its
+    config's thresholds but the totals of all, so the kept rules retain
+    the metrics they were filtered on.
     """
 
     rules: tuple
@@ -95,23 +95,9 @@ class MiningConfig:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
 
-def apply_thresholds(ruleset, min_support, min_confidence):
-    """Keep only rules meeting both thresholds.
-
-    Metrics are not recomputed: the surviving rules keep the support and
-    confidence they had before pruning, and the returned set carries the
-    pre-pruning weight totals.
-    """
-    kept = tuple(
-        rule for rule in ruleset.rules
-        if rule.support >= min_support and rule.confidence >= min_confidence
-    )
-    return RuleSet(rules=kept, total_weight=ruleset.total_weight,
-                   trigger_weights=dict(ruleset.trigger_weights))
-
-
 def mine(bundle, cfg):
-    """Mine a bundle's rules in one fused pass, then apply the thresholds.
+    """Mine a bundle's rules in one fused pass, keeping those that meet
+    ``cfg.min_support`` and ``cfg.min_confidence``.
 
     Each window triple yields one instance per combination of its four
     readings' labels, weighing ``((m1 * m2) * m_dt) * m3``. A value is
@@ -176,8 +162,9 @@ def mine(bundle, cfg):
     found = sorted(((pair + tails[k], w) for pair, row in rows.items()
                     for k, w in enumerate(row[:width]) if w),
                    key=lambda item: (-item[1], item[0]))
-    rules = tuple(FuzzyRule(*labels, weight=w, support=w / total,
-                            confidence=w / trigger_weights[labels[:2]])
-                  for labels, w in found)
-    return apply_thresholds(RuleSet(rules, total, trigger_weights),
-                            cfg.min_support, cfg.min_confidence)
+    rules = (FuzzyRule(*labels, weight=w, support=w / total,
+                       confidence=w / trigger_weights[labels[:2]])
+             for labels, w in found)
+    return RuleSet(tuple(rule for rule in rules if rule.support >= cfg.min_support
+                         and rule.confidence >= cfg.min_confidence),
+                   total, trigger_weights)

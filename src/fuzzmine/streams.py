@@ -201,6 +201,8 @@ def _parse_wide(reader, names):
                 _check_event(ts, value, reader.line_num)
             times.append(ts)
             values.append(value)
+        if not 0 <= ts < inf:   # a bad timestamp gets here only in a row without events
+            _check_event(ts, 0.0, reader.line_num)
     return {name: EventStream(name, times, values) for name, times, values in columns}
 
 

@@ -8,6 +8,8 @@ import os
 import random
 import subprocess
 import sys
+from functools import reduce
+from operator import getitem
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -432,8 +434,10 @@ INPUT_CASES = {
     "wide-first-bad-row-wins": (WIDE_HEADER, "0,2,-,-\n-1,-,5,-\n3,-,8,-\n4,zap,-,-\n",
                                 2, "line 3: timestamp must be non-negative, got -1"),
     "wide-negative-timestamp-without-events": (
-        WIDE_HEADER, "-1,-,-,-\n-2,, - ,\n0,2,-,-\n", 0, ""),
-    "wide-nan-timestamp-without-events": (WIDE_HEADER, "nan,-,-,-\n0,2,-,-\n", 0, ""),
+        WIDE_HEADER, "-1,-,-,-\n-2,, - ,\n0,2,-,-\n", 2,
+        "line 2: timestamp must be non-negative, got -1"),
+    "wide-nan-timestamp-without-events": (WIDE_HEADER, "nan,-,-,-\n0,2,-,-\n", 2,
+                                          "line 2: timestamp must be finite, got nan"),
     "wide-timestamp-before-cells": (WIDE_HEADER, "zap,-,-,-\n", 2,
                                     "line 2: non-numeric timestamp: 'zap'"),
     "wide-cells-left-to-right": (WIDE_HEADER, "1,5,zap,nan\n", 2,
@@ -504,9 +508,11 @@ HOSTILE_CSV = st.one_of(csv_text(LONG_HEADERS, LONG_ROWS),
 
 
 def quiet_main(*argv):
-    """main(argv) with standard output and error captured and dropped."""
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
+    """main(argv) with standard output and error captured and dropped.
+    Standard output is bytes underneath and declares ASCII, as it does
+    under PYTHONIOENCODING=ascii."""
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
         return main(list(argv))
 
 
@@ -520,6 +526,91 @@ class TestInputBoundary:
         code = quiet_main("mine", "--input", str(path), "--config", CONFIG)
         assert code in (0, 2, 3)
         if quiet_main("validate", "--input", str(path), "--config", CONFIG) == 0:
+            assert code == 0
+
+
+# Hostile config documents, written as JSON text so that they can hold what
+# json.dumps cannot: NaN, Infinity, 1e400, integers of 5,000 digits, and
+# arrays nested deeper than json decodes.
+ODD_TOKENS = st.one_of(st.integers(-2, 16).map(str), st.sampled_from([
+    "0.5", "-0", "-0.0", "1e-400", "5e-324", "1e308", "1e400", "-1e400", "NaN",
+    "Infinity", "-Infinity", "1" + "0" * 5000, "-" + "9" * 5000, "true", "false",
+    "null", '"3"', '""', '"\\ud800"', "[]", "{}"]))
+HOSTILE_TOKENS = st.one_of(ODD_TOKENS, st.builds(
+    lambda token, depth: "[" * depth + token + "]" * depth,
+    ODD_TOKENS, st.sampled_from([1, 40, 5_000, 100_000])))
+# Labels a config may use (a repeat within one vocabulary is a finding),
+# written as JSON strings.
+LABELS = st.sampled_from([
+    '"Small"', '"Medium"', '"Large"', '" "', '"\\""', '"a/b"', '"a\\\\b"',
+    '"a\\nb"', '"x,y"', '"-"', '"Größe klein"', '"\\u00e9t\\u00e9"',
+    '"\\ud83d\\ude00"'])
+ORDERED_CORNERS = st.lists(st.integers(0, 16).map(str), min_size=4, max_size=4).map(
+    lambda corners: sorted(corners, key=int))
+
+
+def json_text(node):
+    """``node`` as JSON text: dicts and lists of JSON text tokens."""
+    if isinstance(node, dict):
+        return "{" + ", ".join(f'"{key}": {json_text(value)}'
+                               for key, value in node.items()) + "}"
+    if isinstance(node, list):
+        return "[" + ", ".join(map(json_text, node)) + "]"
+    return node
+
+
+def node_paths(node, path=()):
+    """The path of every value under ``node``, containers included."""
+    if path:
+        yield path
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from node_paths(child, path + (key,))
+
+
+@st.composite
+def hostile_configs(draw):
+    """A sound config over the quickstart streams with up to three of its
+    values, or one unknown key, set to hostile tokens; now and then no
+    object at all."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(HOSTILE_TOKENS)
+    doc = {
+        "roles": {"trigger1": '"stream1"', "trigger2": '"stream2"',
+                  "consequence": '"stream3"'},
+        "windows": {"trigger": draw(st.integers(1, 12).map(str)),
+                    "consequence": draw(st.integers(1, 12).map(str))},
+        "vocabularies": {key: [{"label": draw(LABELS), **dict(zip("abcd", corners))}
+                               for corners in draw(st.lists(ORDERED_CORNERS, min_size=1,
+                                                            max_size=3))]
+                         for key in ("trigger1", "trigger2", "delta_t", "consequence")},
+    }
+    thresholds = st.sampled_from(["min_support", "min_confidence"])
+    for key in draw(st.lists(thresholds, unique=True)):
+        doc[key] = draw(st.sampled_from(["0", "0.1", "1"]))
+    for _ in range(draw(st.integers(0, 3))):
+        *keys, last = draw(st.sampled_from([*node_paths(doc), ("unknown",)]))
+        reduce(getitem, keys, doc)[last] = draw(HOSTILE_TOKENS)
+    return json_text(doc)
+
+
+REPORTS = st.sampled_from([("--format", "table"), ("--tree", "ascii"), ("--tree", "dot"),
+                           ("--format", "json", "--tree", "dot")])
+
+
+class TestConfigBoundary:
+    @settings(max_examples=60, deadline=2000,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(text=hostile_configs(), report=REPORTS)
+    def test_mine_and_validate_exit_with_documented_codes(self, tmp_path_factory,
+                                                          text, report):
+        path = tmp_path_factory.getbasetemp() / "hostile.json"
+        path.write_text(text, encoding="utf-8")
+        code = quiet_main("mine", "--input", CSV, "--config", str(path), *report)
+        assert code in (0, 2, 3)
+        checked = quiet_main("validate", "--input", CSV, "--config", str(path))
+        assert checked in (0, 2, 3)
+        if checked == 0:
             assert code == 0
 
 
@@ -608,43 +699,60 @@ class TestPinnedReport:
         assert hashlib.sha256(report).hexdigest() == PINNED_WIDE_LAYOUT_SHA256
 
 
-def run_child(stdout, unbuffered, *argv):
-    """``python -m fuzzmine mine`` with the given standard output, buffered
-    or not; returns the child process, started."""
+def run_child(stdout, unbuffered, *argv, **options):
+    """``python -m fuzzmine`` with the given standard output, buffered or
+    not; returns the child process, started."""
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    return subprocess.Popen([sys.executable, "-m", "fuzzmine", "mine", *argv],
-                            stdout=stdout, stderr=subprocess.PIPE, env=env)
+    return subprocess.Popen([sys.executable, "-m", "fuzzmine", *argv],
+                            stdout=stdout, stderr=subprocess.PIPE, env=env, **options)
 
 
-BUFFERING = pytest.mark.parametrize("unbuffered", [False, True],
-                                    ids=["buffered", "unbuffered"])
+# Both subcommands write standard output the same way, buffered or not.
+OUTPUT_RUNS = pytest.mark.parametrize(
+    "command, unbuffered",
+    [("mine", False), ("mine", True), ("validate", False), ("validate", True)],
+    ids=["buffered", "unbuffered", "validate-buffered", "validate-unbuffered"])
 
 
 class TestStandardOutput:
-    """A report standard output does not take is an input error (exit 2)
-    with one message, whatever the buffering, and never a silent exit 0."""
+    """A report or listing standard output does not take is an input error
+    (exit 2) with one message, whatever the buffering, and never a silent
+    exit 0."""
 
-    @BUFFERING
-    def test_closed_pipe_exits_2(self, unbuffered):
+    @OUTPUT_RUNS
+    def test_closed_pipe_exits_2(self, command, unbuffered):
         read_end, write_end = os.pipe()
         os.close(read_end)
-        child = run_child(write_end, unbuffered, "--input", CSV, "--config", CONFIG)
+        child = run_child(write_end, unbuffered, command,
+                          "--input", CSV, "--config", CONFIG)
         os.close(write_end)
         _, err = child.communicate(timeout=60)
         assert child.returncode == 2
         assert err == b"fuzzmine: cannot write standard output: [Errno 32] Broken pipe\n"
 
-    @BUFFERING
+    @OUTPUT_RUNS
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-    def test_full_device_exits_2(self, unbuffered):
+    def test_full_device_exits_2(self, command, unbuffered):
         with open("/dev/full", "wb") as full:
-            child = run_child(full, unbuffered, "--input", CSV, "--config", CONFIG)
+            child = run_child(full, unbuffered, command,
+                              "--input", CSV, "--config", CONFIG)
             _, err = child.communicate(timeout=60)
         assert child.returncode == 2
         assert err == (b"fuzzmine: cannot write standard output: "
                        b"[Errno 28] No space left on device\n")
+
+    @pytest.mark.parametrize("command", ["mine", "validate"])
+    @pytest.mark.skipif(os.name != "posix", reason="closes a descriptor in the child")
+    def test_closed_standard_output_exits_2(self, command):
+        # Started with descriptor 1 closed, Python sets sys.stdout to None.
+        child = run_child(None, False, command, "--input", CSV, "--config", CONFIG,
+                          preexec_fn=lambda: os.close(1))
+        _, err = child.communicate(timeout=60)
+        assert child.returncode == 2
+        assert err == (b"fuzzmine: cannot write standard output: "
+                       b"[Errno 9] Bad file descriptor\n")
 
     def test_reader_closing_mid_report_exits_2(self, tmp_path):
         # A report of about 240 KB overfills the pipe; once the reader has
@@ -656,12 +764,81 @@ class TestStandardOutput:
                 interval["label"] += "." * 12_000
         config = tmp_path / "long-labels.json"
         config.write_text(json.dumps(doc))
-        child = run_child(subprocess.PIPE, True, "--input", CSV, "--config", str(config))
+        child = run_child(subprocess.PIPE, True, "mine", "--input", CSV,
+                          "--config", str(config))
         assert len(child.stdout.read(10)) == 10
         child.stdout.close()
         err = child.stderr.read()
         assert child.wait(timeout=60) == 2
         assert err == b"fuzzmine: cannot write standard output: [Errno 32] Broken pipe\n"
+
+
+UMLAUT = "Größe klein"
+
+
+def umlaut_config(tmp_path, repeat):
+    """The quickstart config with "Small Volume" renamed to a non-ASCII
+    label, and with that label repeated in trigger1 if ``repeat``."""
+    doc = json.loads(QUICKSTART_CONFIG.read_text())
+    for intervals in doc["vocabularies"].values():
+        for interval in intervals:
+            if interval["label"] == "Small Volume":
+                interval["label"] = UMLAUT
+    if repeat:
+        doc["vocabularies"]["trigger1"][1]["label"] = UMLAUT
+    path = tmp_path / "umlaut.json"
+    path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    return str(path)
+
+
+def run_encoded(encoding, *argv):
+    """``python -m fuzzmine`` under PYTHONIOENCODING=``encoding``, finished."""
+    return subprocess.run([sys.executable, "-m", "fuzzmine", *argv],
+                          capture_output=True, timeout=60,
+                          env={**os.environ, "PYTHONIOENCODING": encoding})
+
+
+ENCODINGS = pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+
+
+class TestOutputEncoding:
+    """Reports and listings are UTF-8 whatever encoding standard output
+    declares, so standard output and ``--out`` get the same bytes."""
+
+    @ENCODINGS
+    def test_mine_stdout_equals_out_file(self, tmp_path, encoding):
+        argv = ["mine", "--input", CSV, "--config", umlaut_config(tmp_path, False),
+                "--tree", "ascii"]
+        out = tmp_path / "report.txt"
+        to_file = run_encoded(encoding, *argv, "--out", str(out))
+        to_stdout = run_encoded(encoding, *argv)
+        assert (to_file.returncode, to_file.stdout, to_file.stderr) == (0, b"", b"")
+        assert (to_stdout.returncode, to_stdout.stderr) == (0, b"")
+        assert to_stdout.stdout == out.read_bytes()
+        assert UMLAUT.encode("utf-8") in to_stdout.stdout
+
+    @ENCODINGS
+    @pytest.mark.parametrize("repeat, expected_code", [(False, 0), (True, 3)],
+                             ids=["unique", "repeated"])
+    def test_validate_lists_in_utf8(self, capsys, tmp_path, encoding, repeat,
+                                    expected_code):
+        argv = ["validate", "--input", CSV, "--config", umlaut_config(tmp_path, repeat)]
+        code, listing, _ = run(capsys, *argv)
+        child = run_encoded(encoding, *argv)
+        assert code == child.returncode == expected_code
+        assert child.stdout == listing.encode("utf-8")
+        assert (f"duplicate label {UMLAUT!r}" in listing) == repeat
+
+    def test_unpaired_surrogate_label_is_a_config_error(self, capsys, tmp_path):
+        path = tmp_path / "surrogate.json"
+        path.write_text(QUICKSTART_CONFIG.read_text().replace(
+            '"Large Volume"', '"Large \\ud800"', 1))
+        message = ("'vocabularies.trigger1[2].label' has an unpaired surrogate: "
+                   "'Large \\ud800'")
+        assert run(capsys, "mine", "--input", CSV, "--config", str(path)) == (
+            3, "", f"fuzzmine: {message}\n")
+        assert run(capsys, "validate", "--config", str(path)) == (
+            3, f"error: [config] {message}\n", "")
 
 
 class TestModuleEntryPoint:

@@ -172,6 +172,16 @@ class TestSchema:
         with pytest.raises(ConfigError, match=r"trigger2\[0\]\.label"):
             parse_config_dict(doc)
 
+    def test_vocabulary_label_must_encode_as_utf8(self):
+        # JSON's "\ud800" decodes to a lone surrogate, which no report can
+        # write; a surrogate pair is one character and passes.
+        text = (json.dumps(quickstart_doc())
+                .replace('"Small Volume"', '"\\ud83d\\ude00 Small"', 1)
+                .replace('"Large Volume"', '"Large \\ud800"', 1))
+        with pytest.raises(ConfigError, match=r"trigger1\[2\]\.label' has an unpaired "
+                                              r"surrogate: 'Large \\ud800'"):
+            parse_config_dict(json.loads(text))
+
 
 class TestConfigFindings:
     def test_quickstart_reports_partitions(self):

@@ -18,7 +18,6 @@ from fuzzmine import (
     StreamBundle,
     Vocabulary,
     WindowConfig,
-    apply_thresholds,
     mine,
 )
 
@@ -377,8 +376,7 @@ class TestMetrics:
 
 class TestApplyThresholds:
     def test_quickstart_min_support_filters_to_two_rules(self):
-        ruleset = mine(quickstart_bundle(), quickstart_mining_config())
-        pruned = apply_thresholds(ruleset, 0.3, 0.0)
+        pruned = mine(quickstart_bundle(), quickstart_mining_config(min_support=0.3))
         kept = {r.labels for r in pruned}
         assert kept == {
             ("Small Volume", "Medium Volume", "Long Time After", "Large Volume"),
@@ -386,18 +384,22 @@ class TestApplyThresholds:
         }
 
     def test_zero_thresholds_are_identity(self):
-        ruleset = mine(quickstart_bundle(), quickstart_mining_config())
-        assert apply_thresholds(ruleset, 0.0, 0.0) == ruleset
+        # At zero thresholds mine() keeps every rule, with the oracle's metrics.
+        ruleset = mine(quickstart_bundle(), quickstart_mining_config(0.0, 0.0))
+        assert rule_table(ruleset) == brute_force_rule_table(
+            quickstart_bundle(), quickstart_mining_config())
 
     def test_full_thresholds_empty_the_set(self):
-        ruleset = mine(quickstart_bundle(), quickstart_mining_config())
-        assert len(apply_thresholds(ruleset, 1.0, 1.0)) == 0
+        ruleset = mine(quickstart_bundle(), quickstart_mining_config(1.0, 1.0))
+        assert len(ruleset) == 0
+        assert ruleset.total_weight == 3.0
 
     def test_metrics_keep_pre_pruning_denominators(self):
         ruleset = mine(quickstart_bundle(), quickstart_mining_config())
-        pruned = apply_thresholds(ruleset, 0.3, 0.0)
+        pruned = mine(quickstart_bundle(), quickstart_mining_config(min_support=0.3))
         assert pruned.total_weight == ruleset.total_weight
         assert pruned.trigger_weights == ruleset.trigger_weights
+        assert set(pruned.rules) < set(ruleset.rules)
         rule = {r.labels: r for r in pruned}[
             ("Small Volume", "Medium Volume", "Long Time After", "Large Volume")]
         assert rule.support == pytest.approx(1 / 3, abs=1e-9)

@@ -11,19 +11,19 @@ PUBLIC_NAMES = [
     "ConfigError", "Event", "EventStream", "Finding", "FuzzmineError",
     "FuzzyInterval", "FuzzyRule", "InputError", "MiningConfig",
     "PipelineConfig", "RuleSet", "StreamBundle", "Vocabulary", "WindowConfig",
-    "apply_thresholds", "build_tree", "classify", "config_findings",
-    "has_errors", "load_config", "membership", "mine",
-    "parse_config_dict", "parse_streams", "parse_streams_csv", "render_ascii",
-    "render_dot", "render_json", "render_table", "validate_bundle",
-    "validate_stream", "validate_vocabulary",
+    "build_tree", "classify", "config_findings", "has_errors", "load_config",
+    "membership", "mine", "parse_config_dict", "parse_streams",
+    "parse_streams_csv", "render_ascii", "render_dot", "render_json",
+    "render_table", "validate_bundle", "validate_stream", "validate_vocabulary",
 ]
 
 # Names deleted because a surviving public name or form does their job.
 REMOVED_NAMES = [
     "Classification", "NumericalAssociation", "ParseError", "RuleInstance",
     "StreamDataError", "TreeNode", "UndefinedMetricError", "aggregate",
-    "bundle_to_long_csv", "confidence", "extract_numerical", "fuzzify",
-    "ruleset_to_report", "support", "tree_from_structured", "tree_to_structured",
+    "apply_thresholds", "bundle_to_long_csv", "confidence", "extract_numerical",
+    "fuzzify", "ruleset_to_report", "support", "tree_from_structured",
+    "tree_to_structured",
 ]
 
 
