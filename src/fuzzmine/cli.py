@@ -149,8 +149,9 @@ def _read_text(path):
 
 
 def _write_output(text, path):
-    """Write ``text`` as UTF-8 to ``path``, or to standard output if None."""
-    data = text.encode("utf-8")
+    """Write ``text`` as UTF-8 to ``path``, or to standard output if None.
+    A file name Python decoded with surrogateescape goes back to its bytes."""
+    data = text.encode("utf-8", "surrogateescape")
     if path is not None:
         with open(path, "wb") as handle:
             handle.write(data)
@@ -158,9 +159,6 @@ def _write_output(text, path):
     out = sys.stdout
     if out is None:   # standard output was closed before the run
         raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-    if not hasattr(out, "buffer"):   # a text-only stand-in for standard output
-        out.write(text)
-        return
     try:   # every byte, now: a short write or the flush at exit must lose none
         out.flush()
         data = memoryview(data)

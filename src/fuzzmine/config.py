@@ -19,7 +19,6 @@ thresholds::
 """
 
 import json
-import re
 from dataclasses import dataclass
 from math import isfinite
 
@@ -32,8 +31,6 @@ from .validation import has_errors
 VOCABULARY_KEYS = ("trigger1", "trigger2", "delta_t", "consequence")
 
 _TOP_LEVEL_KEYS = ("roles", "windows", "vocabularies", "min_support", "min_confidence")
-
-_SURROGATE = re.compile(r"[\ud800-\udfff]")
 
 
 @dataclass(frozen=True)
@@ -157,8 +154,11 @@ def _parse_vocabularies(doc):
             label = entry.get("label")
             if not isinstance(label, str) or not label:
                 raise ConfigError(f"'{where}.label' must be a non-empty string")
-            if _SURROGATE.search(label):   # JSON can escape one; UTF-8 cannot encode it
-                raise ConfigError(f"'{where}.label' has an unpaired surrogate: {label!r}")
+            try:   # JSON can escape a lone surrogate; UTF-8 cannot encode it
+                label.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ConfigError(f"'{where}.label' has an unpaired surrogate: "
+                                  f"{label!r}") from None
             corners = {corner: _number(entry.get(corner), f"{where}.{corner}")
                        for corner in ("a", "b", "c", "d")}
             intervals.append(FuzzyInterval(label=label, **corners))

@@ -195,11 +195,9 @@ class TestMineCommand:
         assert "line 2:" in err
 
     def test_failed_stdout_write_names_standard_output(self, capsys, monkeypatch):
-        class BrokenStdout:
-            def write(self, text):
-                raise OSError(32, "Broken pipe")
-
-        monkeypatch.setattr(sys, "stdout", BrokenStdout())
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        monkeypatch.setattr(sys, "stdout", open(write_end, "w"))
         code, _, err = run(capsys, "mine", "--input", CSV, "--config", CONFIG)
         assert code == 2
         assert err == "fuzzmine: cannot write standard output: [Errno 32] Broken pipe\n"
@@ -839,6 +837,19 @@ class TestOutputEncoding:
             3, "", f"fuzzmine: {message}\n")
         assert run(capsys, "validate", "--config", str(path)) == (
             3, f"error: [config] {message}\n", "")
+
+
+    @pytest.mark.skipif(os.name != "posix", reason="needs a non-UTF-8 file name")
+    def test_undecodable_config_path_is_listed_as_its_bytes(self, tmp_path):
+        # Python decodes the name with surrogateescape; the listing gives
+        # back the bytes it was called with.
+        path = os.fsencode(tmp_path) + b"/bad\xff.json"
+        child = subprocess.run([sys.executable, "-m", "fuzzmine", "validate",
+                                "--config", path], capture_output=True, timeout=60)
+        assert child.returncode == 3
+        assert child.stderr == b""
+        assert child.stdout.startswith(b"error: [config] cannot read config file "
+                                       + path + b": ")
 
 
 class TestModuleEntryPoint:
