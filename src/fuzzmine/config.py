@@ -19,6 +19,7 @@ thresholds::
 """
 
 import json
+import unicodedata
 from dataclasses import dataclass
 from math import isfinite
 
@@ -159,6 +160,10 @@ def _parse_vocabularies(doc):
             except UnicodeEncodeError:
                 raise ConfigError(f"'{where}.label' has an unpaired surrogate: "
                                   f"{label!r}") from None
+            if any(unicodedata.category(char) == "Cc" for char in label):
+                # a newline or tab would split the table row or tree line
+                raise ConfigError(f"'{where}.label' has a control character: "
+                                  f"{label!r}")
             corners = {corner: _number(entry.get(corner), f"{where}.{corner}")
                        for corner in ("a", "b", "c", "d")}
             intervals.append(FuzzyInterval(label=label, **corners))

@@ -655,6 +655,9 @@ PINNED_SHA256 = "10e4851522e9450bbaa92da3c8d75c00b34730abc62c2e5676499f1cb7f1399
 # config, taken from the row-at-a-time parser that built one Event per cell.
 PINNED_WIDE_LAYOUT_SHA256 = (
     "be526376d292f3f66a69fc80f672014b12c64844cb27c130004d5672662d8ced")
+# The quickstart JSON report without a tree, taken from json.dumps(indent=2).
+PINNED_QUICKSTART_JSON_SHA256 = (
+    "f4a0b5c0d815e1be8d68d4289907c9243b8917a67610be900147aba754d44f03")
 
 
 def seeded_wide_layout_case(tmp_path, seed=7):
@@ -695,6 +698,14 @@ class TestPinnedReport:
         report = out.read_bytes()
         assert b"81 rules, total weight 7213" in report
         assert hashlib.sha256(report).hexdigest() == PINNED_WIDE_LAYOUT_SHA256
+
+    def test_quickstart_json_report_bytes(self, tmp_path):
+        out = tmp_path / "report.json"
+        code = main(["mine", "--input", CSV, "--config", CONFIG,
+                     "--format", "json", "--out", str(out)])
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            PINNED_QUICKSTART_JSON_SHA256)
 
 
 def run_child(stdout, unbuffered, *argv, **options):
@@ -838,6 +849,30 @@ class TestOutputEncoding:
         assert run(capsys, "validate", "--config", str(path)) == (
             3, f"error: [config] {message}\n", "")
 
+    @pytest.mark.parametrize("char", ["\n", "\t", "\x00", "\x7f", "\x85"],
+                             ids=["newline", "tab", "nul", "del", "nel"])
+    def test_control_character_label_is_a_config_error(self, capsys, tmp_path, char):
+        # It would split the table row and the tree line that carry it.
+        doc = json.loads(QUICKSTART_CONFIG.read_text())
+        doc["vocabularies"]["trigger1"][0]["label"] = f"Small{char}Volume"
+        path = tmp_path / "control.json"
+        path.write_text(json.dumps(doc))
+        message = (f"'vocabularies.trigger1[0].label' has a control character: "
+                   f"{f'Small{char}Volume'!r}")
+        assert run(capsys, "mine", "--input", CSV, "--config", str(path),
+                   "--tree", "ascii") == (3, "", f"fuzzmine: {message}\n")
+        assert run(capsys, "validate", "--input", CSV, "--config", str(path)) == (
+            3, f"error: [config] {message}\n", "")
+
+    def test_non_breaking_space_label_mines(self, capsys, tmp_path):
+        # Only control characters are refused, not every non-printable one.
+        doc = json.loads(QUICKSTART_CONFIG.read_text())
+        doc["vocabularies"]["trigger1"][0]["label"] = "Small\u00a0Volume"
+        path = tmp_path / "nbsp.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "mine", "--input", CSV, "--config", str(path))
+        assert code == 0
+        assert "Small\u00a0Volume" in out
 
     @pytest.mark.skipif(os.name != "posix", reason="needs a non-UTF-8 file name")
     def test_undecodable_config_path_is_listed_as_its_bytes(self, tmp_path):

@@ -2,7 +2,12 @@
 
 import json
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from fuzzmine import (
+    FuzzyRule,
+    RuleSet,
     build_tree,
     mine,
     render_json,
@@ -45,6 +50,73 @@ class TestReportDocument:
         ruleset = quickstart_ruleset()
         tree = build_tree(ruleset)
         assert render_json(ruleset, tree) == render_json(ruleset, tree)
+
+    def test_empty_rule_set_bytes(self):
+        ruleset = RuleSet(rules=(), total_weight=0.0, trigger_weights={})
+        assert render_json(ruleset) == (
+            '{\n'
+            '  "rules": [],\n'
+            '  "total_weight": 0.0\n'
+            '}\n')
+        assert render_json(ruleset, build_tree(ruleset)) == (
+            '{\n'
+            '  "rules": [],\n'
+            '  "total_weight": 0.0,\n'
+            '  "tree": {\n'
+            '    "children": [],\n'
+            '    "label": "",\n'
+            '    "level": "root"\n'
+            '  }\n'
+            '}\n')
+
+
+def dumped_report(ruleset, tree):
+    """The JSON report as json.dumps writes it, the reference render_json
+    must match byte for byte."""
+    report = {
+        "rules": [
+            {"trigger1": rule.l1, "trigger2": rule.l2, "delta_t": rule.l_dt,
+             "consequence": rule.l3, "weight": rule.weight,
+             "support": rule.support, "confidence": rule.confidence}
+            for rule in ruleset
+        ],
+        "total_weight": ruleset.total_weight,
+    }
+    if tree is not None:
+        report["tree"] = tree
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+# Characters JSON must escape or may pass through, astral ones and lone
+# surrogates among them, mixed with arbitrary code points.
+LABELS = st.text(st.one_of(
+    st.sampled_from(['"', "\\", "/", "\x00", "\n", "\x1f", "\x7f", "\x85", "\xa0",
+                     "é", "\u2028", "\U0001d11e", "\ud800", "\udfff"]),
+    st.characters(categories=["Cs"]),
+    st.characters()), max_size=4)
+# A few labels per dimension, so rules share tree prefixes.
+SHARED_LABELS = st.lists(LABELS, min_size=1, max_size=3)
+METRICS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e308, -1e308, float("nan"),
+                     float("inf"), float("-inf")]),
+    st.floats())
+
+
+@st.composite
+def rulesets(draw):
+    l1, l2, l_dt, l3 = (draw(SHARED_LABELS) for _ in range(4))
+    rules = draw(st.lists(st.builds(
+        FuzzyRule, st.sampled_from(l1), st.sampled_from(l2), st.sampled_from(l_dt),
+        st.sampled_from(l3), METRICS, METRICS, METRICS), max_size=6))
+    return RuleSet(rules=tuple(rules), total_weight=draw(METRICS), trigger_weights={})
+
+
+class TestReportBytes:
+    @settings(max_examples=150, deadline=2000)
+    @given(ruleset=rulesets())
+    def test_render_json_matches_json_dumps(self, ruleset):
+        for tree in (None, build_tree(ruleset)):
+            assert render_json(ruleset, tree) == dumped_report(ruleset, tree)
 
 
 class TestTableRendering:
