@@ -25,7 +25,7 @@ from .mining import (
     WindowConfig,
     mine,
 )
-from .report import render_json, render_table
+from .report import build_tree, render_ascii, render_dot, render_json, render_table
 from .streams import (
     Event,
     EventStream,
@@ -35,7 +35,6 @@ from .streams import (
     validate_bundle,
     validate_stream,
 )
-from .tree import build_tree, render_ascii, render_dot
 from .validation import Finding, has_errors
 
 __version__ = "0.1.0"

@@ -17,9 +17,8 @@ import sys
 from .config import config_findings, load_config, parse_config_dict, read_config_file
 from .errors import ConfigError, InputError
 from .mining import mine
-from .report import render_json, render_table
+from .report import build_tree, render_ascii, render_dot, render_json, render_table
 from .streams import parse_streams, parse_streams_csv, validate_bundle, validate_stream
-from .tree import build_tree, render_ascii, render_dot
 from .validation import ERROR, Finding, has_errors
 
 EXIT_OK = 0
@@ -73,13 +72,12 @@ def cmd_mine(args):
     """The report for ``mine``, with its exit code."""
     cfg = load_config(args.config)
     ruleset = mine(parse_streams_csv(_read_text(args.input), cfg.roles), cfg.mining)
+    tree = build_tree(ruleset) if args.tree else None
     if args.format == "json":
-        return EXIT_OK, render_json(ruleset, build_tree(ruleset) if args.tree else None)
+        return EXIT_OK, render_json(ruleset, tree)
     text = render_table(ruleset)
-    if args.tree == "ascii":
-        text += "\n" + render_ascii(build_tree(ruleset))
-    elif args.tree == "dot":
-        text += "\n" + render_dot(build_tree(ruleset))
+    if tree is not None:
+        text += "\n" + {"ascii": render_ascii, "dot": render_dot}[args.tree](tree)
     return EXIT_OK, text
 
 
@@ -171,7 +169,3 @@ def _write_output(text, path):
         os.dup2(devnull, out.fileno())
         os.close(devnull)
         raise
-
-
-if __name__ == "__main__":
-    sys.exit(main())

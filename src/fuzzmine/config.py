@@ -27,7 +27,7 @@ from .errors import ConfigError
 from .fuzzy import FuzzyInterval, Vocabulary, validate_vocabulary
 from .mining import MiningConfig, WindowConfig
 from .streams import ROLES, role_names
-from .validation import has_errors
+from .validation import ERROR, has_errors
 
 VOCABULARY_KEYS = ("trigger1", "trigger2", "delta_t", "consequence")
 
@@ -52,7 +52,7 @@ def load_config(path):
     cfg = parse_config_dict(read_config_file(path))
     findings = config_findings(cfg)
     if has_errors(findings):
-        detail = "\n".join(f"  {f}" for f in findings if f.severity == "error")
+        detail = "\n".join(f"  {f}" for f in findings if f.severity == ERROR)
         raise ConfigError(f"invalid configuration in {path}:\n{detail}")
     return cfg
 

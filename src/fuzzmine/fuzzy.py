@@ -13,7 +13,7 @@ All types are immutable and all functions are pure.
 from dataclasses import dataclass, field
 from math import isfinite
 
-from .validation import ERROR, INFO, Finding
+from .validation import ERROR, INFO, Finding, has_errors
 
 # Degrees are compared against 1 with this slack when probing whether a
 # vocabulary is a Ruspini partition; ramp arithmetic is exact to well
@@ -132,7 +132,7 @@ def validate_vocabulary(vocab):
             findings.append(Finding(ERROR, "interval-span", f"{where} ({iv.label!r}): "
                                     f"a ramp is wider than the float range, got {corners}"))
 
-    if any(f.severity == ERROR for f in findings):
+    if has_errors(findings):
         return findings
 
     findings.extend(_coverage_findings(vocab))

@@ -1,11 +1,26 @@
-"""Rule-set reports: the JSON document and the plain-text table.
+"""Rule-set reports: the JSON document, the plain-text table and the
+decision-tree view, as indented text or DOT.
 
-Both renderings are deterministic: identical rule sets produce
+Every rendering is deterministic: identical rule sets produce
 byte-identical output. The JSON document keeps full float precision;
 the table rounds to 6 significant digits for reading.
+
+The tree arranges rules as root-to-leaf paths in a fixed four-level
+hierarchy (trigger-1 label, trigger-2 label, elapsed-time label,
+consequence label). Rules sharing a label prefix share the internal
+nodes of that prefix, and each leaf carries its rule's support and
+confidence. At every level children are ordered by descending subtree
+weight with lexicographic tie-break, so the strongest branches come
+first and the layout is reproducible. The tree is a plain JSON
+document, the one the JSON report embeds: every node is a dict with
+``level``, ``label`` and a ``children`` list, and leaves
+(consequence-level nodes) add ``support`` and ``confidence``. The root
+has level ``root`` and an empty label.
 """
 
 from json.encoder import encode_basestring_ascii as _string
+
+LEVELS = ("root", "trigger1", "trigger2", "delta_t", "consequence")
 
 _COLUMNS = ("trigger1", "trigger2", "delta_t", "consequence",
             "weight", "support", "confidence")
@@ -17,11 +32,11 @@ _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 def render_json(ruleset, tree=None):
     """The JSON report: rules, total weight and, if given, the tree.
 
-    ``tree`` must be the document of :func:`fuzzmine.tree.build_tree`;
-    its nodes are written by that schema. The bytes are those the
-    :mod:`json` encoder writes with a 2-space indent and sorted keys,
-    plus a final newline. They are written here directly because the
-    encoder's fast C path does not indent.
+    ``tree`` must be the document of :func:`build_tree`; its nodes are
+    written by that schema. The bytes are those the :mod:`json` encoder
+    writes with a 2-space indent and sorted keys, plus a final newline.
+    They are written here directly because the encoder's fast C path
+    does not indent.
     """
     rules = ",\n".join(
         "    {\n"
@@ -87,3 +102,82 @@ def render_table(ruleset):
     lines.append("")
     lines.append(f"{len(ruleset)} rules, total weight {ruleset.total_weight:.6g}")
     return "\n".join(lines) + "\n"
+
+
+def build_tree(ruleset):
+    """Arrange a rule set as a prefix-merged tree document.
+
+    An empty rule set yields a bare root. Otherwise every rule maps to
+    exactly one leaf, reachable by following its four labels from the
+    root.
+    """
+    return _subtree(0, "", list(ruleset))
+
+
+def _subtree(depth, label, rules):
+    node = {"level": LEVELS[depth], "label": label, "children": []}
+    if depth == len(LEVELS) - 1:
+        node["support"], node["confidence"] = rules[0].support, rules[0].confidence
+        return node
+    groups = {}
+    for rule in rules:
+        groups.setdefault(rule.labels[depth], []).append(rule)
+    ordered = sorted(groups, key=lambda lab: (-sum(r.weight for r in groups[lab]), lab))
+    node["children"] = [_subtree(depth + 1, lab, groups[lab]) for lab in ordered]
+    return node
+
+
+def render_ascii(tree):
+    """Render the tree as indented text, one node per line.
+
+    Leaves are suffixed with their metrics to four decimal places, e.g.
+    ``Medium Volume [sup=0.3333, conf=1.0000]``.
+    """
+    return "".join(["  " * depth + _text(node, depth, str, " ") + "\n"
+                    for node, depth, _, _ in _walk(tree)])
+
+
+def render_dot(tree):
+    """Render the tree as a DOT digraph.
+
+    Node identifiers are the root-to-node label paths (with separator
+    escaping, so they stay unique whatever the labels contain), which
+    makes the output stable across runs. Leaves show their metrics on a
+    second label line.
+    """
+    nodes, edges = [], []
+    for node, depth, path, parent in _walk(tree):
+        text = _text(node, depth, _dot_escape, "\\n")   # a line break when drawn
+        nodes.append(f'  "{_dot_escape(path)}" [label="{text}"];')
+        if parent is not None:
+            edges.append(f'  "{_dot_escape(parent)}" -> "{_dot_escape(path)}";')
+    return "\n".join(["digraph rules {", "  node [shape=box];", *nodes, *edges, "}"]) + "\n"
+
+
+def _walk(tree):
+    """Every node of ``tree`` in pre-order, as (node, depth, DOT path,
+    parent's DOT path or None). A path joins the labels from the root,
+    each with its backslashes and slashes escaped."""
+    order = []
+
+    def visit(node, depth, path, parent):
+        order.append((node, depth, path, parent))
+        for child in node["children"]:
+            visit(child, depth + 1,
+                  path + "/" + child["label"].replace("\\", "\\\\").replace("/", "\\/"), path)
+
+    visit(tree, 0, "root", None)
+    return order
+
+
+def _text(node, depth, escape, separator):
+    """What a node shows: ``(root)``, its escaped label, or for a leaf the
+    label, ``separator`` and its metrics."""
+    text = "(root)" if depth == 0 else escape(node["label"])
+    if "support" in node:
+        text += f"{separator}[sup={node['support']:.4f}, conf={node['confidence']:.4f}]"
+    return text
+
+
+def _dot_escape(text):
+    return text.replace("\\", "\\\\").replace('"', '\\"')

@@ -37,7 +37,8 @@ class EventStream:
 
     The constructor stores ``timestamps`` and ``values`` as tuples sorted
     together by timestamp, stably, so input order among equal timestamps
-    survives; it sorts only when the timestamps are out of order.
+    survives; it sorts only when the timestamps are out of order. Columns
+    of unequal length, or a NaN or infinite timestamp, raise ValueError.
     """
 
     name: str
@@ -49,7 +50,10 @@ class EventStream:
         if len(times) != len(values):
             raise ValueError(f"stream {self.name!r} has {len(times)} timestamps "
                              f"but {len(values)} values")
-        if not all(map(le, times, times[1:])):
+        ordered = all(map(le, times, times[1:]))   # False if two or more and any is NaN
+        if not all(-inf < t < inf for t in (times[:1] + times[-1:] if ordered else times)):
+            raise ValueError(f"stream {self.name!r} has a timestamp that is not finite")
+        if not ordered:
             order = sorted(range(len(times)), key=times.__getitem__)
             times, values = (tuple(column[i] for i in order) for column in (times, values))
         object.__setattr__(self, "timestamps", times)

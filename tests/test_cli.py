@@ -197,8 +197,9 @@ class TestMineCommand:
     def test_failed_stdout_write_names_standard_output(self, capsys, monkeypatch):
         read_end, write_end = os.pipe()
         os.close(read_end)
-        monkeypatch.setattr(sys, "stdout", open(write_end, "w"))
-        code, _, err = run(capsys, "mine", "--input", CSV, "--config", CONFIG)
+        with open(write_end, "w") as broken:
+            monkeypatch.setattr(sys, "stdout", broken)
+            code, _, err = run(capsys, "mine", "--input", CSV, "--config", CONFIG)
         assert code == 2
         assert err == "fuzzmine: cannot write standard output: [Errno 32] Broken pipe\n"
 
@@ -658,6 +659,12 @@ PINNED_WIDE_LAYOUT_SHA256 = (
 # The quickstart JSON report without a tree, taken from json.dumps(indent=2).
 PINNED_QUICKSTART_JSON_SHA256 = (
     "f4a0b5c0d815e1be8d68d4289907c9243b8917a67610be900147aba754d44f03")
+# The table report of seeded_wide_case at seed 6 with each text tree, taken
+# when render_ascii and render_dot each walked the tree on their own.
+PINNED_TEXT_TREE_SHA256 = {
+    "ascii": "96853485a4df9aad888ff31ecc502b24e336a6e37f7d68cb18fed8dc981e264d",
+    "dot": "779685a7936d10c1827ebda99da9ed810f51d40949589400b1b68d49f418aca0",
+}
 
 
 def seeded_wide_layout_case(tmp_path, seed=7):
@@ -687,6 +694,17 @@ class TestPinnedReport:
         report = out.read_bytes()
         assert len(json.loads(report)["rules"]) == PINNED_RULES
         assert hashlib.sha256(report).hexdigest() == PINNED_SHA256
+
+    @pytest.mark.parametrize("tree", sorted(PINNED_TEXT_TREE_SHA256))
+    def test_seeded_wide_vocabulary_text_tree_bytes(self, tmp_path, tree):
+        csv_path, config_path = seeded_wide_case(tmp_path)
+        out = tmp_path / "report.txt"
+        code = main(["mine", "--input", csv_path, "--config", config_path,
+                     "--format", "table", "--tree", tree, "--out", str(out)])
+        assert code == 0
+        report = out.read_bytes()
+        assert f"{PINNED_RULES} rules, total weight".encode() in report
+        assert hashlib.sha256(report).hexdigest() == PINNED_TEXT_TREE_SHA256[tree]
 
     def test_seeded_wide_layout_table_bytes(self, tmp_path):
         # Equal timestamps must keep their input order, within a stream and
@@ -778,6 +796,7 @@ class TestStandardOutput:
         assert len(child.stdout.read(10)) == 10
         child.stdout.close()
         err = child.stderr.read()
+        child.stderr.close()
         assert child.wait(timeout=60) == 2
         assert err == b"fuzzmine: cannot write standard output: [Errno 32] Broken pipe\n"
 

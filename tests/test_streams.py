@@ -1,5 +1,7 @@
 """Tests for CSV ingestion, stream ordering, and bundle validation."""
 
+from math import inf, nan
+
 import pytest
 from hypothesis import given
 
@@ -200,6 +202,16 @@ class TestEventStream:
     def test_equal_timestamps_keep_input_order(self):
         ordered = stream("a", [(5, 3), (1, 9), (5, 1), (5, 2)])
         assert ordered.events == (Event(1, 9), Event(5, 3), Event(5, 1), Event(5, 2))
+
+    # A NaN defeats both the sortedness test and the sort, so it would keep
+    # its place and mine silently wrong weights.
+    @pytest.mark.parametrize("times", [
+        (nan, 0, 1), (0, nan, 1), (0, 1, nan), (nan,), (0, 1, inf), (5, inf, 1), (-inf, 0),
+    ], ids=["nan-first", "nan-middle", "nan-last", "nan-alone", "inf", "inf-unsorted",
+            "minus-inf"])
+    def test_non_finite_timestamp_raises(self, times):
+        with pytest.raises(ValueError, match="stream 'a' has a timestamp that is not finite"):
+            EventStream("a", times, (1,) * len(times))
 
 
 class TestValidateBundle:
