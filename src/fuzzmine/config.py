@@ -20,7 +20,7 @@ thresholds::
 
 import json
 import unicodedata
-from dataclasses import dataclass
+from collections import namedtuple
 from math import isfinite
 
 from .errors import ConfigError
@@ -34,12 +34,10 @@ VOCABULARY_KEYS = ("trigger1", "trigger2", "delta_t", "consequence")
 _TOP_LEVEL_KEYS = ("roles", "windows", "vocabularies", "min_support", "min_confidence")
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(namedtuple("PipelineConfig", "roles mining")):
     """Role bindings plus everything the miner needs."""
 
-    roles: dict
-    mining: MiningConfig
+    __slots__ = ()
 
 
 def load_config(path):

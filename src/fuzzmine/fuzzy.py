@@ -10,8 +10,10 @@ one dimension (e.g. stream volume, or elapsed time).
 All types are immutable and all functions are pure.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from functools import reduce
 from math import isfinite
+from operator import add
 
 from .validation import ERROR, INFO, Finding, has_errors
 
@@ -21,8 +23,7 @@ from .validation import ERROR, INFO, Finding, has_errors
 _PARTITION_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class FuzzyInterval:
+class FuzzyInterval(namedtuple("FuzzyInterval", "label a b c d")):
     """One trapezoid (a, b, c, d) defining a linguistic label.
 
     Corner values are expressed in the units of the dimension the
@@ -31,22 +32,16 @@ class FuzzyInterval:
     on malformed definitions (see :func:`validate_vocabulary`).
     """
 
-    label: str
-    a: float
-    b: float
-    c: float
-    d: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Vocabulary:
+class Vocabulary(namedtuple("Vocabulary", "name intervals")):
     """A named, ordered collection of labelled intervals over one dimension."""
 
-    name: str
-    intervals: tuple = field(default=())
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "intervals", tuple(self.intervals))
+    def __new__(cls, name, intervals=()):
+        return super().__new__(cls, name, tuple(intervals))
 
     @property
     def labels(self):
@@ -76,11 +71,19 @@ def classify(vocab, x):
     intervals with positive membership, in vocabulary order. An empty
     tuple is a legal outcome: ``x`` lies outside every interval.
     """
+    return classify_intervals(vocab.intervals, x)
+
+
+def classify_intervals(intervals, x):
+    """:func:`classify` over ``(label, a, b, c, d)`` tuples, with
+    :func:`membership` inline for :func:`~fuzzmine.mining.mine`."""
     pairs = []
-    for iv in vocab.intervals:
-        degree = membership(iv, x)
+    for label, a, b, c, d in intervals:
+        if x < a or x > d:
+            continue
+        degree = 1.0 if b <= x <= c else (x - a) / (b - a) if x < b else (d - x) / (d - c)
         if degree > 0.0:
-            pairs.append((iv.label, degree))
+            pairs.append((label, degree))
     return tuple(pairs)
 
 
@@ -167,8 +170,9 @@ def _partition_finding(vocab):
     for lo, hi in zip(corners, corners[1:]):
         probes.append(lo / 2 + hi / 2)   # hi - lo may overflow
     lo, hi = corners[0], corners[-1]
-    ruspini = all(
-        abs(sum(membership(iv, x) for iv in vocab.intervals) - 1.0) <= _PARTITION_TOL
+    ruspini = all(   # a left fold: sum() compensates on Python 3.12+
+        abs(reduce(add, (membership(iv, x) for iv in vocab.intervals), 0.0) - 1.0)
+        <= _PARTITION_TOL
         for x in probes
     )
     if ruspini:

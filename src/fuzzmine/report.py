@@ -11,14 +11,16 @@ consequence label). Rules sharing a label prefix share the internal
 nodes of that prefix, and each leaf carries its rule's support and
 confidence. At every level children are ordered by descending subtree
 weight with lexicographic tie-break, so the strongest branches come
-first and the layout is reproducible. The tree is a plain JSON
-document, the one the JSON report embeds: every node is a dict with
-``level``, ``label`` and a ``children`` list, and leaves
+first and the layout is reproducible on every Python version. The tree
+is a plain JSON document, the one the JSON report embeds: every node is
+a dict with ``level``, ``label`` and a ``children`` list, and leaves
 (consequence-level nodes) add ``support`` and ``confidence``. The root
 has level ``root`` and an empty label.
 """
 
+from functools import reduce
 from json.encoder import encode_basestring_ascii as _string
+from operator import add
 
 LEVELS = ("root", "trigger1", "trigger2", "delta_t", "consequence")
 
@@ -40,15 +42,15 @@ def render_json(ruleset, tree=None):
     """
     rules = ",\n".join(
         "    {\n"
-        f'      "confidence": {_number(rule.confidence)},\n'
-        f'      "consequence": {_string(rule.l3)},\n'
-        f'      "delta_t": {_string(rule.l_dt)},\n'
-        f'      "support": {_number(rule.support)},\n'
-        f'      "trigger1": {_string(rule.l1)},\n'
-        f'      "trigger2": {_string(rule.l2)},\n'
-        f'      "weight": {_number(rule.weight)}\n'
+        f'      "confidence": {_number(confidence)},\n'
+        f'      "consequence": {_string(l3)},\n'
+        f'      "delta_t": {_string(l_dt)},\n'
+        f'      "support": {_number(support)},\n'
+        f'      "trigger1": {_string(l1)},\n'
+        f'      "trigger2": {_string(l2)},\n'
+        f'      "weight": {_number(weight)}\n'
         "    }"
-        for rule in ruleset)
+        for l1, l2, l_dt, l3, weight, support, confidence in ruleset)
     listing = f"[\n{rules}\n  ]" if rules else "[]"
     tail = "" if tree is None else f',\n  "tree": {_node(tree, "  ")}'
     return (f'{{\n  "rules": {listing},\n'
@@ -82,9 +84,8 @@ def _number(value):
 def render_table(ruleset):
     """Fixed-width table of rule tuples and their metrics."""
     rows = [
-        (rule.l1, rule.l2, rule.l_dt, rule.l3,
-         f"{rule.weight:.6g}", f"{rule.support:.6g}", f"{rule.confidence:.6g}")
-        for rule in ruleset
+        (l1, l2, l_dt, l3, f"{weight:.6g}", f"{support:.6g}", f"{confidence:.6g}")
+        for l1, l2, l_dt, l3, weight, support, confidence in ruleset
     ]
     widths = [
         max(len(_COLUMNS[i]), *(len(row[i]) for row in rows)) if rows
@@ -121,8 +122,10 @@ def _subtree(depth, label, rules):
         return node
     groups = {}
     for rule in rules:
-        groups.setdefault(rule.labels[depth], []).append(rule)
-    ordered = sorted(groups, key=lambda lab: (-sum(r.weight for r in groups[lab]), lab))
+        groups.setdefault(rule[depth], []).append(rule)   # the rule's label at depth
+    # Weights (rule[4]) add left to right: sum() compensates on Python 3.12+.
+    ordered = sorted(groups, key=lambda lab: (-reduce(add, [r[4] for r in groups[lab]], 0.0),
+                                              lab))
     node["children"] = [_subtree(depth + 1, lab, groups[lab]) for lab in ordered]
     return node
 

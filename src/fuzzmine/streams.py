@@ -17,12 +17,12 @@ line.
 import csv
 import io
 from collections import Counter, namedtuple
-from dataclasses import dataclass
 from math import inf, isfinite
 from operator import le
+from sys import float_info
 
 from .errors import ConfigError, InputError
-from .validation import ERROR, INFO, WARNING, Finding
+from .validation import ERROR, INFO, WARNING, Finding, Record
 
 ROLES = ("trigger1", "trigger2", "consequence")
 
@@ -30,34 +30,33 @@ _LONG_HEADER = ("timestamp", "stream", "value")
 
 Event = namedtuple("Event", "timestamp value")
 
+_MAX = float_info.max   # -_MAX <= x <= _MAX is False for NaN, ±inf and ints past it
 
-@dataclass(frozen=True)
-class EventStream:
+
+class EventStream(Record):
     """A named, time-ordered stream of events, held as two columns.
 
     The constructor stores ``timestamps`` and ``values`` as tuples sorted
     together by timestamp, stably, so input order among equal timestamps
     survives; it sorts only when the timestamps are out of order. Columns
-    of unequal length, or a NaN or infinite timestamp, raise ValueError.
+    of unequal length, or a NaN, infinite or out-of-float-range timestamp,
+    raise ValueError.
     """
 
-    name: str
-    timestamps: tuple = ()
-    values: tuple = ()
+    __slots__ = ("name", "timestamps", "values")
 
-    def __post_init__(self):
-        times, values = tuple(self.timestamps), tuple(self.values)
+    def __init__(self, name, timestamps=(), values=()):
+        times, values = tuple(timestamps), tuple(values)
         if len(times) != len(values):
-            raise ValueError(f"stream {self.name!r} has {len(times)} timestamps "
+            raise ValueError(f"stream {name!r} has {len(times)} timestamps "
                              f"but {len(values)} values")
         ordered = all(map(le, times, times[1:]))   # False if two or more and any is NaN
-        if not all(-inf < t < inf for t in (times[:1] + times[-1:] if ordered else times)):
-            raise ValueError(f"stream {self.name!r} has a timestamp that is not finite")
+        if not all(-_MAX <= t <= _MAX for t in (times[:1] + times[-1:] if ordered else times)):
+            raise ValueError(f"stream {name!r} has a timestamp that is not finite")
         if not ordered:
             order = sorted(range(len(times)), key=times.__getitem__)
             times, values = (tuple(column[i] for i in order) for column in (times, values))
-        object.__setattr__(self, "timestamps", times)
-        object.__setattr__(self, "values", values)
+        self._init(name, times, values)
 
     @property
     def events(self):
@@ -68,13 +67,10 @@ class EventStream:
         return len(self.timestamps)
 
 
-@dataclass(frozen=True)
-class StreamBundle:
+class StreamBundle(namedtuple("StreamBundle", "trigger1 trigger2 consequence")):
     """The three role-bound streams one mining run operates on."""
 
-    trigger1: EventStream
-    trigger2: EventStream
-    consequence: EventStream
+    __slots__ = ()
 
 
 def parse_streams(text):
@@ -226,10 +222,11 @@ def _check_event(ts, value, line):
 def validate_stream(stream, where=None):
     """Check one stream and report findings.
 
-    Errors flag invariant breaches (empty name, negative or non-finite
-    fields). An empty stream is a warning since it makes the mining output
-    trivially empty, and repeated (timestamp, value) events are reported
-    informationally.
+    Errors flag invariant breaches (empty name, negative timestamps,
+    values that are not finite floats; the constructor has already
+    rejected non-finite timestamps). An empty stream is a warning since it
+    makes the mining output trivially empty, and repeated (timestamp,
+    value) events with finite values are reported informationally.
     """
     where = where or repr(stream.name)
     findings = []
@@ -240,16 +237,17 @@ def validate_stream(stream, where=None):
                                 f"{where} has no events; no associations can involve it"))
         return findings
     for ts, value in zip(stream.timestamps, stream.values):
-        if not isfinite(ts) or ts < 0:
+        if ts < 0:
             findings.append(Finding(ERROR, "event-timestamp", f"{where}: timestamps must "
                                     f"be finite and non-negative, got {ts}"))
-        if not isfinite(value):
+        if not -_MAX <= value <= _MAX:
             findings.append(Finding(ERROR, "event-value",
                                     f"{where}: values must be finite, got {value}"))
     repeats = Counter(zip(stream.timestamps, stream.values))
     findings.extend(Finding(INFO, "duplicate-event", f"{where}: repeated event "
                             f"(timestamp {ts:g}, value {value:g})")
-                    for ts, value in sorted(e for e, n in repeats.items() if n > 1))
+                    for ts, value in sorted(e for e, n in repeats.items()
+                                            if n > 1 and -_MAX <= e[1] <= _MAX))
     return findings
 
 

@@ -667,6 +667,54 @@ PINNED_TEXT_TREE_SHA256 = {
 }
 
 
+# Trigger-1 labels B and Z nearly tie: B's rule weights 0.7, 0.1, 0.1 and
+# 0.1 add one after another to 0.9999999999999999, under Z's 1.0. A
+# compensated sum (sum() of floats on Python 3.12+) gives 1.0, a tie that
+# the label order breaks, and lists B first.
+NEAR_TIE_CSV = """0,stream1,0.5
+1,stream2,0.5
+2,stream3,77
+3,stream3,11
+4,stream3,31
+5,stream3,51
+1000,stream1,2.5
+1001,stream2,0.5
+1002,stream3,80
+"""
+NEAR_TIE_VOCABULARIES = {
+    "trigger1": [{"label": "B", "a": 0, "b": 0, "c": 1, "d": 1},
+                 {"label": "Z", "a": 2, "b": 2, "c": 3, "d": 3}],
+    "trigger2": [{"label": "x", "a": 0, "b": 0, "c": 1, "d": 1}],
+    "delta_t": [{"label": "t", "a": 0, "b": 0, "c": 10, "d": 10}],
+    "consequence": [{"label": f"c{i}", "a": a, "b": a + 10, "c": a + 10, "d": a + 10}
+                    for i, a in enumerate((70, 10, 30, 50))],
+}
+NEAR_TIE_REPORT = """\
+trigger1  trigger2  delta_t  consequence  weight  support  confidence
+--------  --------  -------  -----------  ------  -------  ----------
+Z         x         t        c0           1       0.5      1
+B         x         t        c0           0.7     0.35     0.7
+B         x         t        c1           0.1     0.05     0.1
+B         x         t        c2           0.1     0.05     0.1
+B         x         t        c3           0.1     0.05     0.1
+
+5 rules, total weight 2
+
+(root)
+  Z
+    x
+      t
+        c0 [sup=0.5000, conf=1.0000]
+  B
+    x
+      t
+        c0 [sup=0.3500, conf=0.7000]
+        c1 [sup=0.0500, conf=0.1000]
+        c2 [sup=0.0500, conf=0.1000]
+        c3 [sup=0.0500, conf=0.1000]
+"""
+
+
 def seeded_wide_layout_case(tmp_path, seed=7):
     """90 wide-layout rows in random time order with CRLF line ends.
     Timestamps lie on a quarter grid, so many repeat across and within
@@ -716,6 +764,11 @@ class TestPinnedReport:
         report = out.read_bytes()
         assert b"81 rules, total weight 7213" in report
         assert hashlib.sha256(report).hexdigest() == PINNED_WIDE_LAYOUT_SHA256
+
+    def test_near_tie_tree_bytes_on_every_python(self, tmp_path, capsys):
+        csv_path, config_path = write_case(tmp_path, NEAR_TIE_CSV, NEAR_TIE_VOCABULARIES)
+        assert run(capsys, "mine", "--input", csv_path, "--config", config_path,
+                   "--tree", "ascii") == (0, NEAR_TIE_REPORT, "")
 
     def test_quickstart_json_report_bytes(self, tmp_path):
         out = tmp_path / "report.json"

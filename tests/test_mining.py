@@ -468,6 +468,8 @@ class TestConfigTypes:
             WindowConfig(10, -1)
         with pytest.raises(ValueError):
             WindowConfig(float("inf"), 1)
+        with pytest.raises(ValueError):   # not OverflowError
+            WindowConfig(1, 10**400)
 
     def test_mining_config_rejects_out_of_range_thresholds(self):
         with pytest.raises(ValueError):

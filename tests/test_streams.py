@@ -16,6 +16,7 @@ from fuzzmine import (
     parse_streams_csv,
     render_table,
     validate_bundle,
+    validate_stream,
 )
 from fuzzmine.validation import ERROR, INFO, WARNING, has_errors
 
@@ -204,14 +205,20 @@ class TestEventStream:
         assert ordered.events == (Event(1, 9), Event(5, 3), Event(5, 1), Event(5, 2))
 
     # A NaN defeats both the sortedness test and the sort, so it would keep
-    # its place and mine silently wrong weights.
+    # its place and mine silently wrong weights. An int past the float range
+    # would make the window arithmetic overflow.
     @pytest.mark.parametrize("times", [
         (nan, 0, 1), (0, nan, 1), (0, 1, nan), (nan,), (0, 1, inf), (5, inf, 1), (-inf, 0),
+        (10**400,), (1, 10**400, 0), (-10**400, 0),
     ], ids=["nan-first", "nan-middle", "nan-last", "nan-alone", "inf", "inf-unsorted",
-            "minus-inf"])
+            "minus-inf", "big-int", "big-int-unsorted", "minus-big-int"])
     def test_non_finite_timestamp_raises(self, times):
         with pytest.raises(ValueError, match="stream 'a' has a timestamp that is not finite"):
             EventStream("a", times, (1,) * len(times))
+
+    def test_columns_of_unequal_length_raise(self):
+        with pytest.raises(ValueError, match="stream 'a' has 2 timestamps but 1 values"):
+            EventStream("a", (1, 2), (1,))
 
 
 class TestValidateBundle:
@@ -248,3 +255,11 @@ class TestValidateBundle:
                               stream("b", [(1, 1)]),
                               stream("c", [(1, 1)]))
         assert any(f.code == "event-timestamp" for f in validate_bundle(bundle))
+
+    @pytest.mark.parametrize("value", [nan, inf, -10**400, 10**400],
+                             ids=["nan", "inf", "minus-big-int", "big-int"])
+    def test_non_finite_value_is_error(self, value):
+        # A repeated event whose value is not a finite float is an error,
+        # not also a duplicate: an int past the float range has no :g form.
+        findings = validate_stream(EventStream("a", (1, 1), (value, value)))
+        assert [f.code for f in findings] == ["event-value", "event-value"]
