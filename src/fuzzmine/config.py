@@ -21,7 +21,6 @@ thresholds::
 import json
 import unicodedata
 from collections import namedtuple
-from math import isfinite
 
 from .errors import ConfigError
 from .fuzzy import FuzzyInterval, Vocabulary, validate_vocabulary
@@ -73,7 +72,8 @@ def parse_config_dict(doc):
     """Turn a decoded JSON document into a PipelineConfig.
 
     Raises ConfigError naming the offending field on any schema
-    violation. Vocabulary-content problems beyond shape (corner
+    violation, including a window or threshold that its record's
+    constructor rejects. Vocabulary-content problems beyond shape (corner
     ordering etc.) are left to the validators; see config_findings.
     """
     if not isinstance(doc, dict):
@@ -85,18 +85,9 @@ def parse_config_dict(doc):
     roles = dict(zip(ROLES, role_names(_require(doc, "roles", dict))))
     windows = _parse_windows(_require(doc, "windows", dict))
     vocabs = _parse_vocabularies(_require(doc, "vocabularies", dict))
-    min_support = _parse_threshold(doc, "min_support")
-    min_confidence = _parse_threshold(doc, "min_confidence")
-
-    mining = MiningConfig(
-        windows=windows,
-        vocab_t1=vocabs["trigger1"],
-        vocab_t2=vocabs["trigger2"],
-        vocab_dt=vocabs["delta_t"],
-        vocab_c=vocabs["consequence"],
-        min_support=min_support,
-        min_confidence=min_confidence,
-    )
+    thresholds = {key: (key, doc.get(key, 0)) for key in ("min_support", "min_confidence")}
+    mining = _build(MiningConfig, thresholds, windows, *(vocabs[key] for key in VOCABULARY_KEYS),
+                    *(_number(raw, key) for key, raw in thresholds.values()))
     return PipelineConfig(roles=roles, mining=mining)
 
 
@@ -121,15 +112,8 @@ def _parse_windows(doc):
     if set(doc) != {"trigger", "consequence"}:
         raise ConfigError("'windows' must have exactly the keys "
                           f"'trigger' and 'consequence'; got {sorted(doc)}")
-    values = {}
-    for key in ("trigger", "consequence"):
-        value = _number(doc[key], f"windows.{key}")
-        if not (isfinite(value) and value > 0):
-            raise ConfigError(f"'windows.{key}' must be a positive finite number, "
-                              f"got {doc[key]!r}")
-        values[key] = value
-    return WindowConfig(trigger_window=values["trigger"],
-                        consequence_window=values["consequence"])
+    keys = {f"{key}_window": (f"windows.{key}", doc[key]) for key in ("trigger", "consequence")}
+    return _build(WindowConfig, keys, *(_number(raw, key) for key, raw in keys.values()))
 
 
 def _parse_vocabularies(doc):
@@ -169,17 +153,26 @@ def _parse_vocabularies(doc):
     return vocabs
 
 
-def _parse_threshold(doc, key):
-    value = _number(doc.get(key, 0), key)
-    if not 0 <= value <= 1:
-        raise ConfigError(f"'{key}' must be a number in [0, 1], got {doc[key]!r}")
-    return value
+def _build(record, keys, *fields):
+    """``record(*fields)``, its ValueError turned into a ConfigError.
+
+    The record's constructor checks the fields and names the one it
+    rejects first; ``keys`` maps that name to its JSON key and raw JSON
+    value, which the ConfigError names instead.
+    """
+    try:
+        return record(*fields)
+    except ValueError as exc:
+        field, _, rule = str(exc).partition(" ")
+        key, raw = keys[field]
+        raise ConfigError(f"'{key}' {rule.rpartition(', got ')[0]}, got {raw!r}") from None
 
 
 def _number(value, where):
     """A JSON number as a float, or ConfigError naming ``where``.
 
-    Non-finite floats pass: each caller decides whether they are legal.
+    Non-finite floats pass: the record constructors decide whether they
+    are legal.
     """
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:

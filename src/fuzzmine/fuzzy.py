@@ -53,9 +53,10 @@ def membership(interval, x):
 
     The plateau test runs before the ramp tests, so degenerate ramps
     (a == b or c == d) never divide by zero: the plateau rule governs
-    those boundary points and shoulder sets behave as expected.
+    those boundary points and shoulder sets behave as expected. A NaN
+    lies outside every support and has degree 0.
     """
-    if x < interval.a or x > interval.d:
+    if not interval.a <= x <= interval.d:
         return 0.0
     if interval.b <= x <= interval.c:
         return 1.0
@@ -79,7 +80,7 @@ def classify_intervals(intervals, x):
     :func:`membership` inline for :func:`~fuzzmine.mining.mine`."""
     pairs = []
     for label, a, b, c, d in intervals:
-        if x < a or x > d:
+        if not a <= x <= d:   # also True for NaN
             continue
         degree = 1.0 if b <= x <= c else (x - a) / (b - a) if x < b else (d - x) / (d - c)
         if degree > 0.0:

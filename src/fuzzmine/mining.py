@@ -23,7 +23,9 @@ class WindowConfig(namedtuple("WindowConfig", "trigger_window consequence_window
     ``trigger_window`` bounds the time from the trigger-1 event to the
     trigger-2 event; ``consequence_window`` bounds the time from the
     trigger-2 event to the consequence event. Both windows are closed:
-    an event landing exactly on the boundary is included.
+    an event landing exactly on the boundary is included. A window that
+    is not a positive finite number raises ValueError, whose message
+    starts with the field's name.
     """
 
     __slots__ = ()
@@ -32,7 +34,7 @@ class WindowConfig(namedtuple("WindowConfig", "trigger_window consequence_window
         self = super().__new__(cls, trigger_window, consequence_window)
         for name, value in zip(self._fields, self):
             if not 0 < value <= float_info.max:   # also False for NaN and ints past it
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+                raise ValueError(f"{name} must be a positive finite number, got {value}")
         return self
 
 
@@ -72,7 +74,8 @@ class MiningConfig(namedtuple("MiningConfig", "windows vocab_t1 vocab_t2 vocab_d
                                               "min_support min_confidence",
                               defaults=(0.0, 0.0))):
     """Everything one mining run needs besides the streams themselves.
-    ``min_support`` and ``min_confidence`` default to 0."""
+    ``min_support`` and ``min_confidence`` default to 0; one outside
+    [0, 1] raises ValueError, whose message starts with the field's name."""
 
     __slots__ = ()
 
@@ -80,7 +83,7 @@ class MiningConfig(namedtuple("MiningConfig", "windows vocab_t1 vocab_t2 vocab_d
         self = super().__new__(cls, *args, **kwargs)
         for name, value in zip(self._fields[5:], self[5:]):
             if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
+                raise ValueError(f"{name} must be a number in [0, 1], got {value}")
         return self
 
 

@@ -22,7 +22,7 @@ from operator import le
 from sys import float_info
 
 from .errors import ConfigError, InputError
-from .validation import ERROR, INFO, WARNING, Finding, Record
+from .validation import INFO, WARNING, Finding, Record
 
 ROLES = ("trigger1", "trigger2", "consequence")
 
@@ -38,14 +38,18 @@ class EventStream(Record):
 
     The constructor stores ``timestamps`` and ``values`` as tuples sorted
     together by timestamp, stably, so input order among equal timestamps
-    survives; it sorts only when the timestamps are out of order. Columns
-    of unequal length, or a NaN, infinite or out-of-float-range timestamp,
-    raise ValueError.
+    survives; it sorts only when the timestamps are out of order. It is
+    the one place a stream's fields are checked: an empty name, columns
+    of unequal length, a timestamp that is negative or not a finite float
+    (NaN, infinite, or an int past the float range), or a value that is
+    not a finite float raise ValueError.
     """
 
     __slots__ = ("name", "timestamps", "values")
 
     def __init__(self, name, timestamps=(), values=()):
+        if not name:
+            raise ValueError("stream name is empty")
         times, values = tuple(timestamps), tuple(values)
         if len(times) != len(values):
             raise ValueError(f"stream {name!r} has {len(times)} timestamps "
@@ -56,6 +60,14 @@ class EventStream(Record):
         if not ordered:
             order = sorted(range(len(times)), key=times.__getitem__)
             times, values = (tuple(column[i] for i in order) for column in (times, values))
+        if times and times[0] < 0:
+            raise ValueError(f"stream {name!r} has a negative timestamp")
+        try:
+            finite = all(map(isfinite, values))
+        except OverflowError:   # an int or fraction past the float range
+            finite = False
+        if not finite:
+            raise ValueError(f"stream {name!r} has a value that is not finite")
         self._init(name, times, values)
 
     @property
@@ -220,45 +232,25 @@ def _check_event(ts, value, line):
 
 
 def validate_stream(stream, where=None):
-    """Check one stream and report findings.
+    """Findings about a stream that is legal but notable.
 
-    Errors flag invariant breaches (empty name, negative timestamps,
-    values that are not finite floats; the constructor has already
-    rejected non-finite timestamps). An empty stream is a warning since it
-    makes the mining output trivially empty, and repeated (timestamp,
-    value) events with finite values are reported informationally.
+    An empty stream is a warning, since it makes the mining output
+    trivially empty; each repeated (timestamp, value) event is reported
+    informationally. Every rule a stream's fields must meet is checked by
+    the :class:`EventStream` constructor, so there are no errors to find.
     """
     where = where or repr(stream.name)
-    findings = []
-    if not stream.name:
-        findings.append(Finding(ERROR, "stream-name", f"{where}: stream name is empty"))
     if not stream.timestamps:
-        findings.append(Finding(WARNING, "empty-stream",
-                                f"{where} has no events; no associations can involve it"))
-        return findings
-    for ts, value in zip(stream.timestamps, stream.values):
-        if ts < 0:
-            findings.append(Finding(ERROR, "event-timestamp", f"{where}: timestamps must "
-                                    f"be finite and non-negative, got {ts}"))
-        if not -_MAX <= value <= _MAX:
-            findings.append(Finding(ERROR, "event-value",
-                                    f"{where}: values must be finite, got {value}"))
+        return [Finding(WARNING, "empty-stream",
+                        f"{where} has no events; no associations can involve it")]
     repeats = Counter(zip(stream.timestamps, stream.values))
-    findings.extend(Finding(INFO, "duplicate-event", f"{where}: repeated event "
-                            f"(timestamp {ts:g}, value {value:g})")
-                    for ts, value in sorted(e for e, n in repeats.items()
-                                            if n > 1 and -_MAX <= e[1] <= _MAX))
-    return findings
+    return [Finding(INFO, "duplicate-event", f"{where}: repeated event "
+                    f"(timestamp {float(ts):g}, value {float(value):g})")
+            for ts, value in sorted(e for e, n in repeats.items() if n > 1)]
 
 
 def validate_bundle(bundle):
-    """Check a bundle: per-stream findings plus name distinctness."""
-    findings = []
-    streams = (bundle.trigger1, bundle.trigger2, bundle.consequence)
-    names = [s.name for s in streams]
-    if len(set(names)) != len(names):
-        findings.append(Finding(ERROR, "duplicate-stream",
-                                f"streams must have distinct names, got {names}"))
-    for role, stream in zip(ROLES, streams):
-        findings.extend(validate_stream(stream, where=f"{role} ({stream.name!r})"))
-    return findings
+    """The findings of :func:`validate_stream` for each stream of a
+    bundle, located by role."""
+    return [finding for role, stream in zip(ROLES, bundle)
+            for finding in validate_stream(stream, where=f"{role} ({stream.name!r})")]

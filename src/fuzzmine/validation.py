@@ -1,10 +1,13 @@
 """Validation findings reported by vocabulary, bundle, and config checks.
 
+A record's constructor checks its own fields and raises ValueError.
 Validators never raise: they return a list of findings so callers can
-decide how strict to be. Severity ``error`` marks an invariant breach,
-``warning`` marks something that is legal but probably unintended, and
-``info`` carries diagnostics such as partition properties. The module
-also holds :class:`Record`, the base of the records that are not tuples.
+decide how strict to be. They have two jobs: listing every error in a
+vocabulary at once (severity ``error``), and reporting what is legal but
+notable, either probably unintended (``warning``, such as an empty
+stream) or diagnostic (``info``, such as partition properties and
+repeated events). The module also holds :class:`Record`, the base of the
+records that are not tuples.
 """
 
 from collections import namedtuple

@@ -61,6 +61,11 @@ class TestMembership:
         assert membership(point, 5 - 1e-9) == 0.0
         assert membership(point, 5 + 1e-9) == 0.0
 
+    def test_nan_is_outside_every_support(self):
+        # LARGE's right ramp is empty (c == d): a NaN must not reach it.
+        for iv in (MEDIUM, LARGE, SMALL, GENERIC):
+            assert membership(iv, math.nan) == 0.0
+
     @given(x=st.floats(allow_nan=False, allow_infinity=False, width=32))
     def test_degree_always_within_unit_interval(self, x):
         for iv in (MEDIUM, LARGE, SMALL, GENERIC):
@@ -85,6 +90,10 @@ class TestClassify:
         result = classify(volume_vocab(), -1)
         assert result == ()
         assert not result
+
+    def test_nan_gets_no_labels(self):
+        assert classify(volume_vocab(), math.nan) == ()
+        assert classify(timing_vocab(), math.nan) == ()
 
     def test_pairs_give_labels_and_degrees(self):
         result = classify(volume_vocab(), 10.5)
