@@ -15,7 +15,6 @@ from .fuzzy import (
     FuzzyInterval,
     Vocabulary,
     classify,
-    membership,
     validate_vocabulary,
 )
 from .mining import (
@@ -59,7 +58,6 @@ __all__ = [
     "config_findings",
     "has_errors",
     "load_config",
-    "membership",
     "mine",
     "parse_config_dict",
     "parse_streams",

@@ -156,16 +156,16 @@ def _parse_vocabularies(doc):
 def _build(record, keys, *fields):
     """``record(*fields)``, its ValueError turned into a ConfigError.
 
-    The record's constructor checks the fields and names the one it
-    rejects first; ``keys`` maps that name to its JSON key and raw JSON
-    value, which the ConfigError names instead.
+    The record's constructor names the field it rejects first and the
+    rule that field breaks, not its value; ``keys`` maps the field to its
+    JSON key and raw JSON value, which the ConfigError names in its place.
     """
     try:
         return record(*fields)
     except ValueError as exc:
         field, _, rule = str(exc).partition(" ")
         key, raw = keys[field]
-        raise ConfigError(f"'{key}' {rule.rpartition(', got ')[0]}, got {raw!r}") from None
+        raise ConfigError(f"'{key}' {rule}, got {raw!r}") from None
 
 
 def _number(value, where):

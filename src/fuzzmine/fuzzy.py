@@ -5,7 +5,9 @@ degree in [0, 1]: a ramp up on [a, b], a plateau of 1 on [b, c], and a
 ramp down on [c, d]. Setting a == b or c == d collapses the corresponding
 ramp, which yields shoulder sets whose plateau extends to the edge of the
 support. A vocabulary is an ordered collection of labelled intervals over
-one dimension (e.g. stream volume, or elapsed time).
+one dimension (e.g. stream volume, or elapsed time). :func:`classify`
+gives a value's labels with their degrees; the trapezoid itself is
+written once, in :func:`classify_intervals`.
 
 All types are immutable and all functions are pure.
 """
@@ -48,23 +50,6 @@ class Vocabulary(namedtuple("Vocabulary", "name intervals")):
         return tuple(iv.label for iv in self.intervals)
 
 
-def membership(interval, x):
-    """Membership degree of ``x`` in ``interval``, in [0, 1].
-
-    The plateau test runs before the ramp tests, so degenerate ramps
-    (a == b or c == d) never divide by zero: the plateau rule governs
-    those boundary points and shoulder sets behave as expected. A NaN
-    lies outside every support and has degree 0.
-    """
-    if not interval.a <= x <= interval.d:
-        return 0.0
-    if interval.b <= x <= interval.c:
-        return 1.0
-    if x < interval.b:
-        return (x - interval.a) / (interval.b - interval.a)
-    return (interval.d - x) / (interval.d - interval.c)
-
-
 def classify(vocab, x):
     """Assign linguistic labels to ``x`` with their membership degrees.
 
@@ -76,13 +61,21 @@ def classify(vocab, x):
 
 
 def classify_intervals(intervals, x):
-    """:func:`classify` over ``(label, a, b, c, d)`` tuples, with
-    :func:`membership` inline for :func:`~fuzzmine.mining.mine`."""
+    """:func:`classify` over ``(label, a, b, c, d)`` tuples, as
+    :func:`~fuzzmine.mining.mine` holds them.
+
+    This is the one place the trapezoid is computed. A value outside
+    ``[a, d]``, or NaN, has no degree. Inside, the ramps are tested before
+    the plateau, so neither divides by zero: ``x < b`` implies ``a < b``
+    and ``x > c`` implies ``c < d``, whatever the corners, NaN included.
+    A degree that is not positive (0 at a ramp's foot, or NaN from an
+    infinite ramp) is dropped.
+    """
     pairs = []
     for label, a, b, c, d in intervals:
         if not a <= x <= d:   # also True for NaN
             continue
-        degree = 1.0 if b <= x <= c else (x - a) / (b - a) if x < b else (d - x) / (d - c)
+        degree = (x - a) / (b - a) if x < b else (d - x) / (d - c) if x > c else 1.0
         if degree > 0.0:
             pairs.append((label, degree))
     return tuple(pairs)
@@ -172,7 +165,7 @@ def _partition_finding(vocab):
         probes.append(lo / 2 + hi / 2)   # hi - lo may overflow
     lo, hi = corners[0], corners[-1]
     ruspini = all(   # a left fold: sum() compensates on Python 3.12+
-        abs(reduce(add, (membership(iv, x) for iv in vocab.intervals), 0.0) - 1.0)
+        abs(reduce(add, (degree for _, degree in classify(vocab, x)), 0.0) - 1.0)
         <= _PARTITION_TOL
         for x in probes
     )

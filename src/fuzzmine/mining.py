@@ -5,7 +5,9 @@ Three role-bound streams become rules (trigger1, trigger2) =>
 triple the two windows allow is one instance, weighing the product of
 its four membership degrees. A rule's support is its weight over that of
 all rules, its confidence its weight over that of the rules sharing its
-trigger pair. :func:`mine` does it all in one fused, deterministic pass.
+trigger pair. :func:`mine` does it all in one fused, deterministic pass
+and returns a :class:`RuleSet`, a named tuple whose ``rules`` field
+holds the rules.
 """
 
 from bisect import bisect_left, bisect_right
@@ -14,7 +16,6 @@ from itertools import product
 from sys import float_info
 
 from .fuzzy import classify_intervals
-from .validation import Record
 
 
 class WindowConfig(namedtuple("WindowConfig", "trigger_window consequence_window")):
@@ -34,7 +35,7 @@ class WindowConfig(namedtuple("WindowConfig", "trigger_window consequence_window
         self = super().__new__(cls, trigger_window, consequence_window)
         for name, value in zip(self._fields, self):
             if not 0 < value <= float_info.max:   # also False for NaN and ints past it
-                raise ValueError(f"{name} must be a positive finite number, got {value}")
+                raise ValueError(f"{name} must be a positive finite number")
         return self
 
 
@@ -48,26 +49,17 @@ class FuzzyRule(namedtuple("FuzzyRule", "l1 l2 l_dt l3 weight support confidence
         return self[:4]
 
 
-class RuleSet(Record):
+class RuleSet(namedtuple("RuleSet", "rules total_weight trigger_weights")):
     """Aggregated rules plus the weight totals their metrics divide by.
 
     ``total_weight`` is the combined weight of all aggregated instances
     and ``trigger_weights`` maps each (l1, l2) pair to the combined
     weight of its rules. :func:`mine` keeps only the rules meeting its
     config's thresholds but the totals of all, so the kept rules retain
-    the metrics they were filtered on. Iterating a rule set yields its rules.
+    the metrics they were filtered on.
     """
 
-    __slots__ = ("rules", "total_weight", "trigger_weights")
-
-    def __init__(self, rules, total_weight, trigger_weights):
-        self._init(rules, total_weight, trigger_weights)
-
-    def __iter__(self):
-        return iter(self.rules)
-
-    def __len__(self):
-        return len(self.rules)
+    __slots__ = ()
 
 
 class MiningConfig(namedtuple("MiningConfig", "windows vocab_t1 vocab_t2 vocab_dt vocab_c "
@@ -83,7 +75,7 @@ class MiningConfig(namedtuple("MiningConfig", "windows vocab_t1 vocab_t2 vocab_d
         self = super().__new__(cls, *args, **kwargs)
         for name, value in zip(self._fields[5:], self[5:]):
             if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be a number in [0, 1], got {value}")
+                raise ValueError(f"{name} must be a number in [0, 1]")
         return self
 
 

@@ -50,7 +50,7 @@ def render_json(ruleset, tree=None):
         f'      "trigger2": {_string(l2)},\n'
         f'      "weight": {_number(weight)}\n'
         "    }"
-        for l1, l2, l_dt, l3, weight, support, confidence in ruleset)
+        for l1, l2, l_dt, l3, weight, support, confidence in ruleset.rules)
     listing = f"[\n{rules}\n  ]" if rules else "[]"
     tail = "" if tree is None else f',\n  "tree": {_node(tree, "  ")}'
     return (f'{{\n  "rules": {listing},\n'
@@ -85,7 +85,7 @@ def render_table(ruleset):
     """Fixed-width table of rule tuples and their metrics."""
     rows = [
         (l1, l2, l_dt, l3, f"{weight:.6g}", f"{support:.6g}", f"{confidence:.6g}")
-        for l1, l2, l_dt, l3, weight, support, confidence in ruleset
+        for l1, l2, l_dt, l3, weight, support, confidence in ruleset.rules
     ]
     widths = [
         max(len(_COLUMNS[i]), *(len(row[i]) for row in rows)) if rows
@@ -101,7 +101,7 @@ def render_table(ruleset):
             "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
         )
     lines.append("")
-    lines.append(f"{len(ruleset)} rules, total weight {ruleset.total_weight:.6g}")
+    lines.append(f"{len(ruleset.rules)} rules, total weight {ruleset.total_weight:.6g}")
     return "\n".join(lines) + "\n"
 
 
@@ -112,7 +112,7 @@ def build_tree(ruleset):
     exactly one leaf, reachable by following its four labels from the
     root.
     """
-    return _subtree(0, "", list(ruleset))
+    return _subtree(0, "", ruleset.rules)
 
 
 def _subtree(depth, label, rules):

@@ -22,7 +22,7 @@ from operator import le
 from sys import float_info
 
 from .errors import ConfigError, InputError
-from .validation import INFO, WARNING, Finding, Record
+from .validation import INFO, WARNING, Finding
 
 ROLES = ("trigger1", "trigger2", "consequence")
 
@@ -33,7 +33,7 @@ Event = namedtuple("Event", "timestamp value")
 _MAX = float_info.max   # -_MAX <= x <= _MAX is False for NaN, ±inf and ints past it
 
 
-class EventStream(Record):
+class EventStream(namedtuple("EventStream", "name timestamps values")):
     """A named, time-ordered stream of events, held as two columns.
 
     The constructor stores ``timestamps`` and ``values`` as tuples sorted
@@ -42,12 +42,13 @@ class EventStream(Record):
     the one place a stream's fields are checked: an empty name, columns
     of unequal length, a timestamp that is negative or not a finite float
     (NaN, infinite, or an int past the float range), or a value that is
-    not a finite float raise ValueError.
+    not a finite float raise ValueError. ``_make`` and ``_replace`` skip
+    the sort and the checks.
     """
 
-    __slots__ = ("name", "timestamps", "values")
+    __slots__ = ()
 
-    def __init__(self, name, timestamps=(), values=()):
+    def __new__(cls, name, timestamps=(), values=()):
         if not name:
             raise ValueError("stream name is empty")
         times, values = tuple(timestamps), tuple(values)
@@ -68,15 +69,12 @@ class EventStream(Record):
             finite = False
         if not finite:
             raise ValueError(f"stream {name!r} has a value that is not finite")
-        self._init(name, times, values)
+        return super().__new__(cls, name, times, values)
 
     @property
     def events(self):
         """The events in time order, as ``(timestamp, value)`` named tuples."""
         return tuple(map(Event, self.timestamps, self.values))
-
-    def __len__(self):
-        return len(self.timestamps)
 
 
 class StreamBundle(namedtuple("StreamBundle", "trigger1 trigger2 consequence")):

@@ -12,6 +12,7 @@ from fuzzmine import (
     StreamBundle,
     Vocabulary,
     WindowConfig,
+    classify,
 )
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -46,6 +47,12 @@ def timing_vocab(name="timing"):
         FuzzyInterval("Short Time After", 1, 3, 5, 7),
         FuzzyInterval("Long Time After", 5, 7, 10, 10),
     ))
+
+
+def degree(interval, x):
+    """The degree of ``x`` in ``interval`` alone, as classify gives it:
+    0.0 where classify lists no label."""
+    return dict(classify(Vocabulary("one", (interval,)), x)).get(interval.label, 0.0)
 
 
 def stream(name, pairs=()):

@@ -16,13 +16,12 @@ from fuzzmine import (
     MiningConfig,
     WindowConfig,
     build_tree,
-    membership,
     mine,
     render_dot,
 )
 from fuzzmine.cli import main
 
-from common import QUICKSTART_CONFIG, QUICKSTART_CSV, QUICKSTART_RULES, points
+from common import QUICKSTART_CONFIG, QUICKSTART_CSV, QUICKSTART_RULES, degree, points
 from dot_grammar import check_dot
 from oracle import brute_force_associations, brute_force_rule_table, crisp_rule_counts
 from strategies import arbitrary_settings, crisp_settings, ruspini_settings
@@ -37,7 +36,7 @@ def test_golden_extraction_is_exact(quickstart_bundle):
     cfg = MiningConfig(WindowConfig(10, 10), points("t1", (2, 7)), points("t2", (8, 2)),
                        points("dt", (4, 10)), points("c", (10.5, 15, 7)))
     ruleset = mine(quickstart_bundle, cfg)
-    assert sorted((r.labels, r.weight) for r in ruleset) == [
+    assert sorted((r.labels, r.weight) for r in ruleset.rules) == [
         (("2.0", "8.0", "10.0", "15.0"), 1.0),
         (("2.0", "8.0", "4.0", "10.5"), 1.0),
         (("7.0", "2.0", "10.0", "7.0"), 1.0),
@@ -47,9 +46,9 @@ def test_golden_extraction_is_exact(quickstart_bundle):
 @pytest.mark.criterion(2, "golden rule set")
 def test_golden_rule_set(quickstart_bundle, quickstart_config):
     ruleset = mine(quickstart_bundle, quickstart_config.mining)
-    assert len(ruleset) == 4
+    assert len(ruleset.rules) == 4
     assert ruleset.total_weight == pytest.approx(3.0, abs=1e-9)
-    by_labels = {r.labels: r for r in ruleset}
+    by_labels = {r.labels: r for r in ruleset.rules}
     for labels, (weight, support, confidence) in QUICKSTART_RULES.items():
         rule = by_labels.get(labels)
         assert rule is not None, labels
@@ -62,11 +61,11 @@ def test_golden_rule_set(quickstart_bundle, quickstart_config):
 def test_membership_anchor_points():
     medium = FuzzyInterval("Medium Volume", 3, 6, 9, 12)
     large = FuzzyInterval("Large Volume", 9, 12, 15, 15)
-    assert membership(medium, 10.5) == pytest.approx(0.5, abs=1e-12)
-    assert membership(large, 10.5) == pytest.approx(0.5, abs=1e-12)
+    assert degree(medium, 10.5) == pytest.approx(0.5, abs=1e-12)
+    assert degree(large, 10.5) == pytest.approx(0.5, abs=1e-12)
     generic = FuzzyInterval("Example", 2, 4, 6, 8)
-    assert membership(generic, generic.a - 1) == 0.0
-    assert membership(generic, generic.a + (generic.b - generic.a) / 2) == 0.5
+    assert degree(generic, generic.a - 1) == 0.0
+    assert degree(generic, generic.a + (generic.b - generic.a) / 2) == 0.5
 
 
 @pytest.mark.criterion(4, "normalization properties")
@@ -81,9 +80,9 @@ def test_normalization_properties(case):
     assert ruleset.total_weight == pytest.approx(len(associations), abs=1e-9)
     if not ruleset.rules:
         return
-    assert sum(r.support for r in ruleset) == pytest.approx(1.0, abs=1e-9)
+    assert sum(r.support for r in ruleset.rules) == pytest.approx(1.0, abs=1e-9)
     by_pair = {}
-    for rule in ruleset:
+    for rule in ruleset.rules:
         assert rule.confidence >= rule.support - 1e-9
         by_pair.setdefault((rule.l1, rule.l2), []).append(rule)
     for rules in by_pair.values():
@@ -98,8 +97,8 @@ def test_pipeline_matches_brute_force_oracle(case):
     bundle, cfg = case
     ruleset = mine(bundle, cfg)
     expected = brute_force_rule_table(bundle, cfg)
-    assert {r.labels for r in ruleset} == set(expected)
-    for rule in ruleset:
+    assert {r.labels for r in ruleset.rules} == set(expected)
+    for rule in ruleset.rules:
         weight, support, confidence = expected[rule.labels]
         assert rule.weight == pytest.approx(weight, abs=1e-9)
         assert rule.support == pytest.approx(support, abs=1e-9)
@@ -114,8 +113,8 @@ def test_crisp_vocabularies_reduce_to_counting(case):
     bundle, cfg = case
     ruleset = mine(bundle, cfg)
     expected = crisp_rule_counts(bundle, cfg)
-    assert {r.labels for r in ruleset} == set(expected)
-    for rule in ruleset:
+    assert {r.labels for r in ruleset.rules} == set(expected)
+    for rule in ruleset.rules:
         count, support, confidence = expected[rule.labels]
         assert rule.weight == float(count)
         assert rule.support == support
@@ -146,8 +145,8 @@ def test_leaves_biject_with_rules_on_random_cases(case):
     bundle, cfg = case
     ruleset = mine(bundle, cfg)
     leaf_metrics = _collect_leaves(build_tree(ruleset))
-    assert len(leaf_metrics) == len(ruleset)
-    for rule in ruleset:
+    assert len(leaf_metrics) == len(ruleset.rules)
+    for rule in ruleset.rules:
         assert leaf_metrics[rule.labels] == (rule.support, rule.confidence)
 
 

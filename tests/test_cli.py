@@ -233,7 +233,7 @@ class TestMineCommand:
         assert "a <= b <= c <= d" in err
 
     def test_ramp_wider_than_float_range_exits_3(self, capsys, tmp_path):
-        # b - a overflows: membership() would read nan or 0 inside the ramp.
+        # b - a overflows: classify() would drop the label inside the ramp.
         doc = json.loads(QUICKSTART_CONFIG.read_text())
         doc["vocabularies"]["trigger1"].append(
             {"label": "Huge", "a": -1.5e308, "b": 1.5e308, "c": 1.6e308, "d": 1.7e308})

@@ -1,21 +1,20 @@
-"""Tests for trapezoidal membership, classification, and vocabulary checks."""
+"""Tests for trapezoidal degrees, classification, and vocabulary checks."""
 
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fuzzmine import (
     FuzzyInterval,
     Vocabulary,
     classify,
-    membership,
     validate_vocabulary,
 )
 from fuzzmine.validation import ERROR, INFO, has_errors
 
-from common import timing_vocab, volume_vocab
+from common import degree, timing_vocab, volume_vocab
 from strategies import quarters, ruspini_vocabs
 
 MEDIUM = FuzzyInterval("Medium Volume", 3, 6, 9, 12)
@@ -27,54 +26,54 @@ GENERIC = FuzzyInterval("Example", 2, 4, 6, 8)
 class TestMembership:
     def test_split_classification_point(self):
         # 10.5 sits on the overlap of the two upper volume sets.
-        assert membership(MEDIUM, 10.5) == pytest.approx(0.5, abs=1e-12)
-        assert membership(LARGE, 10.5) == pytest.approx(0.5, abs=1e-12)
+        assert degree(MEDIUM, 10.5) == pytest.approx(0.5, abs=1e-12)
+        assert degree(LARGE, 10.5) == pytest.approx(0.5, abs=1e-12)
 
     def test_outside_support_is_zero(self):
-        assert membership(GENERIC, GENERIC.a - 1) == 0.0
-        assert membership(GENERIC, GENERIC.d + 1) == 0.0
+        assert degree(GENERIC, GENERIC.a - 1) == 0.0
+        assert degree(GENERIC, GENERIC.d + 1) == 0.0
 
     def test_left_ramp_midpoint_is_half(self):
         x = GENERIC.a + (GENERIC.b - GENERIC.a) / 2
-        assert membership(GENERIC, x) == 0.5
+        assert degree(GENERIC, x) == 0.5
 
     def test_right_shoulder_plateau_reaches_edge(self):
         # c == d: the plateau governs the right edge of the support.
-        assert membership(LARGE, 15) == 1.0
+        assert degree(LARGE, 15) == 1.0
 
     def test_left_shoulder_plateau_reaches_edge(self):
-        assert membership(SMALL, 0) == 1.0
+        assert degree(SMALL, 0) == 1.0
 
     def test_plateau_is_exactly_one(self):
         for x in (4, 5, 5.5, 6):
-            assert membership(GENERIC, x) == 1.0
+            assert degree(GENERIC, x) == 1.0
 
     def test_ramp_values(self):
-        assert membership(GENERIC, 2) == 0.0
-        assert membership(GENERIC, 3) == 0.5
-        assert membership(GENERIC, 7) == 0.5
-        assert membership(GENERIC, 8) == 0.0
+        assert degree(GENERIC, 2) == 0.0
+        assert degree(GENERIC, 3) == 0.5
+        assert degree(GENERIC, 7) == 0.5
+        assert degree(GENERIC, 8) == 0.0
 
     def test_point_interval(self):
         point = FuzzyInterval("spike", 5, 5, 5, 5)
-        assert membership(point, 5) == 1.0
-        assert membership(point, 5 - 1e-9) == 0.0
-        assert membership(point, 5 + 1e-9) == 0.0
+        assert degree(point, 5) == 1.0
+        assert degree(point, 5 - 1e-9) == 0.0
+        assert degree(point, 5 + 1e-9) == 0.0
 
     def test_nan_is_outside_every_support(self):
         # LARGE's right ramp is empty (c == d): a NaN must not reach it.
         for iv in (MEDIUM, LARGE, SMALL, GENERIC):
-            assert membership(iv, math.nan) == 0.0
+            assert degree(iv, math.nan) == 0.0
 
     @given(x=st.floats(allow_nan=False, allow_infinity=False, width=32))
     def test_degree_always_within_unit_interval(self, x):
         for iv in (MEDIUM, LARGE, SMALL, GENERIC):
-            assert 0.0 <= membership(iv, x) <= 1.0
+            assert 0.0 <= degree(iv, x) <= 1.0
 
     @given(x=quarters(0, 15))
     def test_classify_reports_membership_degree(self, x):
         degrees = dict(classify(volume_vocab(), x))
-        assert degrees.get("Medium Volume", 0.0) == membership(MEDIUM, x)
+        assert degrees.get("Medium Volume", 0.0) == degree(MEDIUM, x)
 
 
 class TestClassify:
@@ -114,6 +113,14 @@ class TestClassify:
     def test_ruspini_degrees_sum_to_one(self, vocab, x):
         total = sum(degree for _, degree in classify(vocab, x))
         assert total == pytest.approx(1.0, abs=1e-12)
+
+    @given(corners=st.tuples(*[st.floats()] * 4), x=st.floats())
+    @example(corners=(0, math.nan, 5, 5), x=5)
+    def test_any_float_corners_give_degrees_in_unit_interval(self, corners, x):
+        # The ramps are tested before the plateau, so a NaN corner divides
+        # by no zero-width ramp; a NaN degree is dropped like a zero one.
+        result = classify(Vocabulary("v", (FuzzyInterval("x", *corners),)), x)
+        assert all(0.0 < d <= 1.0 for _, d in result)
 
     def test_classification_coerces_to_tuple(self):
         assert isinstance(classify(volume_vocab(), 10.5), tuple)
@@ -165,7 +172,7 @@ class TestValidateVocabulary:
         (-1.7e308, -1.6e308, -1.5e308, 1.5e308),
     ], ids=["up-ramp", "down-ramp"])
     def test_ramp_wider_than_float_range_is_an_error(self, corners):
-        # b - a or d - c overflows to inf, so membership() would give nan or 0
+        # b - a or d - c overflows to inf, so classify() would drop the label
         # where the ramp is half way up: the interval cannot be evaluated.
         vocab = Vocabulary("v", (FuzzyInterval("X", *corners),))
         findings = validate_vocabulary(vocab)

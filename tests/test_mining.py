@@ -4,6 +4,7 @@ All of it runs through mine(), the one mining entry point, and is
 checked against the independent oracle where the oracle has an answer.
 """
 
+import math
 from collections import Counter
 from itertools import product
 
@@ -52,13 +53,13 @@ def mined_triples(bundle, windows):
         points("dt", [e3.timestamp - e2.timestamp for e2 in t2 for e3 in c]),
         points("c", [e.value for e in c]))
     ruleset = mine(bundle, cfg)
-    found = Counter({tuple(map(float, r.labels)): r.weight for r in ruleset})
+    found = Counter({tuple(map(float, r.labels)): r.weight for r in ruleset.rules})
     return found, ruleset.total_weight
 
 
 def rule_table(ruleset):
     """label tuple -> (weight, support, confidence), the oracle's table form."""
-    return {r.labels: (r.weight, r.support, r.confidence) for r in ruleset}
+    return {r.labels: (r.weight, r.support, r.confidence) for r in ruleset.rules}
 
 
 def oracle_fold(bundle, cfg):
@@ -85,7 +86,7 @@ def one_triple_rules(e1, e2, e3):
     """(labels, weight) of the quickstart rules mined from a single triple."""
     bundle = StreamBundle(*(stream(name, [event])
                             for name, event in zip(STREAM_NAMES, (e1, e2, e3))))
-    return [(r.labels, r.weight) for r in mine(bundle, quickstart_mining_config())]
+    return [(r.labels, r.weight) for r in mine(bundle, quickstart_mining_config()).rules]
 
 
 def same_streams(events, windows, vocabs):
@@ -279,9 +280,9 @@ class TestAggregate:
 
     def test_quickstart_weights(self):
         ruleset = mine(quickstart_bundle(), quickstart_mining_config())
-        assert len(ruleset) == 4
+        assert len(ruleset.rules) == 4
         assert ruleset.total_weight == pytest.approx(3.0, abs=1e-9)
-        by_labels = {r.labels: r for r in ruleset}
+        by_labels = {r.labels: r for r in ruleset.rules}
         for labels, (weight, _, _) in QUICKSTART_RULES.items():
             assert by_labels[labels].weight == pytest.approx(weight, abs=1e-9)
 
@@ -291,13 +292,13 @@ class TestAggregate:
                               stream("b", [(2, 1)]),
                               stream("c", [(12, 1)]))
         ruleset = mine(bundle, quickstart_mining_config())
-        assert [(r.labels, r.weight) for r in ruleset] == [
+        assert [(r.labels, r.weight) for r in ruleset.rules] == [
             (("Small Volume", "Small Volume", "Long Time After", "Small Volume"), 2.0)]
 
     def test_empty_input(self):
         bundle = StreamBundle(EventStream("a"), EventStream("b"), EventStream("c"))
         ruleset = mine(bundle, quickstart_mining_config())
-        assert len(ruleset) == 0
+        assert len(ruleset.rules) == 0
         assert ruleset.total_weight == 0.0
         assert ruleset.trigger_weights == {}
 
@@ -306,9 +307,9 @@ class TestAggregate:
         # so no metric divides by zero.
         bundle, cfg = SUBNORMAL
         ruleset = mine(bundle, cfg)
-        assert ruleset.rules and all(r.weight > 0.0 for r in ruleset)
+        assert ruleset.rules and all(r.weight > 0.0 for r in ruleset.rules)
         assert all(w > 0.0 for w in ruleset.trigger_weights.values())
-        assert not any(r.labels.count("faint") >= 3 for r in ruleset)
+        assert not any(r.labels.count("faint") >= 3 for r in ruleset.rules)
         # Values 100 only read as faint (degree ~3e-159), so every product
         # of the one triple underflows to 0.0.
         faint, _ = same_streams([(0, 100), (1, 100)], WindowConfig(1, 1),
@@ -324,7 +325,7 @@ class TestAggregate:
             stream("b", [(2, 0.5)]),
             stream("c", [(3, 0.5)]))
         cfg = MiningConfig(WINDOWS, ZMA, ZMA, ANY, ZMA)
-        assert [(r.labels, r.weight) for r in mine(bundle, cfg)] == [
+        assert [(r.labels, r.weight) for r in mine(bundle, cfg).rules] == [
             (("z", "z", "any", "z"), 2.0),
             (("a", "z", "any", "z"), 1.0),
             (("m", "z", "any", "z"), 1.0)]
@@ -335,7 +336,7 @@ class TestAggregate:
         bundle, cfg = settings_pair
         ruleset = mine(bundle, cfg)
         assert ruleset.total_weight == oracle_fold(bundle, cfg)[0]
-        assert sum(r.weight for r in ruleset) == pytest.approx(
+        assert sum(r.weight for r in ruleset.rules) == pytest.approx(
             ruleset.total_weight, abs=1e-9)
 
     @given(settings_pair=arbitrary_settings(max_events=6))
@@ -344,14 +345,14 @@ class TestAggregate:
         bundle, cfg = settings_pair
         ruleset = mine(bundle, cfg)
         for pair, total in ruleset.trigger_weights.items():
-            rules = [r for r in ruleset if (r.l1, r.l2) == pair]
+            rules = [r for r in ruleset.rules if (r.l1, r.l2) == pair]
             assert sum(r.weight for r in rules) == pytest.approx(total, abs=1e-9)
 
 
 class TestMetrics:
     def test_quickstart_support_and_confidence(self):
         ruleset = mine(quickstart_bundle(), quickstart_mining_config())
-        by_labels = {r.labels: r for r in ruleset}
+        by_labels = {r.labels: r for r in ruleset.rules}
         for labels, (weight, sup, conf) in QUICKSTART_RULES.items():
             rule = by_labels[labels]
             assert rule.weight == pytest.approx(weight, abs=1e-9)
@@ -377,7 +378,7 @@ class TestMetrics:
 class TestApplyThresholds:
     def test_quickstart_min_support_filters_to_two_rules(self):
         pruned = mine(quickstart_bundle(), quickstart_mining_config(min_support=0.3))
-        kept = {r.labels for r in pruned}
+        kept = {r.labels for r in pruned.rules}
         assert kept == {
             ("Small Volume", "Medium Volume", "Long Time After", "Large Volume"),
             ("Medium Volume", "Small Volume", "Long Time After", "Medium Volume"),
@@ -391,7 +392,7 @@ class TestApplyThresholds:
 
     def test_full_thresholds_empty_the_set(self):
         ruleset = mine(quickstart_bundle(), quickstart_mining_config(1.0, 1.0))
-        assert len(ruleset) == 0
+        assert len(ruleset.rules) == 0
         assert ruleset.total_weight == 3.0
 
     def test_metrics_keep_pre_pruning_denominators(self):
@@ -400,7 +401,7 @@ class TestApplyThresholds:
         assert pruned.total_weight == ruleset.total_weight
         assert pruned.trigger_weights == ruleset.trigger_weights
         assert set(pruned.rules) < set(ruleset.rules)
-        rule = {r.labels: r for r in pruned}[
+        rule = {r.labels: r for r in pruned.rules}[
             ("Small Volume", "Medium Volume", "Long Time After", "Large Volume")]
         assert rule.support == pytest.approx(1 / 3, abs=1e-9)
         assert rule.confidence == pytest.approx(0.5, abs=1e-9)
@@ -409,18 +410,29 @@ class TestApplyThresholds:
 class TestMine:
     def test_quickstart_end_to_end(self):
         ruleset = mine(quickstart_bundle(), quickstart_mining_config())
-        assert len(ruleset) == 4
-        assert {r.labels for r in ruleset} == set(QUICKSTART_RULES)
+        assert len(ruleset.rules) == 4
+        assert {r.labels for r in ruleset.rules} == set(QUICKSTART_RULES)
 
     def test_thresholds_flow_through_config(self):
         cfg = quickstart_mining_config(min_support=0.3)
-        assert len(mine(quickstart_bundle(), cfg)) == 2
+        assert len(mine(quickstart_bundle(), cfg).rules) == 2
 
     def test_empty_bundle(self):
         bundle = StreamBundle(EventStream("a"), EventStream("b"), EventStream("c"))
         ruleset = mine(bundle, quickstart_mining_config())
-        assert len(ruleset) == 0
+        assert len(ruleset.rules) == 0
         assert ruleset.total_weight == 0.0
+
+    @given(bundle=bundles(max_events=5),
+           corners=st.lists(st.tuples(*[st.floats()] * 4), min_size=4, max_size=4))
+    @example(bundle=quickstart_bundle(), corners=[(0, math.nan, 15, 15)] * 4)
+    def test_any_float_corners_mine_without_raising(self, bundle, corners):
+        # A hand-built config meets no validator: whatever its corners,
+        # including NaN, infinite and unordered ones, mine() completes.
+        vocabs = (Vocabulary(name, (FuzzyInterval(name, *four),))
+                  for name, four in zip(("t1", "t2", "dt", "c"), corners))
+        ruleset = mine(bundle, MiningConfig(WINDOWS, *vocabs))
+        assert all(rule.weight > 0.0 for rule in ruleset.rules)
 
     @given(settings_pair=arbitrary_settings(max_events=6))
     @settings(max_examples=40)
@@ -429,11 +441,11 @@ class TestMine:
         ruleset = mine(bundle, cfg)
         if not ruleset.rules:
             return
-        assert sum(r.support for r in ruleset) == pytest.approx(1.0, abs=1e-9)
-        for rule in ruleset:
+        assert sum(r.support for r in ruleset.rules) == pytest.approx(1.0, abs=1e-9)
+        for rule in ruleset.rules:
             assert rule.confidence >= rule.support - 1e-9
         by_pair = {}
-        for rule in ruleset:
+        for rule in ruleset.rules:
             by_pair.setdefault((rule.l1, rule.l2), []).append(rule)
         for rules in by_pair.values():
             assert sum(r.confidence for r in rules) == pytest.approx(1.0, abs=1e-9)
@@ -455,7 +467,7 @@ class TestMine:
         ruleset = mine(bundle, cfg)
         expected = brute_force_rule_table(bundle, cfg)
         assert rule_table(ruleset) == expected
-        assert [r.labels for r in ruleset] == sorted(
+        assert [r.labels for r in ruleset.rules] == sorted(
             expected, key=lambda labels: (-expected[labels][0], labels))
         assert (ruleset.total_weight, ruleset.trigger_weights) == oracle_fold(bundle, cfg)
 
@@ -470,6 +482,15 @@ class TestConfigTypes:
             WindowConfig(float("inf"), 1)
         with pytest.raises(ValueError):   # not OverflowError
             WindowConfig(1, 10**400)
+
+    def test_rejection_names_the_field_not_the_value(self):
+        # str() of an int past the 4,300-digit limit raises its own
+        # ValueError, which would name no field.
+        with pytest.raises(ValueError, match=r"^consequence_window must be a "
+                                             r"positive finite number$"):
+            WindowConfig(1, 10**5000)
+        with pytest.raises(ValueError, match=r"^min_support must be a number in \[0, 1\]$"):
+            quickstart_mining_config(min_support=10**5000)
 
     def test_mining_config_rejects_out_of_range_thresholds(self):
         with pytest.raises(ValueError):

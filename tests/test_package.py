@@ -21,19 +21,26 @@ from fuzzmine import (
     StreamBundle,
     Vocabulary,
     WindowConfig,
+    mine,
 )
 from fuzzmine.cli import main
 
-from common import QUICKSTART_CONFIG, QUICKSTART_CSV, REPO_ROOT, quickstart_mining_config
+from common import (
+    QUICKSTART_CONFIG,
+    QUICKSTART_CSV,
+    REPO_ROOT,
+    quickstart_bundle,
+    quickstart_mining_config,
+)
 
 PUBLIC_NAMES = [
     "ConfigError", "Event", "EventStream", "Finding", "FuzzmineError",
     "FuzzyInterval", "FuzzyRule", "InputError", "MiningConfig",
     "PipelineConfig", "RuleSet", "StreamBundle", "Vocabulary", "WindowConfig",
     "build_tree", "classify", "config_findings", "has_errors", "load_config",
-    "membership", "mine", "parse_config_dict", "parse_streams",
-    "parse_streams_csv", "render_ascii", "render_dot", "render_json",
-    "render_table", "validate_bundle", "validate_stream", "validate_vocabulary",
+    "mine", "parse_config_dict", "parse_streams", "parse_streams_csv",
+    "render_ascii", "render_dot", "render_json", "render_table",
+    "validate_bundle", "validate_stream", "validate_vocabulary",
 ]
 
 # Names deleted because a surviving public name or form does their job.
@@ -41,8 +48,8 @@ REMOVED_NAMES = [
     "Classification", "NumericalAssociation", "ParseError", "RuleInstance",
     "StreamDataError", "TreeNode", "UndefinedMetricError", "aggregate",
     "apply_thresholds", "bundle_to_long_csv", "confidence", "extract_numerical",
-    "fuzzify", "ruleset_to_report", "support", "tree_from_structured",
-    "tree_to_structured",
+    "fuzzify", "membership", "ruleset_to_report", "support",
+    "tree_from_structured", "tree_to_structured",
 ]
 
 
@@ -101,11 +108,22 @@ class TestRecords:
         with pytest.raises(ValueError, match="unknown severity 'fatal'"):
             Finding("fatal", "code", "message")
 
+    @RECORDS
+    def test_every_record_is_a_slotted_named_tuple(self, record, field):
+        kind = type(record)
+        assert isinstance(record, tuple) and field in kind._fields
+        assert kind.__slots__ == ()
+        assert not {"__iter__", "__len__"} & set(vars(kind))
+
     def test_named_tuple_records_unpack_and_equal_plain_tuples(self):
         label, *corners = FuzzyInterval("S", 0, 1, 2, 3)
         assert (label, corners) == ("S", [0, 1, 2, 3])
         assert WindowConfig(2, 3) == (2, 3)
         assert Vocabulary("v", [("S", 0, 1, 2, 3)]).intervals == (("S", 0, 1, 2, 3),)
+        rules, total, weights = mine(quickstart_bundle(), quickstart_mining_config())
+        assert (len(rules), total, len(weights)) == (4, 3.0, 2)
+        name, times, values = EventStream("s", (2, 1), (20, 10))
+        assert (name, times, values) == ("s", (1, 2), (10, 20))
 
     def test_cli_imports_neither_dataclasses_nor_inspect(self):
         # dataclasses also loads inspect, ast, dis and tokenize: about 10 ms
@@ -119,6 +137,17 @@ class TestRecords:
 
 
 class TestReadme:
+    def test_library_use_block_runs(self, capsys, monkeypatch):
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"## Library use\n\n```python\n(.*?)```", readme, re.S)
+        assert block is not None
+        monkeypatch.chdir(REPO_ROOT)   # the block opens the quickstart files by relative path
+        exec(compile(block.group(1), "<README: Library use>", "exec"), {})
+        lines = capsys.readouterr().out.splitlines()
+        # One line per quickstart rule, its label tuple first, then the tree.
+        assert [line.startswith("('") for line in lines[:5]] == [True] * 4 + [False]
+        assert lines[4] == "(root)"
+
     def test_quickstart_output_matches_the_cli(self, capsys):
         readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
         command = ("fuzzmine mine --input quickstart/streams.csv "

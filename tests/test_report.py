@@ -38,7 +38,7 @@ class TestReportDocument:
     def test_json_keeps_full_precision(self):
         ruleset = quickstart_ruleset()
         parsed = json.loads(render_json(ruleset))
-        originals = {rule.labels: rule.support for rule in ruleset}
+        originals = {rule.labels: rule.support for rule in ruleset.rules}
         assert len(parsed["rules"]) == len(originals)
         for entry in parsed["rules"]:
             key = (entry["trigger1"], entry["trigger2"], entry["delta_t"],
@@ -78,7 +78,7 @@ def dumped_report(ruleset, tree):
             {"trigger1": rule.l1, "trigger2": rule.l2, "delta_t": rule.l_dt,
              "consequence": rule.l3, "weight": rule.weight,
              "support": rule.support, "confidence": rule.confidence}
-            for rule in ruleset
+            for rule in ruleset.rules
         ],
         "total_weight": ruleset.total_weight,
     }

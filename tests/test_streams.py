@@ -60,9 +60,9 @@ LONG = """timestamp,stream,value
 class TestWideLayout:
     def test_quickstart_sizes(self):
         bundle = parse_streams_csv(WIDE, ROLES)
-        assert len(bundle.trigger1) == 2
-        assert len(bundle.trigger2) == 2
-        assert len(bundle.consequence) == 3
+        assert len(bundle.trigger1.timestamps) == 2
+        assert len(bundle.trigger2.timestamps) == 2
+        assert len(bundle.consequence.timestamps) == 3
 
     def test_quickstart_events_exact(self):
         bundle = parse_streams_csv(WIDE, ROLES)
@@ -74,19 +74,19 @@ class TestWideLayout:
     def test_empty_cells_and_dashes_mean_absent(self):
         text = "timestamp,a,b,c\n1,5,,-\n"
         streams = parse_streams(text)
-        assert len(streams["a"]) == 1
-        assert len(streams["b"]) == 0
-        assert len(streams["c"]) == 0
+        assert len(streams["a"].timestamps) == 1
+        assert len(streams["b"].timestamps) == 0
+        assert len(streams["c"].timestamps) == 0
 
     def test_empty_body_yields_empty_streams(self):
         bundle = parse_streams_csv("timestamp,stream1,stream2,stream3\n", ROLES)
-        assert (len(bundle.trigger1), len(bundle.trigger2),
-                len(bundle.consequence)) == (0, 0, 0)
+        assert (len(bundle.trigger1.timestamps), len(bundle.trigger2.timestamps),
+                len(bundle.consequence.timestamps)) == (0, 0, 0)
 
     def test_unselected_streams_are_ignored(self):
         text = "timestamp,stream1,stream2,stream3,other\n1,1,2,3,4\n"
         bundle = parse_streams_csv(text, ROLES)
-        assert len(bundle.trigger1) == 1
+        assert len(bundle.trigger1.timestamps) == 1
 
     def test_absent_stream_is_config_error(self):
         with pytest.raises(ConfigError, match="stream9"):
@@ -126,9 +126,9 @@ class TestLongLayout:
 
     def test_unseen_role_name_yields_empty_stream(self):
         bundle = parse_streams_csv("timestamp,stream,value\n1,stream1,5\n", ROLES)
-        assert len(bundle.trigger1) == 1
-        assert len(bundle.trigger2) == 0
-        assert len(bundle.consequence) == 0
+        assert len(bundle.trigger1.timestamps) == 1
+        assert len(bundle.trigger2.timestamps) == 0
+        assert len(bundle.consequence.timestamps) == 0
 
     def test_empty_stream_name_rejected(self):
         with pytest.raises(InputError, match="name"):
@@ -148,7 +148,7 @@ class TestLongLayout:
 
     def test_blank_lines_skipped(self):
         text = "timestamp,stream,value\n\n1,a,5\n\n"
-        assert len(parse_streams(text)["a"]) == 1
+        assert len(parse_streams(text)["a"].timestamps) == 1
 
 
 class TestHeaderAndRoles:

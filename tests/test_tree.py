@@ -116,21 +116,21 @@ class TestBuildTree:
     def test_leaves_biject_with_rules(self, ruleset):
         tree = build_tree(ruleset)
         found = {path: metrics for path, metrics in rule_paths(tree)}
-        assert len(found) == len(ruleset)
-        for rule in ruleset:
+        assert len(found) == len(ruleset.rules)
+        for rule in ruleset.rules:
             assert found[rule.labels] == (rule.support, rule.confidence)
 
     @given(ruleset=small_rulesets())
     def test_leaf_supports_sum_like_rule_supports(self, ruleset):
         tree = build_tree(ruleset)
         leaf_sum = sum(metrics[0] for _, metrics in rule_paths(tree))
-        rule_sum = sum(rule.support for rule in ruleset)
+        rule_sum = sum(rule.support for rule in ruleset.rules)
         assert leaf_sum == pytest.approx(rule_sum, abs=1e-9)
 
     @given(ruleset=small_rulesets())
     def test_trigger1_children_match_distinct_labels(self, ruleset):
         tree = build_tree(ruleset)
-        assert len(tree["children"]) == len({rule.l1 for rule in ruleset})
+        assert len(tree["children"]) == len({rule.l1 for rule in ruleset.rules})
 
 
 class TestRenderAscii:
@@ -223,7 +223,7 @@ class TestStructuredTree:
         ruleset = ruleset_of([("a", "b", "t", "c", 0.1),
                              ("a", "b", "t", "d", 0.2)])
         path_metrics = dict(rule_paths(reported_tree(ruleset)))
-        for rule in ruleset:
+        for rule in ruleset.rules:
             assert path_metrics[rule.labels] == (rule.support, rule.confidence)
 
     @given(ruleset=small_rulesets())
