@@ -10,7 +10,6 @@ or a decision tree (text or DOT) whose JSON document the report embeds.
 """
 
 from .config import PipelineConfig, config_findings, load_config, parse_config_dict
-from .errors import ConfigError, FuzzmineError, InputError
 from .fuzzy import (
     FuzzyInterval,
     Vocabulary,
@@ -34,7 +33,7 @@ from .streams import (
     validate_bundle,
     validate_stream,
 )
-from .validation import Finding, has_errors
+from .validation import ConfigError, Finding, FuzzmineError, InputError, has_errors
 
 __version__ = "0.1.0"
 

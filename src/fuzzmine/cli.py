@@ -15,11 +15,10 @@ import os
 import sys
 
 from .config import config_findings, load_config, parse_config_dict, read_config_file
-from .errors import ConfigError, InputError
 from .mining import mine
 from .report import build_tree, render_ascii, render_dot, render_json, render_table
 from .streams import parse_streams, parse_streams_csv, validate_bundle, validate_stream
-from .validation import ERROR, Finding, has_errors
+from .validation import ERROR, ConfigError, Finding, InputError, has_errors, read_text
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -71,7 +70,8 @@ def build_parser():
 def cmd_mine(args):
     """The report for ``mine``, with its exit code."""
     cfg = load_config(args.config)
-    ruleset = mine(parse_streams_csv(_read_text(args.input), cfg.roles), cfg.mining)
+    streams = parse_streams_csv(read_text(args.input, InputError, "input file"), cfg.roles)
+    ruleset = mine(streams, cfg.mining)
     tree = build_tree(ruleset) if args.tree else None
     if args.format == "json":
         return EXIT_OK, render_json(ruleset, tree)
@@ -98,7 +98,7 @@ def cmd_validate(args):
         except ConfigError as exc:
             findings.append(Finding(ERROR, "config", str(exc)))
     if args.input:
-        text = _read_text(args.input)
+        text = read_text(args.input, InputError, "input file")
         if cfg is not None:
             try:
                 findings.extend(validate_bundle(parse_streams_csv(text, cfg.roles)))
@@ -134,16 +134,6 @@ def main(argv=None):
               file=sys.stderr)
         return EXIT_INPUT
     return code
-
-
-def _read_text(path):
-    try:
-        with open(path, encoding="utf-8-sig") as handle:
-            return handle.read()
-    except OSError as exc:
-        raise InputError(f"cannot read input file: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise InputError(f"input is not valid UTF-8: {exc}") from None
 
 
 def _write_output(text, path):

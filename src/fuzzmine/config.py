@@ -19,18 +19,19 @@ thresholds::
 """
 
 import json
-import unicodedata
 from collections import namedtuple
 
-from .errors import ConfigError
 from .fuzzy import FuzzyInterval, Vocabulary, validate_vocabulary
 from .mining import MiningConfig, WindowConfig
 from .streams import ROLES, role_names
-from .validation import ERROR, has_errors
+from .validation import ERROR, ConfigError, has_errors, read_text
 
 VOCABULARY_KEYS = ("trigger1", "trigger2", "delta_t", "consequence")
 
 _TOP_LEVEL_KEYS = ("roles", "windows", "vocabularies", "min_support", "min_confidence")
+
+# Unicode category Cc, which the stability policy fixes at these 65 code points.
+_CONTROL = frozenset(map(chr, (*range(0x20), *range(0x7F, 0xA0))))
 
 
 class PipelineConfig(namedtuple("PipelineConfig", "roles mining")):
@@ -55,13 +56,10 @@ def load_config(path):
 
 
 def read_config_file(path):
-    try:
-        with open(path, encoding="utf-8-sig") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid UTF-8: {exc}") from None
+    """The decoded JSON document of a config file, read as by
+    :func:`~fuzzmine.validation.read_text`; ConfigError if unreadable or
+    not JSON."""
+    text = read_text(path, ConfigError, f"config file {path}")
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:  # also too many digits or too deep
@@ -142,7 +140,7 @@ def _parse_vocabularies(doc):
             except UnicodeEncodeError:
                 raise ConfigError(f"'{where}.label' has an unpaired surrogate: "
                                   f"{label!r}") from None
-            if any(unicodedata.category(char) == "Cc" for char in label):
+            if not _CONTROL.isdisjoint(label):
                 # a newline or tab would split the table row or tree line
                 raise ConfigError(f"'{where}.label' has a control character: "
                                   f"{label!r}")

@@ -17,7 +17,7 @@ from functools import reduce
 from math import isfinite
 from operator import add
 
-from .validation import ERROR, INFO, Finding, has_errors
+from .validation import ERROR, INFO, Finding
 
 # Degrees are compared against 1 with this slack when probing whether a
 # vocabulary is a Ruspini partition; ramp arithmetic is exact to well
@@ -84,21 +84,19 @@ def classify_intervals(intervals, x):
 def validate_vocabulary(vocab):
     """Check a vocabulary definition and report findings.
 
-    Error findings flag invariant breaches (corner ordering, non-finite
-    corners, a ramp wider than the float range, empty or duplicate
-    labels, no intervals at all). When the definition is sound,
-    informational findings describe coverage gaps and whether the
-    vocabulary forms a Ruspini partition (membership degrees summing to
-    1 across the covered range).
+    Error findings flag invariant breaches (corner ordering, a corner
+    that is not finite or past the float range, a ramp wider than the
+    float range, empty or duplicate labels, no intervals at all). When the
+    definition is sound, informational findings list the coverage gaps in
+    ascending order and then say whether the vocabulary forms a Ruspini
+    partition (membership degrees summing to 1 across the covered range).
     """
     findings = []
     if not vocab.name:
         findings.append(Finding(ERROR, "vocabulary-name", "vocabulary name is empty"))
     if not vocab.intervals:
-        findings.append(
-            Finding(ERROR, "vocabulary-empty",
-                    f"vocabulary {vocab.name!r} has no intervals")
-        )
+        findings.append(Finding(ERROR, "vocabulary-empty",
+                                f"vocabulary {vocab.name!r} has no intervals"))
         return findings
 
     seen = set()
@@ -107,72 +105,63 @@ def validate_vocabulary(vocab):
         if not iv.label:
             findings.append(Finding(ERROR, "interval-label", f"{where}: label is empty"))
         elif iv.label in seen:
-            findings.append(
-                Finding(ERROR, "duplicate-label",
-                        f"{where}: duplicate label {iv.label!r}")
-            )
+            findings.append(Finding(ERROR, "duplicate-label",
+                                    f"{where}: duplicate label {iv.label!r}"))
         else:
             seen.add(iv.label)
-        corners = (iv.a, iv.b, iv.c, iv.d)
-        if not all(isfinite(v) for v in corners):
-            findings.append(
-                Finding(ERROR, "interval-corners",
-                        f"{where} ({iv.label!r}): corners must be finite, got {corners}")
-            )
-        elif not (iv.a <= iv.b <= iv.c <= iv.d):
-            findings.append(
-                Finding(ERROR, "interval-corners",
-                        f"{where} ({iv.label!r}): requires a <= b <= c <= d, "
-                        f"got ({iv.a:g}, {iv.b:g}, {iv.c:g}, {iv.d:g})")
-            )
-        elif not (isfinite(iv.b - iv.a) and isfinite(iv.d - iv.c)):
-            findings.append(Finding(ERROR, "interval-span", f"{where} ({iv.label!r}): "
-                                    f"a ramp is wider than the float range, got {corners}"))
-
-    if has_errors(findings):
-        return findings
-
-    findings.extend(_coverage_findings(vocab))
-    findings.append(_partition_finding(vocab))
-    return findings
+        error = _corner_error(iv)
+        if error:
+            findings.append(Finding(ERROR, error[0], f"{where} ({iv.label!r}): {error[1]}"))
+    return findings or _range_findings(vocab)   # so far, every finding is an error
 
 
-def _coverage_findings(vocab):
-    """Informational findings for ranges no interval supports."""
-    spans = sorted((iv.a, iv.d) for iv in vocab.intervals)
-    findings = []
-    _, reach = spans[0]
-    for lo, hi in spans[1:]:
-        if lo > reach:
-            findings.append(
-                Finding(INFO, "coverage-gap",
-                        f"{vocab.name}: no interval covers ({reach:g}, {lo:g})")
-            )
-        reach = max(reach, hi)
-    return findings
+def _corner_error(iv):
+    """``(code, message)`` if the corners of ``iv`` break an invariant, else None."""
+    corners = (iv.a, iv.b, iv.c, iv.d)
+    try:   # every corner: one past the float range may be too long for str()
+        if not all([isfinite(v) for v in corners]):
+            return "interval-corners", f"corners must be finite, got {corners}"
+    except OverflowError:   # an int or Fraction past the float range
+        return "interval-corners", "a corner is past the float range"
+    if not iv.a <= iv.b <= iv.c <= iv.d:
+        got = ", ".join(map(_g, corners))
+        return "interval-corners", f"requires a <= b <= c <= d, got ({got})"
+    if not (isfinite(iv.b - iv.a) and isfinite(iv.d - iv.c)):
+        return "interval-span", f"a ramp is wider than the float range, got {corners}"
+    return None
 
 
-def _partition_finding(vocab):
-    """Decide whether degrees sum to 1 across the covered range.
+def _range_findings(vocab):
+    """The coverage gaps, then whether degrees sum to 1 across the covered range.
 
-    The degree sum is piecewise linear with breakpoints only at interval
+    No interval starts or ends strictly between two consecutive corners,
+    so the span between them lies either inside some interval's [a, d] or
+    in a gap. The degree sum is piecewise linear with breakpoints only at
     corners, so checking every corner plus the midpoints between
-    consecutive corners decides the property exactly (up to float slack).
+    consecutive corners decides the Ruspini property exactly (up to float
+    slack).
     """
     corners = sorted({v for iv in vocab.intervals for v in (iv.a, iv.b, iv.c, iv.d)})
-    probes = list(corners)
+    findings, probes = [], list(corners)
     for lo, hi in zip(corners, corners[1:]):
+        if not any(iv.a <= lo and hi <= iv.d for iv in vocab.intervals):
+            findings.append(Finding(INFO, "coverage-gap",
+                                    f"{vocab.name}: no interval covers ({_g(lo)}, {_g(hi)})"))
         probes.append(lo / 2 + hi / 2)   # hi - lo may overflow
-    lo, hi = corners[0], corners[-1]
     ruspini = all(   # a left fold: sum() compensates on Python 3.12+
         abs(reduce(add, (degree for _, degree in classify(vocab, x)), 0.0) - 1.0)
         <= _PARTITION_TOL
         for x in probes
     )
-    if ruspini:
-        return Finding(INFO, "ruspini",
-                       f"{vocab.name}: memberships sum to 1 over [{lo:g}, {hi:g}] "
-                       "(Ruspini partition)")
-    return Finding(INFO, "not-ruspini",
-                   f"{vocab.name}: membership degrees do not sum to 1 everywhere "
-                   f"on [{lo:g}, {hi:g}]")
+    span = f"[{_g(corners[0])}, {_g(corners[-1])}]"
+    findings.append(
+        Finding(INFO, "ruspini", f"{vocab.name}: memberships sum to 1 over {span} "
+                                 "(Ruspini partition)") if ruspini else
+        Finding(INFO, "not-ruspini", f"{vocab.name}: membership degrees do not sum to 1 "
+                                     f"everywhere on {span}"))
+    return findings
+
+
+def _g(corner):
+    """A finite corner in ``g`` format, a Fraction too (Python 3.11 cannot format one so)."""
+    return f"{float(corner):g}"

@@ -83,25 +83,13 @@ def _number(value):
 
 def render_table(ruleset):
     """Fixed-width table of rule tuples and their metrics."""
-    rows = [
-        (l1, l2, l_dt, l3, f"{weight:.6g}", f"{support:.6g}", f"{confidence:.6g}")
-        for l1, l2, l_dt, l3, weight, support, confidence in ruleset.rules
-    ]
-    widths = [
-        max(len(_COLUMNS[i]), *(len(row[i]) for row in rows)) if rows
-        else len(_COLUMNS[i])
-        for i in range(len(_COLUMNS))
-    ]
-    lines = [
-        "  ".join(name.ljust(width) for name, width in zip(_COLUMNS, widths)).rstrip(),
-        "  ".join("-" * width for width in widths),
-    ]
-    for row in rows:
-        lines.append(
-            "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
-        )
-    lines.append("")
-    lines.append(f"{len(ruleset.rules)} rules, total weight {ruleset.total_weight:.6g}")
+    # A rule's four labels, then its weight, support and confidence to 6 digits.
+    rows = [_COLUMNS, *(rule[:4] + tuple(f"{v:.6g}" for v in rule[4:]) for rule in ruleset.rules)]
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    lines = ["  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
+             for row in rows]
+    lines.insert(1, "  ".join("-" * width for width in widths))
+    lines.append(f"\n{len(ruleset.rules)} rules, total weight {ruleset.total_weight:.6g}")
     return "\n".join(lines) + "\n"
 
 

@@ -21,8 +21,7 @@ from math import inf, isfinite
 from operator import le
 from sys import float_info
 
-from .errors import ConfigError, InputError
-from .validation import INFO, WARNING, Finding
+from .validation import INFO, WARNING, ConfigError, Finding, InputError
 
 ROLES = ("trigger1", "trigger2", "consequence")
 

@@ -1,12 +1,18 @@
-"""Validation findings reported by vocabulary, bundle, and config checks.
+"""What can be wrong with an input: errors and findings.
 
-Every record is a named tuple whose constructor checks its own fields
-and raises ValueError. Validators never raise: they return a list of
-findings so callers can decide how strict to be. They have two jobs:
-listing every error in a vocabulary at once (severity ``error``), and
-reporting what is legal but notable, either probably unintended
-(``warning``, such as an empty stream) or diagnostic (``info``, such as
-partition properties and repeated events).
+An error stops a run. There is one class per exit code of the CLI:
+:class:`InputError` (malformed or unreadable event-stream input) exits
+with 2, :class:`ConfigError` (configuration problems) with 3. Usage
+errors are handled by argparse and exit with 1.
+
+A finding is listed by ``fuzzmine validate``. Every record is a named
+tuple whose constructor checks its own fields and raises ValueError.
+Validators never raise: they return a list of findings so callers can
+decide how strict to be. They have two jobs: listing every error in a
+vocabulary at once (severity ``error``), and reporting what is legal but
+notable, either probably unintended (``warning``, such as an empty
+stream) or diagnostic (``info``, such as partition properties and
+repeated events).
 """
 
 from collections import namedtuple
@@ -16,6 +22,24 @@ WARNING = "warning"
 INFO = "info"
 
 _SEVERITIES = (ERROR, WARNING, INFO)
+
+
+class FuzzmineError(Exception):
+    """Base class for all errors raised by this package."""
+
+
+class InputError(FuzzmineError):
+    """A problem with the event-stream input, at a 1-based ``line`` if known."""
+
+    def __init__(self, message, line=None):
+        self.line = line
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
+
+
+class ConfigError(FuzzmineError):
+    """Invalid pipeline configuration (schema, roles, or vocabularies)."""
 
 
 class Finding(namedtuple("Finding", "severity code message")):
@@ -33,3 +57,15 @@ class Finding(namedtuple("Finding", "severity code message")):
 def has_errors(findings):
     """True if any finding is error-severity."""
     return any(f.severity == ERROR for f in findings)
+
+
+def read_text(path, error, what):
+    """The text of the UTF-8 file at ``path``, an optional BOM dropped; ``error``
+    naming the file as ``what`` if it cannot be read or decoded."""
+    try:
+        with open(path, encoding="utf-8-sig") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise error(f"cannot read {what}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} is not valid UTF-8: {exc}") from None

@@ -210,6 +210,14 @@ class TestMineCommand:
         assert out == ""
         assert "missing.csv" in err
 
+    def test_non_utf8_input_exits_2(self, capsys, tmp_path):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes("timestamp,stream,value\n1,stream1,2 \u00b0C\n".encode("latin-1"))
+        err = (f"fuzzmine: {bad}: input file is not valid UTF-8: 'utf-8' codec can't "
+               "decode byte 0xb0 in position 35: invalid start byte\n")
+        assert run(capsys, "mine", "--input", str(bad), "--config", CONFIG) == (2, "", err)
+        assert run(capsys, "validate", "--input", str(bad)) == (2, "", err)
+
     def test_malformed_csv_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("timestamp,stream1,stream2,stream3\n1,2\n")

@@ -1,10 +1,13 @@
 """Tests for config parsing, schema checks, and validator wiring."""
 
 import json
+import sys
+import unicodedata
 
 import pytest
 
 from fuzzmine import ConfigError, config_findings, load_config, parse_config_dict
+from fuzzmine.config import _CONTROL
 from fuzzmine.validation import INFO
 
 from common import QUICKSTART_CONFIG
@@ -62,6 +65,12 @@ class TestLoadConfig:
 
 
 class TestSchema:
+    def test_control_characters_are_unicode_category_cc(self):
+        # A label may hold no character of category Cc; config.py spells the
+        # set out rather than load unicodedata on every run.
+        chars = map(chr, range(sys.maxunicode + 1))
+        assert _CONTROL == {char for char in chars if unicodedata.category(char) == "Cc"}
+
     def test_thresholds_default_to_zero(self):
         doc = quickstart_doc()
         del doc["min_support"]

@@ -1,6 +1,7 @@
 """Tests for trapezoidal degrees, classification, and vocabulary checks."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given
@@ -12,10 +13,35 @@ from fuzzmine import (
     classify,
     validate_vocabulary,
 )
-from fuzzmine.validation import ERROR, INFO, has_errors
+from fuzzmine.validation import ERROR, INFO, Finding, has_errors
 
 from common import degree, timing_vocab, volume_vocab
 from strategies import quarters, ruspini_vocabs
+
+# Corners of valid vocabularies, signed zeros, subnormals and huge ones included.
+CORNERS = st.one_of(quarters(-3, 3), st.sampled_from([0, -0.0, 5e-324, -1e300, 1e300]))
+
+
+@st.composite
+def valid_vocabs(draw):
+    corners = draw(st.lists(st.lists(CORNERS, min_size=4, max_size=4), min_size=1, max_size=5))
+    return Vocabulary("v", [FuzzyInterval(f"L{i}", *sorted(c)) for i, c in enumerate(corners)])
+
+
+def reach_sweep_gaps(vocab):
+    """Coverage gaps by an independent sweep: intervals by their start, each
+    gap between the furthest end reached so far and the next start."""
+    spans = sorted((iv.a, iv.d) for iv in vocab.intervals)
+    gaps, (_, reach) = [], spans[0]
+    for lo, hi in spans[1:]:
+        if lo > reach:
+            gaps.append(f"{vocab.name}: no interval covers ({reach:g}, {lo:g})")
+        reach = max(reach, hi)
+    return gaps
+
+
+def unsigned_zero(message):
+    return message.replace("(-0,", "(0,").replace(", -0)", ", 0)")
 
 MEDIUM = FuzzyInterval("Medium Volume", 3, 6, 9, 12)
 LARGE = FuzzyInterval("Large Volume", 9, 12, 15, 15)
@@ -153,6 +179,11 @@ class TestValidateVocabulary:
         findings = validate_vocabulary(vocab)
         assert any(f.code == "duplicate-label" for f in findings)
 
+    def test_empty_vocabulary_name(self):
+        vocab = Vocabulary("", (FuzzyInterval("x", 0, 0, 1, 1),))
+        assert validate_vocabulary(vocab) == [
+            Finding(ERROR, "vocabulary-name", "vocabulary name is empty")]
+
     def test_empty_vocabulary(self):
         findings = validate_vocabulary(Vocabulary("v", ()))
         assert any(f.code == "vocabulary-empty" for f in findings)
@@ -166,6 +197,31 @@ class TestValidateVocabulary:
         findings = validate_vocabulary(vocab)
         assert any(f.severity == ERROR and f.code == "interval-corners"
                    for f in findings)
+
+    @pytest.mark.parametrize("corners, message", [
+        ((0, 0, 1, 10**400), "a corner is past the float range"),
+        ((0, 0, 1, Fraction(10**400)), "a corner is past the float range"),
+        ((0, 0, 1, 10**5000), "a corner is past the float range"),
+        ((math.nan, 0, 1, 10**5000), "a corner is past the float range"),
+        ((math.nan, 0, 1, -math.inf), "corners must be finite, got (nan, 0, 1, -inf)"),
+    ], ids=["int", "fraction", "int-too-long-to-print", "nan-and-int", "floats"])
+    def test_corner_past_the_float_range_is_a_finding(self, corners, message):
+        # Validators never raise: not OverflowError from isfinite(), nor
+        # ValueError from printing an int of more than 4,300 digits.
+        vocab = Vocabulary("v", (FuzzyInterval("x", *corners),))
+        assert validate_vocabulary(vocab) == [
+            Finding(ERROR, "interval-corners", f"v[0] ('x'): {message}")]
+
+    def test_fraction_corners_are_formatted(self):
+        # Python 3.11 has no "g" format for a Fraction.
+        bad = Vocabulary("v", (FuzzyInterval("x", Fraction(3), 0, 1, 2),))
+        assert [f.message for f in validate_vocabulary(bad)] == [
+            "v[0] ('x'): requires a <= b <= c <= d, got (3, 0, 1, 2)"]
+        gap = Vocabulary("v", (FuzzyInterval("x", 0, 0, Fraction(1, 2), Fraction(1, 2)),
+                               FuzzyInterval("y", Fraction(3, 4), 1, 1, 1)))
+        assert [f.message for f in validate_vocabulary(gap)] == [
+            "v: no interval covers (0.5, 0.75)",
+            "v: membership degrees do not sum to 1 everywhere on [0, 1]"]
 
     @pytest.mark.parametrize("corners", [
         (-1.5e308, 1.5e308, 1.6e308, 1.7e308),
@@ -216,3 +272,15 @@ class TestValidateVocabulary:
         findings = validate_vocabulary(vocab)
         assert not has_errors(findings)
         assert any(f.code == "ruspini" for f in findings)
+
+    @given(vocab=valid_vocabs())
+    @example(vocab=Vocabulary("v", (FuzzyInterval("c", 0, 1, 1, 1),
+                                    FuzzyInterval("b", -0.0, -0.0, -0.0, -0.0),
+                                    FuzzyInterval("a", -1, -1, -1, -1))))
+    def test_coverage_gaps_match_a_reach_sweep(self, vocab):
+        # A gap edge at zero may print as -0 or 0, as the corner set kept it.
+        findings = validate_vocabulary(vocab)
+        assert not has_errors(findings)
+        gaps = [unsigned_zero(f.message) for f in findings if f.code == "coverage-gap"]
+        assert gaps == [unsigned_zero(gap) for gap in reach_sweep_gaps(vocab)]
+        assert findings[-1].code in ("ruspini", "not-ruspini")

@@ -127,9 +127,10 @@ class TestRecords:
 
     def test_cli_imports_neither_dataclasses_nor_inspect(self):
         # dataclasses also loads inspect, ast, dis and tokenize: about 10 ms
-        # of start-up on every CLI run, which fuzzmine does not need.
-        code = ("import fuzzmine.cli, sys; "
-                "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+        # of start-up on every CLI run, which fuzzmine does not need; nor
+        # does it need the unicodedata extension or the old errors module.
+        code = ("import fuzzmine.cli, sys; print(sorted({'dataclasses', 'inspect', "
+                "'unicodedata', 'fuzzmine.errors'} & set(sys.modules)))")
         env = dict(os.environ, PYTHONPATH=str(Path(fuzzmine.__file__).parents[1]))
         child = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                                capture_output=True, text=True, check=True)
