@@ -33,7 +33,7 @@ from .streams import (
     validate_bundle,
     validate_stream,
 )
-from .validation import ConfigError, Finding, FuzzmineError, InputError, has_errors
+from .validation import ConfigError, Finding, InputError
 
 __version__ = "0.1.0"
 
@@ -42,7 +42,6 @@ __all__ = [
     "Event",
     "EventStream",
     "Finding",
-    "FuzzmineError",
     "FuzzyInterval",
     "FuzzyRule",
     "InputError",
@@ -55,7 +54,6 @@ __all__ = [
     "build_tree",
     "classify",
     "config_findings",
-    "has_errors",
     "load_config",
     "mine",
     "parse_config_dict",

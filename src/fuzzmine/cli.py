@@ -18,7 +18,7 @@ from .config import config_findings, load_config, parse_config_dict, read_config
 from .mining import mine
 from .report import build_tree, render_ascii, render_dot, render_json, render_table
 from .streams import parse_streams, parse_streams_csv, validate_bundle, validate_stream
-from .validation import ERROR, ConfigError, Finding, InputError, has_errors, read_text
+from .validation import ERROR, ConfigError, Finding, InputError, read_text
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -110,7 +110,7 @@ def cmd_validate(args):
                 findings.extend(validate_stream(streams[name]))
 
     listing = "".join(f"{finding}\n" for finding in findings) or "no findings\n"
-    return (EXIT_CONFIG if has_errors(findings) else EXIT_OK), listing
+    return (EXIT_CONFIG if any(f.severity == ERROR for f in findings) else EXIT_OK), listing
 
 
 def main(argv=None):

@@ -24,7 +24,7 @@ from collections import namedtuple
 from .fuzzy import FuzzyInterval, Vocabulary, validate_vocabulary
 from .mining import MiningConfig, WindowConfig
 from .streams import ROLES, role_names
-from .validation import ERROR, ConfigError, has_errors, read_text
+from .validation import ERROR, ConfigError, read_text
 
 VOCABULARY_KEYS = ("trigger1", "trigger2", "delta_t", "consequence")
 
@@ -48,10 +48,9 @@ def load_config(path):
     informational findings do not block loading.
     """
     cfg = parse_config_dict(read_config_file(path))
-    findings = config_findings(cfg)
-    if has_errors(findings):
-        detail = "\n".join(f"  {f}" for f in findings if f.severity == ERROR)
-        raise ConfigError(f"invalid configuration in {path}:\n{detail}")
+    errors = [f"  {f}" for f in config_findings(cfg) if f.severity == ERROR]
+    if errors:
+        raise ConfigError(f"invalid configuration in {path}:\n" + "\n".join(errors))
     return cfg
 
 

@@ -6,8 +6,8 @@ ramp down on [c, d]. Setting a == b or c == d collapses the corresponding
 ramp, which yields shoulder sets whose plateau extends to the edge of the
 support. A vocabulary is an ordered collection of labelled intervals over
 one dimension (e.g. stream volume, or elapsed time). :func:`classify`
-gives a value's labels with their degrees; the trapezoid itself is
-written once, in :func:`classify_intervals`.
+gives a value's labels with their degrees, and is the one function that
+computes the trapezoid.
 
 All types are immutable and all functions are pure.
 """
@@ -55,14 +55,8 @@ def classify(vocab, x):
 
     Returns a tuple of ``(label, degree)`` pairs for exactly those
     intervals with positive membership, in vocabulary order. An empty
-    tuple is a legal outcome: ``x`` lies outside every interval.
-    """
-    return classify_intervals(vocab.intervals, x)
-
-
-def classify_intervals(intervals, x):
-    """:func:`classify` over ``(label, a, b, c, d)`` tuples, as
-    :func:`~fuzzmine.mining.mine` holds them.
+    tuple is a legal outcome: ``x`` lies outside every interval. The
+    intervals may also be plain ``(label, a, b, c, d)`` tuples.
 
     This is the one place the trapezoid is computed. A value outside
     ``[a, d]``, or NaN, has no degree. Inside, the ramps are tested before
@@ -72,7 +66,7 @@ def classify_intervals(intervals, x):
     infinite ramp) is dropped.
     """
     pairs = []
-    for label, a, b, c, d in intervals:
+    for label, a, b, c, d in vocab.intervals:
         if not a <= x <= d:   # also True for NaN
             continue
         degree = (x - a) / (b - a) if x < b else (d - x) / (d - c) if x > c else 1.0

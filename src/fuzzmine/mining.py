@@ -15,7 +15,7 @@ from collections import defaultdict, namedtuple
 from itertools import product
 from sys import float_info
 
-from .fuzzy import classify_intervals
+from .fuzzy import Vocabulary, classify
 
 
 class WindowConfig(namedtuple("WindowConfig", "trigger_window consequence_window")):
@@ -91,10 +91,16 @@ def mine(bundle, cfg):
     order, into their rule's, their trigger pair's and the grand total,
     so every sum is bit-reproducible. A product that underflows to 0.0
     adds nothing; intervals sharing a label add into one rule.
+
+    Each vocabulary of ``cfg`` must pass
+    :func:`~fuzzmine.fuzzy.validate_vocabulary`, as every one the config
+    loader builds does. A hand-built one that does not, such as one with
+    a corner of ``10**400``, may raise.
     """
-    # Intervals as plain tuples, which classify_intervals unpacks faster than records.
-    ivs1, ivs2, ivs_dt, ivs3 = (tuple(map(tuple, vocab.intervals)) for vocab in
-                                (cfg.vocab_t1, cfg.vocab_t2, cfg.vocab_dt, cfg.vocab_c))
+    # Intervals as plain tuples, which classify unpacks faster than named tuples.
+    vocab1, vocab2, vocab_dt, vocab3 = (
+        Vocabulary(vocab.name, map(tuple, vocab.intervals))
+        for vocab in (cfg.vocab_t1, cfg.vocab_t2, cfg.vocab_dt, cfg.vocab_c))
     # The rule totals of an (l1, l2) pair sit in a flat row indexed like
     # tails, with the pair's own total in the last slot.
     tails = list(product(dict.fromkeys(cfg.vocab_dt.labels),
@@ -122,15 +128,15 @@ def mine(bundle, cfg):
             t2, group = times2[j], []
             for k in range(bisect_left(times3, t2), bisect_right(times3, t2 + span23)):
                 if degrees3[k] is None:
-                    degrees3[k] = classify_intervals(ivs3, values3[k])
+                    degrees3[k] = classify(vocab3, values3[k])
                 combos = [(slots[l_dt, l3], m_dt, m3)
-                          for l_dt, m_dt in classify_intervals(ivs_dt, times3[k] - t2)
+                          for l_dt, m_dt in classify(vocab_dt, times3[k] - t2)
                           for l3, m3 in degrees3[k]] if degrees3[k] else None
                 if combos:
                     group.append(combos)
-            window.append((classify_intervals(ivs2, values2[j]), group) if group else None)
+            window.append((classify(vocab2, values2[j]), group) if group else None)
         live = [entry for entry in window if entry]
-        d1 = classify_intervals(ivs1, v1) if live else ()
+        d1 = classify(vocab1, v1) if live else ()
         for d2, group in live:
             pairs = [(rows[l1, l2], m1 * m2) for l1, m1 in d1 for l2, m2 in d2]
             for combos in group:

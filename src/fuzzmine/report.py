@@ -40,40 +40,49 @@ def render_json(ruleset, tree=None):
     They are written here directly because the encoder's fast C path
     does not indent.
     """
-    rules = ",\n".join(
-        "    {\n"
-        f'      "confidence": {_number(confidence)},\n'
-        f'      "consequence": {_string(l3)},\n'
-        f'      "delta_t": {_string(l_dt)},\n'
-        f'      "support": {_number(support)},\n'
-        f'      "trigger1": {_string(l1)},\n'
-        f'      "trigger2": {_string(l2)},\n'
-        f'      "weight": {_number(weight)}\n'
-        "    }"
-        for l1, l2, l_dt, l3, weight, support, confidence in ruleset.rules)
-    listing = f"[\n{rules}\n  ]" if rules else "[]"
-    tail = "" if tree is None else f',\n  "tree": {_node(tree, "  ")}'
-    return (f'{{\n  "rules": {listing},\n'
-            f'  "total_weight": {_number(ruleset.total_weight)}{tail}\n}}\n')
+    out = ['{\n  "rules": [']
+    separator = "\n"
+    for l1, l2, l_dt, l3, weight, support, confidence in ruleset.rules:
+        out.append(f"{separator}    {{\n"
+                   f'      "confidence": {_number(confidence)},\n'
+                   f'      "consequence": {_string(l3)},\n'
+                   f'      "delta_t": {_string(l_dt)},\n'
+                   f'      "support": {_number(support)},\n'
+                   f'      "trigger1": {_string(l1)},\n'
+                   f'      "trigger2": {_string(l2)},\n'
+                   f'      "weight": {_number(weight)}\n'
+                   "    }")
+        separator = ",\n"
+    out.append("\n  ]" if ruleset.rules else "]")
+    out.append(f',\n  "total_weight": {_number(ruleset.total_weight)}')
+    if tree is not None:
+        out.append(',\n  "tree": ')
+        _node(tree, "  ", out)
+    out.append("\n}\n")
+    return "".join(out)
 
 
-def _node(node, pad):
-    """One tree node whose closing brace is indented by ``pad``."""
-    inner, nested = pad + "  ", pad + "    "
-    children = "[]"
-    if node["children"]:
-        children = ("[\n" + nested
-                    + (",\n" + nested).join(_node(child, nested)
-                                            for child in node["children"])
-                    + "\n" + inner + "]")
-    fields = [f'"children": {children}']
-    if "support" in node:
-        fields.append(f'"confidence": {_number(node["confidence"])}')
-    fields.append(f'"label": {_string(node["label"])}')
-    fields.append(f'"level": {_string(node["level"])}')
-    if "support" in node:
-        fields.append(f'"support": {_number(node["support"])}')
-    return "{\n" + inner + (",\n" + inner).join(fields) + "\n" + pad + "}"
+def _node(node, pad, out):
+    """Append to ``out`` the pieces of one tree node whose closing brace is
+    indented by ``pad``."""
+    inner = pad + "  "
+    if "support" in node:   # a leaf, which has no children
+        out.append(f'{{\n{inner}"children": [],\n'
+                   f'{inner}"confidence": {_number(node["confidence"])},\n'
+                   f'{inner}"label": {_string(node["label"])},\n'
+                   f'{inner}"level": {_string(node["level"])},\n'
+                   f'{inner}"support": {_number(node["support"])}\n{pad}}}')
+        return
+    out.append(f'{{\n{inner}"children": [')
+    nested = inner + "  "
+    separator = "\n" + nested
+    for child in node["children"]:
+        out.append(separator)
+        _node(child, nested, out)
+        separator = ",\n" + nested
+    out.append(f"\n{inner}]" if node["children"] else "]")
+    out.append(f',\n{inner}"label": {_string(node["label"])},\n'
+               f'{inner}"level": {_string(node["level"])}\n{pad}}}')
 
 
 def _number(value):

@@ -1,6 +1,7 @@
 """What can be wrong with an input: errors and findings.
 
-An error stops a run. There is one class per exit code of the CLI:
+An error stops a run. There is one class per exit code of the CLI, and
+no base class of their own (catch both to catch either):
 :class:`InputError` (malformed or unreadable event-stream input) exits
 with 2, :class:`ConfigError` (configuration problems) with 3. Usage
 errors are handled by argparse and exit with 1.
@@ -24,11 +25,7 @@ INFO = "info"
 _SEVERITIES = (ERROR, WARNING, INFO)
 
 
-class FuzzmineError(Exception):
-    """Base class for all errors raised by this package."""
-
-
-class InputError(FuzzmineError):
+class InputError(Exception):
     """A problem with the event-stream input, at a 1-based ``line`` if known."""
 
     def __init__(self, message, line=None):
@@ -38,7 +35,7 @@ class InputError(FuzzmineError):
         super().__init__(message)
 
 
-class ConfigError(FuzzmineError):
+class ConfigError(Exception):
     """Invalid pipeline configuration (schema, roles, or vocabularies)."""
 
 
@@ -52,11 +49,6 @@ class Finding(namedtuple("Finding", "severity code message")):
 
     def __str__(self):
         return f"{self.severity}: [{self.code}] {self.message}"
-
-
-def has_errors(findings):
-    """True if any finding is error-severity."""
-    return any(f.severity == ERROR for f in findings)
 
 
 def read_text(path, error, what):

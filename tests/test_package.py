@@ -34,22 +34,22 @@ from common import (
 )
 
 PUBLIC_NAMES = [
-    "ConfigError", "Event", "EventStream", "Finding", "FuzzmineError",
-    "FuzzyInterval", "FuzzyRule", "InputError", "MiningConfig",
-    "PipelineConfig", "RuleSet", "StreamBundle", "Vocabulary", "WindowConfig",
-    "build_tree", "classify", "config_findings", "has_errors", "load_config",
-    "mine", "parse_config_dict", "parse_streams", "parse_streams_csv",
-    "render_ascii", "render_dot", "render_json", "render_table",
-    "validate_bundle", "validate_stream", "validate_vocabulary",
+    "ConfigError", "Event", "EventStream", "Finding", "FuzzyInterval",
+    "FuzzyRule", "InputError", "MiningConfig", "PipelineConfig", "RuleSet",
+    "StreamBundle", "Vocabulary", "WindowConfig", "build_tree", "classify",
+    "config_findings", "load_config", "mine", "parse_config_dict",
+    "parse_streams", "parse_streams_csv", "render_ascii", "render_dot",
+    "render_json", "render_table", "validate_bundle", "validate_stream",
+    "validate_vocabulary",
 ]
 
 # Names deleted because a surviving public name or form does their job.
 REMOVED_NAMES = [
-    "Classification", "NumericalAssociation", "ParseError", "RuleInstance",
-    "StreamDataError", "TreeNode", "UndefinedMetricError", "aggregate",
-    "apply_thresholds", "bundle_to_long_csv", "confidence", "extract_numerical",
-    "fuzzify", "membership", "ruleset_to_report", "support",
-    "tree_from_structured", "tree_to_structured",
+    "Classification", "FuzzmineError", "NumericalAssociation", "ParseError",
+    "RuleInstance", "StreamDataError", "TreeNode", "UndefinedMetricError",
+    "aggregate", "apply_thresholds", "bundle_to_long_csv", "confidence",
+    "extract_numerical", "fuzzify", "has_errors", "membership",
+    "ruleset_to_report", "support", "tree_from_structured", "tree_to_structured",
 ]
 
 

@@ -20,7 +20,7 @@ from fuzzmine import (
     validate_bundle,
     validate_stream,
 )
-from fuzzmine.validation import INFO, WARNING, has_errors
+from fuzzmine.validation import ERROR, INFO, WARNING
 
 from common import quickstart_bundle, quickstart_mining_config, stream
 from strategies import bundles
@@ -259,7 +259,8 @@ class TestEventStream:
 
 class TestValidateBundle:
     def test_quickstart_bundle_is_clean(self):
-        assert not has_errors(validate_bundle(parse_streams_csv(WIDE, ROLES)))
+        findings = validate_bundle(parse_streams_csv(WIDE, ROLES))
+        assert ERROR not in {f.severity for f in findings}
 
     def test_empty_trigger_stream_warns(self):
         bundle = StreamBundle(EventStream("a"), stream("b", [(1, 1)]),
@@ -268,7 +269,7 @@ class TestValidateBundle:
         warnings = [f for f in findings if f.severity == WARNING]
         assert any(f.code == "empty-stream" and "trigger1" in f.message
                    for f in warnings)
-        assert not has_errors(findings)
+        assert ERROR not in {f.severity for f in findings}
 
     def test_duplicate_events_are_informational(self):
         bundle = StreamBundle(stream("a", [(1, 2), (1, 2)]),
@@ -277,7 +278,7 @@ class TestValidateBundle:
         findings = validate_bundle(bundle)
         assert any(f.severity == INFO and f.code == "duplicate-event"
                    for f in findings)
-        assert not has_errors(findings)
+        assert ERROR not in {f.severity for f in findings}
 
     def test_repeated_fraction_is_listed_as_float(self):
         # Fraction.__format__ has no "g" before Python 3.12.
