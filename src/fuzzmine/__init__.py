@@ -9,7 +9,7 @@ and confidence. The rule set can be rendered as a table, a JSON report,
 or a decision tree (text or DOT) whose JSON document the report embeds.
 """
 
-from .config import PipelineConfig, config_findings, load_config, parse_config_dict
+from .config import load_config, validate
 from .fuzzy import (
     FuzzyInterval,
     Vocabulary,
@@ -24,15 +24,7 @@ from .mining import (
     mine,
 )
 from .report import build_tree, render_ascii, render_dot, render_json, render_table
-from .streams import (
-    Event,
-    EventStream,
-    StreamBundle,
-    parse_streams,
-    parse_streams_csv,
-    validate_bundle,
-    validate_stream,
-)
+from .streams import Event, EventStream, StreamBundle, parse_streams_csv
 from .validation import ConfigError, Finding, InputError
 
 __version__ = "0.1.0"
@@ -46,24 +38,19 @@ __all__ = [
     "FuzzyRule",
     "InputError",
     "MiningConfig",
-    "PipelineConfig",
     "RuleSet",
     "StreamBundle",
     "Vocabulary",
     "WindowConfig",
     "build_tree",
     "classify",
-    "config_findings",
     "load_config",
     "mine",
-    "parse_config_dict",
-    "parse_streams",
     "parse_streams_csv",
     "render_ascii",
     "render_dot",
     "render_json",
     "render_table",
-    "validate_bundle",
-    "validate_stream",
+    "validate",
     "validate_vocabulary",
 ]

@@ -1,10 +1,10 @@
 """Command-line driver for the mining pipeline.
 
 Two subcommands: ``mine`` runs ingestion, mining, and rendering end to
-end; ``validate`` runs the config and input validators and lists their
-findings. Reports go to standard output (or ``--out``) and the listing
-to standard output, always as UTF-8 whatever the locale; diagnostics go
-to standard error. Exit codes: 0 success, 1 usage error, 2 input error
+end; ``validate`` lists the findings of :func:`fuzzmine.validate`.
+Reports go to standard output (or ``--out``) and the listing to
+standard output, always as UTF-8 whatever the locale; diagnostics go to
+standard error. Exit codes: 0 success, 1 usage error, 2 input error
 (also a report or listing that cannot be written), 3 configuration
 error (for ``validate``, also any error-severity finding).
 """
@@ -14,11 +14,11 @@ import errno
 import os
 import sys
 
-from .config import config_findings, load_config, parse_config_dict, read_config_file
+from .config import load_config, validate
 from .mining import mine
 from .report import build_tree, render_ascii, render_dot, render_json, render_table
-from .streams import parse_streams, parse_streams_csv, validate_bundle, validate_stream
-from .validation import ERROR, ConfigError, Finding, InputError, read_text
+from .streams import parse_streams_csv
+from .validation import ERROR, ConfigError, InputError, read_text
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -84,31 +84,11 @@ def cmd_mine(args):
 def cmd_validate(args):
     """The findings listing for ``validate``, with its exit code (no
     listing on a usage error)."""
-    if not args.config and not args.input:
+    if args.config is None and args.input is None:
         print("fuzzmine validate: provide --config and/or --input",
               file=sys.stderr)
         return EXIT_USAGE, None
-
-    findings = []
-    cfg = None
-    if args.config:
-        try:
-            cfg = parse_config_dict(read_config_file(args.config))
-            findings.extend(config_findings(cfg))
-        except ConfigError as exc:
-            findings.append(Finding(ERROR, "config", str(exc)))
-    if args.input:
-        text = read_text(args.input, InputError, "input file")
-        if cfg is not None:
-            try:
-                findings.extend(validate_bundle(parse_streams_csv(text, cfg.roles)))
-            except ConfigError as exc:
-                findings.append(Finding(ERROR, "roles", str(exc)))
-        else:
-            streams = parse_streams(text)
-            for name in sorted(streams):
-                findings.extend(validate_stream(streams[name]))
-
+    findings = validate(args.config, args.input)
     listing = "".join(f"{finding}\n" for finding in findings) or "no findings\n"
     return (EXIT_CONFIG if any(f.severity == ERROR for f in findings) else EXIT_OK), listing
 
@@ -130,8 +110,8 @@ def main(argv=None):
     try:
         _write_output(text, args.out)
     except OSError as exc:
-        print(f"fuzzmine: cannot write {args.out or 'standard output'}: {exc}",
-              file=sys.stderr)
+        where = "standard output" if args.out is None else args.out
+        print(f"fuzzmine: cannot write {where}: {exc}", file=sys.stderr)
         return EXIT_INPUT
     return code
 

@@ -16,6 +16,9 @@ thresholds::
     }
 
 ``min_support`` and ``min_confidence`` default to 0.
+
+:func:`load_config` gives the config a run mines; :func:`validate` lists
+the findings of ``fuzzmine validate`` about a config file and an input.
 """
 
 import json
@@ -23,8 +26,8 @@ from collections import namedtuple
 
 from .fuzzy import FuzzyInterval, Vocabulary, validate_vocabulary
 from .mining import MiningConfig, WindowConfig
-from .streams import ROLES, role_names
-from .validation import ERROR, ConfigError, read_text
+from .streams import ROLES, parse_streams, parse_streams_csv, role_names, stream_findings
+from .validation import ERROR, ConfigError, Finding, InputError, read_text
 
 VOCABULARY_KEYS = ("trigger1", "trigger2", "delta_t", "consequence")
 
@@ -48,10 +51,42 @@ def load_config(path):
     informational findings do not block loading.
     """
     cfg = parse_config_dict(read_config_file(path))
-    errors = [f"  {f}" for f in config_findings(cfg) if f.severity == ERROR]
+    errors = [f"  {f}" for f in _config_findings(cfg) if f.severity == ERROR]
     if errors:
         raise ConfigError(f"invalid configuration in {path}:\n" + "\n".join(errors))
     return cfg
+
+
+def validate(config=None, input=None):
+    """The findings of the config file at path ``config`` and then of each
+    stream of the input at path ``input``; None leaves either out.
+
+    A config that cannot be read or parsed is one ``config`` error finding.
+    Streams are located by role if the config parsed, else by sorted name;
+    roles the input does not match are one ``roles`` error finding in their
+    place. Raises InputError if the input cannot be read or parsed.
+    """
+    findings, cfg = [], None
+    if config is not None:
+        try:
+            cfg = parse_config_dict(read_config_file(config))
+        except ConfigError as exc:
+            findings.append(Finding(ERROR, "config", str(exc)))
+        else:
+            findings += _config_findings(cfg)
+    if input is None:
+        return findings
+    text = read_text(input, InputError, "input file")
+    if cfg is None:
+        streams = parse_streams(text)
+        located = [(repr(name), streams[name]) for name in sorted(streams)]
+    else:
+        try:
+            bundle = parse_streams_csv(text, cfg.roles)
+        except ConfigError as exc:
+            return findings + [Finding(ERROR, "roles", str(exc))]
+        located = [(f"{role} ({stream.name!r})", stream) for role, stream in zip(ROLES, bundle)]
+    return findings + [f for where, stream in located for f in stream_findings(where, stream)]
 
 
 def read_config_file(path):
@@ -71,7 +106,7 @@ def parse_config_dict(doc):
     Raises ConfigError naming the offending field on any schema
     violation, including a window or threshold that its record's
     constructor rejects. Vocabulary-content problems beyond shape (corner
-    ordering etc.) are left to the validators; see config_findings.
+    ordering etc.) are left to the validators; see _config_findings.
     """
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
@@ -88,7 +123,7 @@ def parse_config_dict(doc):
     return PipelineConfig(roles=roles, mining=mining)
 
 
-def config_findings(cfg):
+def _config_findings(cfg):
     """All validator findings for a parsed config (any severity)."""
     m = cfg.mining
     return [finding for vocab in (m.vocab_t1, m.vocab_t2, m.vocab_dt, m.vocab_c)

@@ -11,7 +11,8 @@ An :class:`EventStream` stores two columns, its timestamps and its values,
 sorted together by timestamp however they were given, for the miner's
 window search to read directly. Each layout is parsed in one pass straight
 into those columns; malformed input raises :class:`InputError` naming its
-line.
+line. :func:`stream_findings` lists what is legal but notable about one
+stream, for :func:`fuzzmine.validate`.
 """
 
 import csv
@@ -228,15 +229,15 @@ def _check_event(ts, value, line):
         raise InputError(f"value must be finite, got {value}", line=line)
 
 
-def validate_stream(stream, where=None):
-    """Findings about a stream that is legal but notable.
+def stream_findings(where, stream):
+    """Findings about a stream that is legal but notable, located by
+    ``where`` (how :func:`fuzzmine.validate` names the stream).
 
     An empty stream is a warning, since it makes the mining output
     trivially empty; each repeated (timestamp, value) event is reported
     informationally. Every rule a stream's fields must meet is checked by
     the :class:`EventStream` constructor, so there are no errors to find.
     """
-    where = where or repr(stream.name)
     if not stream.timestamps:
         return [Finding(WARNING, "empty-stream",
                         f"{where} has no events; no associations can involve it")]
@@ -244,10 +245,3 @@ def validate_stream(stream, where=None):
     return [Finding(INFO, "duplicate-event", f"{where}: repeated event "
                     f"(timestamp {float(ts):g}, value {float(value):g})")
             for ts, value in sorted(e for e, n in repeats.items() if n > 1)]
-
-
-def validate_bundle(bundle):
-    """The findings of :func:`validate_stream` for each stream of a
-    bundle, located by role."""
-    return [finding for role, stream in zip(ROLES, bundle)
-            for finding in validate_stream(stream, where=f"{role} ({stream.name!r})")]

@@ -203,6 +203,14 @@ class TestMineCommand:
         assert code == 2
         assert err == "fuzzmine: cannot write standard output: [Errno 32] Broken pipe\n"
 
+    @pytest.mark.parametrize("kind", ["empty", "directory"])
+    def test_failed_out_write_names_the_path(self, capsys, tmp_path, kind):
+        path = "" if kind == "empty" else str(tmp_path)
+        code, out, err = run(capsys, "mine", "--input", CSV, "--config", CONFIG,
+                             "--out", path)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"fuzzmine: cannot write {path}: [Errno ")
+
     def test_missing_input_exits_2(self, capsys):
         code, out, err = run(capsys, "mine", "--input", "missing.csv",
                              "--config", CONFIG)
@@ -345,6 +353,19 @@ class TestValidateCommand:
         code, _, err = run(capsys, "validate")
         assert code == 1
         assert "--config" in err
+
+    # An empty path names no file; it is read, and fails, as under mine.
+    def test_empty_config_path_is_a_config_error(self, capsys):
+        message = "cannot read config file : [Errno 2] No such file or directory: ''"
+        assert run(capsys, "mine", "--input", CSV, "--config", "") == (
+            3, "", f"fuzzmine: {message}\n")
+        for argv in (["--config", ""], ["--input", CSV, "--config", ""]):
+            assert run(capsys, "validate", *argv) == (3, f"error: [config] {message}\n", "")
+
+    def test_empty_input_path_is_an_input_error(self, capsys):
+        err = "fuzzmine: : cannot read input file: [Errno 2] No such file or directory: ''\n"
+        for command in ("mine", "validate"):
+            assert run(capsys, command, "--input", "", "--config", CONFIG) == (2, "", err)
 
 
 LONG_HEADER = "timestamp,stream,value\n"

@@ -6,8 +6,8 @@ import unicodedata
 
 import pytest
 
-from fuzzmine import ConfigError, config_findings, load_config, parse_config_dict
-from fuzzmine.config import _CONTROL
+from fuzzmine import ConfigError, load_config, validate
+from fuzzmine.config import _CONTROL, parse_config_dict
 from fuzzmine.validation import INFO
 
 from common import QUICKSTART_CONFIG
@@ -194,8 +194,7 @@ class TestSchema:
 
 class TestConfigFindings:
     def test_quickstart_reports_partitions(self):
-        cfg = load_config(QUICKSTART_CONFIG)
-        findings = config_findings(cfg)
+        findings = validate(QUICKSTART_CONFIG)
         ruspini = [f for f in findings if f.code == "ruspini"]
         assert len(ruspini) == 4
         assert all(f.severity == INFO for f in ruspini)

@@ -376,6 +376,8 @@ class TestMetrics:
 
 
 class TestApplyThresholds:
+    """Pruning by min_support and min_confidence, seen through mine()."""
+
     def test_quickstart_min_support_filters_to_two_rules(self):
         pruned = mine(quickstart_bundle(), quickstart_mining_config(min_support=0.3))
         kept = {r.labels for r in pruned.rules}

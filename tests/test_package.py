@@ -16,7 +16,6 @@ from fuzzmine import (
     Finding,
     FuzzyInterval,
     FuzzyRule,
-    PipelineConfig,
     RuleSet,
     StreamBundle,
     Vocabulary,
@@ -24,6 +23,7 @@ from fuzzmine import (
     mine,
 )
 from fuzzmine.cli import main
+from fuzzmine.config import PipelineConfig
 
 from common import (
     QUICKSTART_CONFIG,
@@ -35,21 +35,23 @@ from common import (
 
 PUBLIC_NAMES = [
     "ConfigError", "Event", "EventStream", "Finding", "FuzzyInterval",
-    "FuzzyRule", "InputError", "MiningConfig", "PipelineConfig", "RuleSet",
-    "StreamBundle", "Vocabulary", "WindowConfig", "build_tree", "classify",
-    "config_findings", "load_config", "mine", "parse_config_dict",
-    "parse_streams", "parse_streams_csv", "render_ascii", "render_dot",
-    "render_json", "render_table", "validate_bundle", "validate_stream",
-    "validate_vocabulary",
+    "FuzzyRule", "InputError", "MiningConfig", "RuleSet", "StreamBundle",
+    "Vocabulary", "WindowConfig", "build_tree", "classify", "load_config",
+    "mine", "parse_streams_csv", "render_ascii", "render_dot", "render_json",
+    "render_table", "validate", "validate_vocabulary",
 ]
 
-# Names deleted because a surviving public name or form does their job.
+# Names the package no longer exports because a surviving public name or
+# form does their job. Most were deleted; parse_streams, parse_config_dict
+# and PipelineConfig remain in their modules for validate() and load_config.
 REMOVED_NAMES = [
     "Classification", "FuzzmineError", "NumericalAssociation", "ParseError",
-    "RuleInstance", "StreamDataError", "TreeNode", "UndefinedMetricError",
-    "aggregate", "apply_thresholds", "bundle_to_long_csv", "confidence",
-    "extract_numerical", "fuzzify", "has_errors", "membership",
-    "ruleset_to_report", "support", "tree_from_structured", "tree_to_structured",
+    "PipelineConfig", "RuleInstance", "StreamDataError", "TreeNode",
+    "UndefinedMetricError", "aggregate", "apply_thresholds", "bundle_to_long_csv",
+    "confidence", "config_findings", "extract_numerical", "fuzzify", "has_errors",
+    "membership", "parse_config_dict", "parse_streams", "ruleset_to_report",
+    "support", "tree_from_structured", "tree_to_structured", "validate_bundle",
+    "validate_stream",
 ]
 
 

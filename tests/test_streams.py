@@ -14,15 +14,14 @@ from fuzzmine import (
     InputError,
     StreamBundle,
     mine,
-    parse_streams,
     parse_streams_csv,
     render_table,
-    validate_bundle,
-    validate_stream,
+    validate,
 )
+from fuzzmine.streams import parse_streams, stream_findings
 from fuzzmine.validation import ERROR, INFO, WARNING
 
-from common import quickstart_bundle, quickstart_mining_config, stream
+from common import QUICKSTART_CONFIG, quickstart_bundle, quickstart_mining_config, stream
 from strategies import bundles
 
 ROLES = {"trigger1": "stream1", "trigger2": "stream2", "consequence": "stream3"}
@@ -254,34 +253,43 @@ class TestEventStream:
         except ValueError:
             return
         mine(bundle, quickstart_mining_config())
-        validate_bundle(bundle)
+        for s in bundle:
+            stream_findings(repr(s.name), s)
+
+
+def validate_input(tmp_path, text):
+    """validate() of ``text`` as an input file, under the quickstart config."""
+    path = tmp_path / "streams.csv"
+    path.write_text(text, encoding="utf-8")
+    return validate(QUICKSTART_CONFIG, path)
 
 
 class TestValidateBundle:
-    def test_quickstart_bundle_is_clean(self):
-        findings = validate_bundle(parse_streams_csv(WIDE, ROLES))
+    """The findings validate() gives for the streams of an input, by role."""
+
+    def test_quickstart_bundle_is_clean(self, tmp_path):
+        findings = validate_input(tmp_path, WIDE)
         assert ERROR not in {f.severity for f in findings}
 
-    def test_empty_trigger_stream_warns(self):
-        bundle = StreamBundle(EventStream("a"), stream("b", [(1, 1)]),
-                              stream("c", [(1, 1)]))
-        findings = validate_bundle(bundle)
+    def test_empty_trigger_stream_warns(self, tmp_path):
+        # No row names stream1, so trigger1 is an empty stream.
+        findings = validate_input(tmp_path, "timestamp,stream,value\n"
+                                            "1,stream2,1\n1,stream3,1\n")
         warnings = [f for f in findings if f.severity == WARNING]
         assert any(f.code == "empty-stream" and "trigger1" in f.message
                    for f in warnings)
         assert ERROR not in {f.severity for f in findings}
 
-    def test_duplicate_events_are_informational(self):
-        bundle = StreamBundle(stream("a", [(1, 2), (1, 2)]),
-                              stream("b", [(1, 1)]),
-                              stream("c", [(1, 1)]))
-        findings = validate_bundle(bundle)
+    def test_duplicate_events_are_informational(self, tmp_path):
+        findings = validate_input(tmp_path, "timestamp,stream,value\n"
+                                            "1,stream1,2\n1,stream1,2\n"
+                                            "1,stream2,1\n1,stream3,1\n")
         assert any(f.severity == INFO and f.code == "duplicate-event"
                    for f in findings)
         assert ERROR not in {f.severity for f in findings}
 
     def test_repeated_fraction_is_listed_as_float(self):
         # Fraction.__format__ has no "g" before Python 3.12.
-        findings = validate_stream(EventStream("a", (1, 1), (Fraction(1, 2),) * 2))
+        findings = stream_findings("'a'", EventStream("a", (1, 1), (Fraction(1, 2),) * 2))
         assert [str(f) for f in findings] == [
             "info: [duplicate-event] 'a': repeated event (timestamp 1, value 0.5)"]

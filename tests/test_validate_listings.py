@@ -54,13 +54,11 @@ def load_workloads():
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", REPO_ROOT / "perfbench" / "workloads.py")
     module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module   # dataclasses looks its module up
     dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     try:
         spec.loader.exec_module(module)
     finally:
         sys.dont_write_bytecode = dont_write
-        del sys.modules[spec.name]
     return module
 
 
