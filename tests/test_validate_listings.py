@@ -1,18 +1,21 @@
 """The exact standard output, standard error and exit code of
-``fuzzmine validate``, pinned case by case.
+``fuzzmine validate`` and ``fuzzmine mine``, pinned case by case.
 
 Each case runs ``cli.main`` in-process from one directory that holds the
-quickstart files, each benchmark workload at seed 1 (generated by
+quickstart files, each benchmark workload at seeds 1 and 2 (generated by
 ``perfbench/workloads.py``, imported without writing bytecode) and a few
 faulty configs and CSVs. Every path is relative to that directory, so a
 listing or message names the same path on every machine.
 
-``validate_listings.json`` holds what each case gave when it was pinned.
-To record it again from the current code, run
+``validate_listings.json`` holds what each case gave when it was pinned:
+the exit code, standard error and, for a ``validate`` listing, standard
+output, or for a ``mine`` report the sha256 of its UTF-8 bytes. To record
+it again from the current code, run
 ``PYTHONPATH=src python tests/test_validate_listings.py``.
 """
 
 import contextlib
+import hashlib
 import importlib.util
 import io
 import json
@@ -33,6 +36,9 @@ PINNED = Path(__file__).with_name("validate_listings.json")
 WORKLOADS = ("quickstart", "dense", "sparse", "wide-vocab")
 BAD_CONFIGS = ("bad-vocabulary", "bad-roles", "not-json", "missing")
 BAD_INPUTS = ("empty", "duplicate-event", "unparseable", "missing")
+SEEDS = (1, 2)
+REPORTS = {f"{fmt}{tree and '-' + tree}": ["--format", fmt, *(tree and ["--tree", tree])]
+           for fmt in ("table", "json") for tree in ("", "ascii", "dot")}
 
 CASES = {
     **{f"{name}-{mode}": ["validate", *argv] for name in WORKLOADS for mode, argv in (
@@ -46,6 +52,16 @@ CASES = {
     **{f"input-{name}{mode}": ["validate", *argv, "--input", f"bad/{name}.csv"]
        for name in BAD_INPUTS
        for mode, argv in (("", []), ("-with-config", ["--config", "quickstart/config.json"]))},
+    **{f"mine-quickstart-{report}": ["mine", "--config", "quickstart/config.json",
+                                     "--input", "quickstart/streams.csv", *argv]
+       for report, argv in REPORTS.items()},
+    **{f"mine-{name}-{seed}-{report}": ["mine", "--config", f"{name}/config.json",
+                                        "--input", f"{name}/streams{seed}.csv", *argv]
+       for name in WORKLOADS[1:] for seed in SEEDS for report, argv in REPORTS.items()},
+    **{f"mine-config-{name}": ["mine", "--config", f"bad/{name}.json",
+                               "--input", "quickstart/streams.csv"] for name in BAD_CONFIGS},
+    **{f"mine-input-{name}": ["mine", "--config", "quickstart/config.json",
+                              "--input", f"bad/{name}.csv"] for name in BAD_INPUTS},
 }
 
 
@@ -72,6 +88,9 @@ def write_inputs(root):
         (root / name).mkdir()
         workloads.write_csv(root / name / "streams.csv", workloads.generate(spec, 1),
                             spec.layout)
+        for seed in SEEDS:
+            workloads.write_csv(root / name / f"streams{seed}.csv",
+                                workloads.generate(spec, seed), spec.layout)
         workloads.write_config(root / name / "config.json", spec)
 
     bad = root / "bad"
@@ -101,6 +120,15 @@ def run(argv):
     return code, out.buffer.getvalue().decode("utf-8"), err.getvalue()
 
 
+def outcome(case):
+    """What ``CASES[case]`` gives, as its table entry records it."""
+    code, out, err = run(CASES[case])
+    if CASES[case][0] == "mine":
+        return {"code": code, "stdout_sha256": hashlib.sha256(out.encode("utf-8")).hexdigest(),
+                "stderr": err}
+    return {"code": code, "stdout": out, "stderr": err}
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("validate-listings")
@@ -115,8 +143,7 @@ def test_every_case_is_pinned():
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_listing_bytes(inputs, monkeypatch, case):
     monkeypatch.chdir(inputs)
-    pinned = json.loads(PINNED.read_text(encoding="utf-8"))[case]
-    assert run(CASES[case]) == (pinned["code"], pinned["stdout"], pinned["stderr"])
+    assert outcome(case) == json.loads(PINNED.read_text(encoding="utf-8"))[case]
 
 
 if __name__ == "__main__":
@@ -125,8 +152,7 @@ if __name__ == "__main__":
         here = os.getcwd()
         os.chdir(scratch)
         try:
-            table = {case: dict(zip(("code", "stdout", "stderr"), run(argv)))
-                     for case, argv in sorted(CASES.items())}
+            table = {case: outcome(case) for case in sorted(CASES)}
         finally:
             os.chdir(here)
     PINNED.write_text(json.dumps(table, indent=2) + "\n", encoding="utf-8")
