@@ -939,6 +939,14 @@ class TestOutputEncoding:
         assert child.stdout == listing.encode("utf-8")
         assert (f"duplicate label {UMLAUT!r}" in listing) == repeat
 
+    def test_json_report_has_the_stdlib_encoder_bytes(self, capsys, tmp_path):
+        code, out, err = run(capsys, "mine", "--input", CSV, "--config",
+                             umlaut_config(tmp_path, False), "--format", "json",
+                             "--tree", "ascii")
+        assert (code, err) == (0, "")
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+        assert '"Gr\\u00f6\\u00dfe klein"' in out
+
     def test_unpaired_surrogate_label_is_a_config_error(self, capsys, tmp_path):
         path = tmp_path / "surrogate.json"
         path.write_text(QUICKSTART_CONFIG.read_text().replace(

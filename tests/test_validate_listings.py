@@ -146,6 +146,16 @@ def test_listing_bytes(inputs, monkeypatch, case):
     assert outcome(case) == json.loads(PINNED.read_text(encoding="utf-8"))[case]
 
 
+@pytest.mark.parametrize("case", sorted(case for case, argv in CASES.items()
+                                        if argv[0] == "mine" and "json" in argv))
+def test_json_report_has_the_stdlib_encoder_bytes(inputs, monkeypatch, case):
+    # render_json writes the bytes itself; they must be the json module's.
+    monkeypatch.chdir(inputs)
+    code, out, _ = run(CASES[case])
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch:
         write_inputs(Path(scratch))
