@@ -15,7 +15,8 @@ thresholds::
       "min_confidence": 0
     }
 
-``min_support`` and ``min_confidence`` default to 0.
+``min_support`` and ``min_confidence`` default to 0. The loader checks the
+JSON's shape; :func:`~fuzzmine.fuzzy.validate_vocabulary` checks what a vocabulary holds.
 
 :func:`load_config` gives the config a run mines; :func:`validate` lists
 the findings of ``fuzzmine validate`` about a config file and an input.
@@ -32,9 +33,6 @@ from .validation import ERROR, ConfigError, Finding, InputError, read_text
 VOCABULARY_KEYS = ("trigger1", "trigger2", "delta_t", "consequence")
 
 _TOP_LEVEL_KEYS = ("roles", "windows", "vocabularies", "min_support", "min_confidence")
-
-# Unicode category Cc, which the stability policy fixes at these 65 code points.
-_CONTROL = frozenset(map(chr, (*range(0x20), *range(0x7F, 0xA0))))
 
 
 class PipelineConfig(namedtuple("PipelineConfig", "roles mining")):
@@ -105,8 +103,8 @@ def parse_config_dict(doc):
 
     Raises ConfigError naming the offending field on any schema
     violation, including a window or threshold that its record's
-    constructor rejects. Vocabulary-content problems beyond shape (corner
-    ordering etc.) are left to the validators; see _config_findings.
+    constructor rejects. What a vocabulary holds is left to
+    validate_vocabulary; see _config_findings.
     """
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
@@ -149,14 +147,15 @@ def _parse_windows(doc):
 
 
 def _parse_vocabularies(doc):
+    """Each vocabulary's array of label and corners objects; labels pass unchecked."""
     if set(doc) != set(VOCABULARY_KEYS):
         raise ConfigError("'vocabularies' must have exactly the keys "
                           f"{', '.join(VOCABULARY_KEYS)}; got {sorted(doc)}")
     vocabs = {}
     for key in VOCABULARY_KEYS:
         entries = doc[key]
-        if not isinstance(entries, list) or not entries:
-            raise ConfigError(f"'vocabularies.{key}' must be a non-empty array")
+        if not isinstance(entries, list):
+            raise ConfigError(f"'vocabularies.{key}' must be an array")
         intervals = []
         for i, entry in enumerate(entries):
             where = f"vocabularies.{key}[{i}]"
@@ -166,21 +165,8 @@ def _parse_vocabularies(doc):
             extra = set(entry) - {"label", "a", "b", "c", "d"}
             if extra:
                 raise ConfigError(f"'{where}' has unknown keys {sorted(extra)}")
-            label = entry.get("label")
-            if not isinstance(label, str) or not label:
-                raise ConfigError(f"'{where}.label' must be a non-empty string")
-            try:   # JSON can escape a lone surrogate; UTF-8 cannot encode it
-                label.encode("utf-8")
-            except UnicodeEncodeError:
-                raise ConfigError(f"'{where}.label' has an unpaired surrogate: "
-                                  f"{label!r}") from None
-            if not _CONTROL.isdisjoint(label):
-                # a newline or tab would split the table row or tree line
-                raise ConfigError(f"'{where}.label' has a control character: "
-                                  f"{label!r}")
-            corners = {corner: _number(entry.get(corner), f"{where}.{corner}")
-                       for corner in ("a", "b", "c", "d")}
-            intervals.append(FuzzyInterval(label=label, **corners))
+            intervals.append(FuzzyInterval(entry.get("label"), *(
+                _number(entry.get(corner), f"{where}.{corner}") for corner in "abcd")))
         vocabs[key] = Vocabulary(name=key, intervals=tuple(intervals))
     return vocabs
 

@@ -24,6 +24,9 @@ from .validation import ERROR, INFO, Finding
 # below this for realistic boundaries.
 _PARTITION_TOL = 1e-9
 
+# Unicode category Cc, which the stability policy fixes at these 65 code points.
+_CONTROL = frozenset(map(chr, (*range(0x20), *range(0x7F, 0xA0))))
+
 
 class FuzzyInterval(namedtuple("FuzzyInterval", "label a b c d")):
     """One trapezoid (a, b, c, d) defining a linguistic label.
@@ -76,14 +79,15 @@ def classify(vocab, x):
 
 
 def validate_vocabulary(vocab):
-    """Check a vocabulary definition and report findings.
+    """The one check of a vocabulary's content: its findings, never an exception.
 
-    Error findings flag invariant breaches (corner ordering, a corner
-    that is not finite or past the float range, a ramp wider than the
-    float range, empty or duplicate labels, no intervals at all). When the
-    definition is sound, informational findings list the coverage gaps in
-    ascending order and then say whether the vocabulary forms a Ruspini
-    partition (membership degrees summing to 1 across the covered range).
+    Error findings flag invariant breaches (no intervals; a label that is
+    not a non-empty string, or has a control character or an unpaired
+    surrogate; a duplicate label; corners out of order, not finite or past
+    the float range; a ramp wider than the float range). Without them the
+    vocabulary mines and renders, and informational findings list the
+    coverage gaps in ascending order and then say whether the vocabulary
+    forms a Ruspini partition (degrees summing to 1 across the covered range).
     """
     findings = []
     if not vocab.name:
@@ -95,17 +99,23 @@ def validate_vocabulary(vocab):
 
     seen = set()
     for i, iv in enumerate(vocab.intervals):
-        where = f"{vocab.name}[{i}]"
-        if not iv.label:
-            findings.append(Finding(ERROR, "interval-label", f"{where}: label is empty"))
-        elif iv.label in seen:
+        where, label = f"{vocab.name}[{i}]", iv.label
+        # Checked before ``in seen``, which a list would make raise. UTF-8 encodes
+        # no surrogate code point; JSON joins an escaped pair into one character.
+        error = ("must be a non-empty string" if not isinstance(label, str) or not label else
+                 "has an unpaired surrogate" if any("\ud800" <= c <= "\udfff" for c in label) else
+                 "has a control character" if not _CONTROL.isdisjoint(label) else None)
+        if error:
+            findings.append(Finding(ERROR, "interval-label",
+                                    f"{where}: label {error}, got {label!r}"))
+        elif label in seen:
             findings.append(Finding(ERROR, "duplicate-label",
-                                    f"{where}: duplicate label {iv.label!r}"))
+                                    f"{where}: duplicate label {label!r}"))
         else:
-            seen.add(iv.label)
+            seen.add(label)
         error = _corner_error(iv)
         if error:
-            findings.append(Finding(ERROR, error[0], f"{where} ({iv.label!r}): {error[1]}"))
+            findings.append(Finding(ERROR, error[0], f"{where} ({label!r}): {error[1]}"))
     return findings or _range_findings(vocab)   # so far, every finding is an error
 
 
@@ -120,9 +130,12 @@ def _corner_error(iv):
     if not iv.a <= iv.b <= iv.c <= iv.d:
         got = ", ".join(map(_g, corners))
         return "interval-corners", f"requires a <= b <= c <= d, got ({got})"
-    if not (isfinite(iv.b - iv.a) and isfinite(iv.d - iv.c)):
-        return "interval-span", f"a ramp is wider than the float range, got {corners}"
-    return None
+    try:   # the widths classify divides by, in the corners' own arithmetic
+        if isfinite(iv.b - iv.a) and isfinite(iv.d - iv.c):
+            return None
+    except OverflowError:   # an int or Fraction width past the float range
+        pass
+    return "interval-span", f"a ramp is wider than the float range, got {corners}"
 
 
 def _range_findings(vocab):

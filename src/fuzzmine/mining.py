@@ -92,10 +92,9 @@ def mine(bundle, cfg):
     so every sum is bit-reproducible. A product that underflows to 0.0
     adds nothing; intervals sharing a label add into one rule.
 
-    Each vocabulary of ``cfg`` must pass
-    :func:`~fuzzmine.fuzzy.validate_vocabulary`, as every one the config
-    loader builds does. A hand-built one that does not, such as one with
-    a corner of ``10**400``, may raise.
+    A vocabulary of ``cfg`` with no error finding from
+    :func:`~fuzzmine.fuzzy.validate_vocabulary` mines; ``load_config``
+    returns no other kind, and one built in code with one may raise.
     """
     # Intervals as plain tuples, which classify unpacks faster than named tuples.
     vocab1, vocab2, vocab_dt, vocab3 = (

@@ -309,6 +309,20 @@ class TestValidateCommand:
         assert code == 3
         assert "error" in out
 
+    def test_every_label_error_is_listed_at_once(self, capsys, tmp_path):
+        doc = json.loads(QUICKSTART_CONFIG.read_text())
+        doc["vocabularies"]["trigger1"][0]["label"] = "Small\nVolume"
+        doc["vocabularies"]["consequence"][1]["label"] = 7
+        bad = tmp_path / "labels.json"
+        bad.write_text(json.dumps(doc))
+        assert run(capsys, "validate", "--config", str(bad)) == (3, (
+            "error: [interval-label] trigger1[0]: label has a control character, "
+            "got 'Small\\nVolume'\n"
+            "info: [ruspini] trigger2: memberships sum to 1 over [0, 15] (Ruspini partition)\n"
+            "info: [ruspini] delta_t: memberships sum to 1 over [0, 10] (Ruspini partition)\n"
+            "error: [interval-label] consequence[1]: label must be a non-empty string, "
+            "got 7\n"), "")
+
     def test_warnings_do_not_affect_exit(self, capsys, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("timestamp,stream1,stream2,stream3\n")
@@ -951,12 +965,13 @@ class TestOutputEncoding:
         path = tmp_path / "surrogate.json"
         path.write_text(QUICKSTART_CONFIG.read_text().replace(
             '"Large Volume"', '"Large \\ud800"', 1))
-        message = ("'vocabularies.trigger1[2].label' has an unpaired surrogate: "
-                   "'Large \\ud800'")
+        finding = ("error: [interval-label] trigger1[2]: label has an unpaired surrogate, "
+                   "got 'Large \\ud800'")
         assert run(capsys, "mine", "--input", CSV, "--config", str(path)) == (
-            3, "", f"fuzzmine: {message}\n")
-        assert run(capsys, "validate", "--config", str(path)) == (
-            3, f"error: [config] {message}\n", "")
+            3, "", f"fuzzmine: invalid configuration in {path}:\n  {finding}\n")
+        code, listing, err = run(capsys, "validate", "--config", str(path))
+        assert (code, err) == (3, "")
+        assert listing.startswith(f"{finding}\n") and listing.count("error") == 1
 
     @pytest.mark.parametrize("char", ["\n", "\t", "\x00", "\x7f", "\x85"],
                              ids=["newline", "tab", "nul", "del", "nel"])
@@ -966,12 +981,14 @@ class TestOutputEncoding:
         doc["vocabularies"]["trigger1"][0]["label"] = f"Small{char}Volume"
         path = tmp_path / "control.json"
         path.write_text(json.dumps(doc))
-        message = (f"'vocabularies.trigger1[0].label' has a control character: "
-                   f"{f'Small{char}Volume'!r}")
+        finding = ("error: [interval-label] trigger1[0]: label has a control character, "
+                   f"got {f'Small{char}Volume'!r}")
         assert run(capsys, "mine", "--input", CSV, "--config", str(path),
-                   "--tree", "ascii") == (3, "", f"fuzzmine: {message}\n")
-        assert run(capsys, "validate", "--input", CSV, "--config", str(path)) == (
-            3, f"error: [config] {message}\n", "")
+                   "--tree", "ascii") == (
+            3, "", f"fuzzmine: invalid configuration in {path}:\n  {finding}\n")
+        code, listing, err = run(capsys, "validate", "--input", CSV, "--config", str(path))
+        assert (code, err) == (3, "")
+        assert listing.startswith(f"{finding}\n") and listing.count("error") == 1
 
     def test_non_breaking_space_label_mines(self, capsys, tmp_path):
         # Only control characters are refused, not every non-printable one.

@@ -1,14 +1,16 @@
 """Tests for config parsing, schema checks, and validator wiring."""
 
 import json
+import re
 import sys
 import unicodedata
 
 import pytest
 
 from fuzzmine import ConfigError, load_config, validate
-from fuzzmine.config import _CONTROL, parse_config_dict
-from fuzzmine.validation import INFO
+from fuzzmine.config import parse_config_dict
+from fuzzmine.fuzzy import _CONTROL
+from fuzzmine.validation import ERROR, INFO
 
 from common import QUICKSTART_CONFIG
 
@@ -66,7 +68,7 @@ class TestLoadConfig:
 
 class TestSchema:
     def test_control_characters_are_unicode_category_cc(self):
-        # A label may hold no character of category Cc; config.py spells the
+        # A label may hold no character of category Cc; fuzzy.py spells the
         # set out rather than load unicodedata on every run.
         chars = map(chr, range(sys.maxunicode + 1))
         assert _CONTROL == {char for char in chars if unicodedata.category(char) == "Cc"}
@@ -145,11 +147,12 @@ class TestSchema:
         with pytest.raises(ConfigError, match="delta_t"):
             parse_config_dict(doc)
 
-    def test_vocabulary_must_not_be_empty(self):
+    def test_vocabulary_must_not_be_empty(self, tmp_path):
         doc = quickstart_doc()
         doc["vocabularies"]["trigger1"] = []
-        with pytest.raises(ConfigError, match="trigger1"):
-            parse_config_dict(doc)
+        with pytest.raises(ConfigError, match=r"\n  error: \[vocabulary-empty\] "
+                                              r"vocabulary 'trigger1' has no intervals$"):
+            load_config(write_config(tmp_path, doc))
 
     def test_vocabulary_entry_must_be_object(self):
         doc = quickstart_doc()
@@ -175,21 +178,25 @@ class TestSchema:
         with pytest.raises(ConfigError, match=r"delta_t\[2\]\.d"):
             parse_config_dict(doc)
 
-    def test_vocabulary_label_required(self):
+    def test_vocabulary_label_required(self, tmp_path):
         doc = quickstart_doc()
         del doc["vocabularies"]["trigger2"][0]["label"]
-        with pytest.raises(ConfigError, match=r"trigger2\[0\]\.label"):
-            parse_config_dict(doc)
+        with pytest.raises(ConfigError, match=r"\n  error: \[interval-label\] trigger2\[0\]: "
+                                              r"label must be a non-empty string, got None$"):
+            load_config(write_config(tmp_path, doc))
 
-    def test_vocabulary_label_must_encode_as_utf8(self):
+    def test_vocabulary_label_must_encode_as_utf8(self, tmp_path):
         # JSON's "\ud800" decodes to a lone surrogate, which no report can
         # write; a surrogate pair is one character and passes.
-        text = (json.dumps(quickstart_doc())
-                .replace('"Small Volume"', '"\\ud83d\\ude00 Small"', 1)
-                .replace('"Large Volume"', '"Large \\ud800"', 1))
-        with pytest.raises(ConfigError, match=r"trigger1\[2\]\.label' has an unpaired "
-                                              r"surrogate: 'Large \\ud800'"):
-            parse_config_dict(json.loads(text))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(quickstart_doc())
+                        .replace('"Small Volume"', '"\\ud83d\\ude00 Small"', 1)
+                        .replace('"Large Volume"', '"Large \\ud800"', 1), encoding="utf-8")
+        finding = ("error: [interval-label] trigger1[2]: label has an unpaired surrogate, "
+                   "got 'Large \\ud800'")
+        with pytest.raises(ConfigError, match=re.escape(f"\n  {finding}") + "$"):
+            load_config(path)
+        assert [str(f) for f in validate(path) if f.severity == ERROR] == [finding]
 
 
 class TestConfigFindings:

@@ -1,21 +1,30 @@
 """Tests for trapezoidal degrees, classification, and vocabulary checks."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fuzzmine import (
     FuzzyInterval,
+    MiningConfig,
     Vocabulary,
+    WindowConfig,
+    build_tree,
     classify,
+    mine,
+    render_ascii,
+    render_dot,
+    render_json,
+    render_table,
     validate_vocabulary,
 )
 from fuzzmine.validation import ERROR, INFO, Finding
 
-from common import degree, timing_vocab, volume_vocab
+from common import degree, quickstart_bundle, timing_vocab, volume_vocab
 from strategies import quarters, ruspini_vocabs
 
 # Corners of valid vocabularies, signed zeros, subnormals and huge ones included.
@@ -26,6 +35,28 @@ CORNERS = st.one_of(quarters(-3, 3), st.sampled_from([0, -0.0, 5e-324, -1e300, 1
 def valid_vocabs(draw):
     corners = draw(st.lists(st.lists(CORNERS, min_size=4, max_size=4), min_size=1, max_size=5))
     return Vocabulary("v", [FuzzyInterval(f"L{i}", *sorted(c)) for i, c in enumerate(corners)])
+
+
+# Anything a label or a corner of a vocabulary built in code might be.
+LABELS = st.one_of(st.text(), st.text(st.characters(categories=("Cc", "Cs", "Ll")), max_size=3),
+                   st.sampled_from(["a", "b"]), st.integers(), st.none(),
+                   st.lists(st.integers(), max_size=1))
+WILD_CORNERS = st.one_of(quarters(-1, 16), st.floats(), st.integers(-2**1025, 2**1025),
+                         st.fractions())
+
+
+@st.composite
+def wild_vocabs(draw):
+    """Up to four intervals of any labels and corners, the corners mostly
+    sorted; about half the labels and corners are tame, so some pass."""
+    intervals = []
+    for i in range(draw(st.integers(0, 4))):
+        corners = draw(st.lists(st.one_of(quarters(-1, 16), WILD_CORNERS),
+                                min_size=4, max_size=4))
+        if draw(st.sampled_from(["sort", "sort", "sort", "keep"])) == "sort":
+            corners.sort()
+        intervals.append(FuzzyInterval(draw(st.one_of(st.just(f"L{i}"), LABELS)), *corners))
+    return Vocabulary("v", intervals)
 
 
 def reach_sweep_gaps(vocab):
@@ -191,6 +222,45 @@ class TestValidateVocabulary:
     def test_empty_label(self):
         vocab = Vocabulary("v", (FuzzyInterval("", 0, 1, 2, 3),))
         assert any(f.code == "interval-label" for f in validate_vocabulary(vocab))
+
+    @pytest.mark.parametrize("label, rule", [
+        (None, "must be a non-empty string"),
+        (5, "must be a non-empty string"),
+        (["x"], "must be a non-empty string"),
+        ("a\nb", "has a control character"),
+        ("\ud800", "has an unpaired surrogate"),
+        ("\ud83d\ude00", "has an unpaired surrogate"),   # a pair only JSON would join
+    ], ids=["none", "int", "list", "newline", "lone-surrogate", "surrogate-pair"])
+    def test_label_rules(self, label, rule):
+        vocab = Vocabulary("v", (FuzzyInterval(label, 0, 0, 1, 1),
+                                 FuzzyInterval("Big", 1, 1, 2, 2)))
+        assert validate_vocabulary(vocab) == [
+            Finding(ERROR, "interval-label", f"v[0]: label {rule}, got {label!r}")]
+
+    @settings(max_examples=200)
+    @given(vocab=wild_vocabs())
+    @example(vocab=Vocabulary("v", (FuzzyInterval(["x"], 0, 0, 1, 1),)))
+    @example(vocab=Vocabulary("v", (FuzzyInterval("x", -10**308, 10**308, 10**308, 10**308),)))
+    @example(vocab=Vocabulary("v", (FuzzyInterval(5, 0, 0, 10, 10),
+                                    FuzzyInterval("Big", 10, 10, 20, 20))))
+    @example(vocab=Vocabulary("v", (FuzzyInterval("a\nb", 0, 0, 20, 20),)))
+    @example(vocab=Vocabulary("v", (FuzzyInterval("\ud800", 0, 0, 20, 20),)))
+    # b - a rounds past the float range although float(b) - a does not.
+    @example(vocab=Vocabulary("v", (FuzzyInterval("x", -1, *[int(sys.float_info.max)
+                                                             + 2**970 - 1] * 3),)))
+    def test_a_vocabulary_without_errors_mines_and_renders(self, vocab):
+        # Validators never raise, and what they pass the pipeline takes.
+        findings = validate_vocabulary(vocab)
+        if ERROR in {f.severity for f in findings}:
+            return
+        names = ("trigger1", "trigger2", "delta_t", "consequence")
+        cfg = MiningConfig(WindowConfig(10, 10),
+                           *(Vocabulary(name, vocab.intervals) for name in names))
+        ruleset = mine(quickstart_bundle(), cfg)
+        tree = build_tree(ruleset)
+        for text in (render_table(ruleset), render_json(ruleset, tree), render_ascii(tree),
+                     render_dot(tree)):
+            text.encode("utf-8")
 
     def test_non_finite_corner(self):
         vocab = Vocabulary("v", (FuzzyInterval("inf", 0, 1, 2, math.inf),))
