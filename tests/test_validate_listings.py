@@ -36,7 +36,7 @@ PINNED = Path(__file__).with_name("validate_listings.json")
 WORKLOADS = ("quickstart", "dense", "sparse", "wide-vocab")
 BAD_CONFIGS = ("bad-vocabulary", "bad-roles", "not-json", "missing")
 BAD_INPUTS = ("empty", "duplicate-event", "unparseable", "missing")
-SEEDS = (1, 2)
+SEED_CSVS = {1: "streams.csv", 2: "streams2.csv"}   # each workload's CSV at each seed
 REPORTS = {f"{fmt}{tree and '-' + tree}": ["--format", fmt, *(tree and ["--tree", tree])]
            for fmt in ("table", "json") for tree in ("", "ascii", "dot")}
 
@@ -56,8 +56,9 @@ CASES = {
                                      "--input", "quickstart/streams.csv", *argv]
        for report, argv in REPORTS.items()},
     **{f"mine-{name}-{seed}-{report}": ["mine", "--config", f"{name}/config.json",
-                                        "--input", f"{name}/streams{seed}.csv", *argv]
-       for name in WORKLOADS[1:] for seed in SEEDS for report, argv in REPORTS.items()},
+                                        "--input", f"{name}/{csv_name}", *argv]
+       for name in WORKLOADS[1:] for seed, csv_name in SEED_CSVS.items()
+       for report, argv in REPORTS.items()},
     **{f"mine-config-{name}": ["mine", "--config", f"bad/{name}.json",
                                "--input", "quickstart/streams.csv"] for name in BAD_CONFIGS},
     **{f"mine-input-{name}": ["mine", "--config", "quickstart/config.json",
@@ -86,11 +87,9 @@ def write_inputs(root):
     shutil.copy(QUICKSTART_CSV, root / "quickstart" / "streams.csv")
     for name, spec in workloads.SPECS.items():
         (root / name).mkdir()
-        workloads.write_csv(root / name / "streams.csv", workloads.generate(spec, 1),
-                            spec.layout)
-        for seed in SEEDS:
-            workloads.write_csv(root / name / f"streams{seed}.csv",
-                                workloads.generate(spec, seed), spec.layout)
+        for seed, csv_name in SEED_CSVS.items():
+            workloads.write_csv(root / name / csv_name, workloads.generate(spec, seed),
+                                spec.layout)
         workloads.write_config(root / name / "config.json", spec)
 
     bad = root / "bad"
