@@ -68,13 +68,14 @@ def build_parser():
 
 
 def cmd_mine(args):
-    """The report for ``mine``, with its exit code."""
+    """The report for ``mine``, with its exit code: the text, or for JSON
+    the function that passes the text to a writer as it renders it."""
     cfg = load_config(args.config)
     streams = parse_streams_csv(read_text(args.input, InputError, "input file"), cfg.roles)
     ruleset = mine(streams, cfg.mining)
     tree = build_tree(ruleset) if args.tree else None
     if args.format == "json":
-        return EXIT_OK, render_json(ruleset, tree)
+        return EXIT_OK, lambda write: render_json(ruleset, tree, write)
     text = render_table(ruleset)
     if tree is not None:
         text += "\n" + {"ascii": render_ascii, "dot": render_dot}[args.tree](tree)
@@ -98,17 +99,17 @@ def main(argv=None):
     (or ``--out``), the only place the CLI writes either."""
     args = build_parser().parse_args(argv)
     try:
-        code, text = args.func(args)
+        code, report = args.func(args)
     except InputError as exc:
         print(f"fuzzmine: {args.input}: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ConfigError as exc:
         print(f"fuzzmine: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if text is None:
+    if report is None:
         return code
     try:
-        _write_output(text, args.out)
+        _write_output(report, args.out)
     except OSError as exc:
         where = "standard output" if args.out is None else args.out
         print(f"fuzzmine: cannot write {where}: {exc}", file=sys.stderr)
@@ -116,22 +117,19 @@ def main(argv=None):
     return code
 
 
-def _write_output(text, path):
-    """Write ``text`` as UTF-8 to ``path``, or to standard output if None.
+def _write_output(report, path):
+    """Write ``report`` as UTF-8 to ``path``, or to standard output if None.
     A file name Python decoded with surrogateescape goes back to its bytes."""
-    data = text.encode("utf-8", "surrogateescape")
     if path is not None:
         with open(path, "wb") as handle:
-            handle.write(data)
+            _send(report, handle)
         return
     out = sys.stdout
     if out is None:   # standard output was closed before the run
         raise OSError(errno.EBADF, os.strerror(errno.EBADF))
     try:   # every byte, now: a short write or the flush at exit must lose none
         out.flush()
-        data = memoryview(data)
-        while data:
-            data = data[out.buffer.write(data) or 0:]   # None: would block, retry
+        _send(report, out.buffer)
         out.buffer.flush()
     except OSError:
         # Python flushes standard output again at exit: drop what it holds.
@@ -139,3 +137,16 @@ def _write_output(text, path):
         os.dup2(devnull, out.fileno())
         os.close(devnull)
         raise
+
+
+def _send(report, sink):
+    """Write to the binary ``sink`` a text, or what a function passes to
+    the writer it is given (in pieces, each ending on a whole character)."""
+    def write(text):
+        data = memoryview(text.encode("utf-8", "surrogateescape"))
+        while data:
+            data = data[sink.write(data) or 0:]   # None: would block, retry
+    if callable(report):
+        report(write)
+    else:
+        write(report)

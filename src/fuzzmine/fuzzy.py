@@ -83,11 +83,12 @@ def validate_vocabulary(vocab):
 
     Error findings flag invariant breaches (no intervals; a label that is
     not a non-empty string, or has a control character or an unpaired
-    surrogate; a duplicate label; corners out of order, not finite or past
-    the float range; a ramp wider than the float range). Without them the
-    vocabulary mines and renders, and informational findings list the
-    coverage gaps in ascending order and then say whether the vocabulary
-    forms a Ruspini partition (degrees summing to 1 across the covered range).
+    surrogate; a duplicate label; corners that are not int, float or
+    Fraction, out of order, not finite or past the float range; a ramp
+    wider than the float range). Without them the vocabulary mines and
+    renders, and informational findings list the coverage gaps in
+    ascending order and then say whether the vocabulary forms a Ruspini
+    partition (degrees summing to 1 across the covered range).
     """
     findings = []
     if not vocab.name:
@@ -122,6 +123,11 @@ def validate_vocabulary(vocab):
 def _corner_error(iv):
     """``(code, message)`` if the corners of ``iv`` break an invariant, else None."""
     corners = (iv.a, iv.b, iv.c, iv.d)
+    if not all(isinstance(v, (int, float)) for v in corners):
+        from fractions import Fraction   # imported only for a vocabulary built in code
+        if not all(isinstance(v, (int, float, Fraction)) for v in corners):
+            kinds = ", ".join(type(v).__name__ for v in corners)
+            return "interval-corners", f"corners must be int, float or Fraction, got ({kinds})"
     try:   # every corner: one past the float range may be too long for str()
         if not all([isfinite(v) for v in corners]):
             return "interval-corners", f"corners must be finite, got {corners}"

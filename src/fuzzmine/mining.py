@@ -90,7 +90,7 @@ def mine(bundle, cfg):
     it. Instances are added one at a time, in (t1, t2, t3) then label
     order, into their rule's, their trigger pair's and the grand total,
     so every sum is bit-reproducible. A product that underflows to 0.0
-    adds nothing; intervals sharing a label add into one rule.
+    adds nothing.
 
     A vocabulary of ``cfg`` with no error finding from
     :func:`~fuzzmine.fuzzy.validate_vocabulary` mines; ``load_config``

@@ -30,18 +30,21 @@ _COLUMNS = ("trigger1", "trigger2", "delta_t", "consequence",
 # json's spelling of the floats whose repr is not a JSON number.
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
+_PIECE = 1 << 16   # characters of report text (ASCII, so bytes) per write
 
-def render_json(ruleset, tree=None):
+
+def render_json(ruleset, tree=None, write=None):
     """The JSON report: rules, total weight and, if given, the tree.
 
     ``tree`` must be the document of :func:`build_tree`; its nodes are
     written by that schema. The bytes are those the :mod:`json` encoder
     writes with a 2-space indent and sorted keys, plus a final newline.
     They are written here directly because the encoder's fast C path
-    does not indent.
+    does not indent. With ``write``, the report is passed to it in order,
+    in strings of about 64 KiB, and None is returned.
     """
     out = ['{\n  "rules": [']
-    separator = "\n"
+    separator, size = "\n", 0
     for l1, l2, l_dt, l3, weight, support, confidence in ruleset.rules:
         out.append(f"{separator}    {{\n"
                    f'      "confidence": {_number(confidence)},\n'
@@ -53,18 +56,26 @@ def render_json(ruleset, tree=None):
                    f'      "weight": {_number(weight)}\n'
                    "    }")
         separator = ",\n"
+        size += len(out[-1])
+        if size >= _PIECE and write is not None:
+            write("".join(out))
+            out.clear()
+            size = 0
     out.append("\n  ]" if ruleset.rules else "]")
     out.append(f',\n  "total_weight": {_number(ruleset.total_weight)}')
     if tree is not None:
         out.append(',\n  "tree": ')
-        _node(tree, "  ", out)
+        _node(tree, "  ", out, write, size)
     out.append("\n}\n")
-    return "".join(out)
+    if write is None:
+        return "".join(out)
+    write("".join(out))
 
 
-def _node(node, pad, out):
+def _node(node, pad, out, write, size):
     """Append to ``out`` the pieces of one tree node whose closing brace is
-    indented by ``pad``."""
+    indented by ``pad``. ``size`` counts ``out``'s leaf and rule text, which
+    goes to ``write`` between children once it reaches ``_PIECE``; returns it."""
     inner = pad + "  "
     if "support" in node:   # a leaf, which has no children
         out.append(f'{{\n{inner}"children": [],\n'
@@ -72,17 +83,22 @@ def _node(node, pad, out):
                    f'{inner}"label": {_string(node["label"])},\n'
                    f'{inner}"level": {_string(node["level"])},\n'
                    f'{inner}"support": {_number(node["support"])}\n{pad}}}')
-        return
+        return size + len(out[-1])
     out.append(f'{{\n{inner}"children": [')
     nested = inner + "  "
     separator = "\n" + nested
     for child in node["children"]:
         out.append(separator)
-        _node(child, nested, out)
+        size = _node(child, nested, out, write, size)
         separator = ",\n" + nested
+        if size >= _PIECE and write is not None:
+            write("".join(out))
+            out.clear()
+            size = 0
     out.append(f"\n{inner}]" if node["children"] else "]")
     out.append(f',\n{inner}"label": {_string(node["label"])},\n'
                f'{inner}"level": {_string(node["level"])}\n{pad}}}')
+    return size
 
 
 def _number(value):

@@ -1,6 +1,8 @@
 """Shared fixture data: the quickstart example in code and on disk, streams
 built from event pairs, and hand-made rule sets for the renderers."""
 
+import importlib.util
+import sys
 from pathlib import Path
 
 from fuzzmine import (
@@ -106,3 +108,27 @@ def ruleset_of(rows):
         for key, w in sorted(weights.items(), key=lambda item: (-item[1], item[0]))
     )
     return RuleSet(rules=rules, total_weight=total, trigger_weights=pairs)
+
+
+def load_workloads():
+    """``perfbench/workloads.py`` as a module, no ``__pycache__`` written."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", REPO_ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
+def write_workload(root, name, seed):
+    """Write the CSV and config of the benchmark workload ``name`` at
+    ``seed`` into the directory ``root``; returns their paths as strings."""
+    workloads = load_workloads()
+    spec = workloads.SPECS[name]
+    csv_path, config_path = root / f"{name}-{seed}.csv", root / f"{name}.json"
+    workloads.write_csv(csv_path, workloads.generate(spec, seed), spec.layout)
+    workloads.write_config(config_path, spec)
+    return str(csv_path), str(config_path)

@@ -1,6 +1,7 @@
 """Tests for the command-line driver: flags, exit codes, report formats."""
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -8,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from functools import reduce
 from operator import getitem
 
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 
 from fuzzmine.cli import main
 
-from common import QUICKSTART_CONFIG, QUICKSTART_CSV
+from common import QUICKSTART_CONFIG, QUICKSTART_CSV, write_workload
 from dot_grammar import check_dot
 
 CSV = str(QUICKSTART_CSV)
@@ -895,6 +897,45 @@ class TestStandardOutput:
         child.stderr.close()
         assert child.wait(timeout=60) == 2
         assert err == b"fuzzmine: cannot write standard output: [Errno 32] Broken pipe\n"
+
+
+def traced_peak(argv):
+    """``main(argv)``'s exit code and the peak of the memory Python
+    allocated while it ran, in bytes."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        return main(argv), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestReportMemory:
+    """A JSON report is written while it is rendered, so ``mine`` never
+    holds all of its text or of its bytes. On ``wide-vocab`` (a 3.3 MB
+    report) the traced peak is the rule set, its tree and mining's own
+    working memory, about 1.13 times the report. One more copy of the
+    report, as text or as bytes, would take it past 2 times."""
+
+    @pytest.fixture(scope="class")
+    def argv(self, tmp_path_factory):
+        csv_path, config_path = write_workload(tmp_path_factory.mktemp("wide-vocab"),
+                                               "wide-vocab", 1)
+        return ["mine", "--input", csv_path, "--config", config_path,
+                "--format", "json", "--tree", "dot"]
+
+    def test_out_file(self, argv, tmp_path):
+        out = tmp_path / "report.json"
+        code, peak = traced_peak([*argv, "--out", str(out)])
+        assert code == 0
+        assert peak < 1.5 * out.stat().st_size
+
+    def test_standard_output(self, argv, capsys):
+        code, peak = traced_peak(argv)
+        report = capsys.readouterr().out.encode("utf-8")
+        assert code == 0
+        # capsys keeps every byte written; the CLI does not.
+        assert peak - len(report) < 1.5 * len(report)
 
 
 UMLAUT = "Größe klein"

@@ -1,7 +1,9 @@
 """Tests for trapezoidal degrees, classification, and vocabulary checks."""
 
+import contextlib
 import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -41,7 +43,8 @@ def valid_vocabs(draw):
 LABELS = st.one_of(st.text(), st.text(st.characters(categories=("Cc", "Cs", "Ll")), max_size=3),
                    st.sampled_from(["a", "b"]), st.integers(), st.none(),
                    st.lists(st.integers(), max_size=1))
-WILD_CORNERS = st.one_of(st.floats(), st.integers(-2**1025, 2**1025), st.fractions())
+WILD_CORNERS = st.one_of(st.floats(), st.integers(-2**1025, 2**1025), st.fractions(),
+                         st.decimals(places=2), st.none(), st.text(max_size=2))
 
 
 @st.composite
@@ -53,7 +56,9 @@ def wild_vocabs(draw):
         corners = draw(st.lists(st.one_of(quarters(-1, 16), WILD_CORNERS),
                                 min_size=4, max_size=4))
         if draw(st.sampled_from(["sort", "sort", "sort", "keep"])) == "sort":
-            corners.sort()
+            # None and str do not order with numbers, nor a Decimal with a NaN.
+            with contextlib.suppress(TypeError, ArithmeticError):
+                corners.sort()
         intervals.append(FuzzyInterval(draw(st.one_of(st.just(f"L{i}"), LABELS)), *corners))
     return Vocabulary("v", intervals)
 
@@ -244,6 +249,9 @@ class TestValidateVocabulary:
                                     FuzzyInterval("Big", 10, 10, 20, 20))))
     @example(vocab=Vocabulary("v", (FuzzyInterval("a\nb", 0, 0, 20, 20),)))
     @example(vocab=Vocabulary("v", (FuzzyInterval("\ud800", 0, 0, 20, 20),)))
+    @example(vocab=Vocabulary("v", (FuzzyInterval("x", "0", "0", "1", "2"),)))
+    @example(vocab=Vocabulary("v", (FuzzyInterval("x", 0, None, 1, 2),)))
+    @example(vocab=Vocabulary("v", (FuzzyInterval("x", *map(Decimal, (0, 10, 10, 20))),)))
     # b - a rounds past the float range although float(b) - a does not.
     @example(vocab=Vocabulary("v", (FuzzyInterval("x", -1, *[int(sys.float_info.max)
                                                              + 2**970 - 1] * 3),)))
@@ -280,6 +288,19 @@ class TestValidateVocabulary:
         vocab = Vocabulary("v", (FuzzyInterval("x", *corners),))
         assert validate_vocabulary(vocab) == [
             Finding(ERROR, "interval-corners", f"v[0] ('x'): {message}")]
+
+    @pytest.mark.parametrize("corners, kinds", [
+        (("0", "0", "1", "2"), "str, str, str, str"),
+        ((0, None, 1, 2), "int, NoneType, int, int"),
+        (tuple(map(Decimal, (0, 10, 10, 20))), "Decimal, Decimal, Decimal, Decimal"),
+    ], ids=["str", "none", "decimal"])
+    def test_corner_that_is_not_a_number_is_a_finding(self, corners, kinds):
+        # classify() does float arithmetic on the corners, which a str, None
+        # or Decimal does not support.
+        vocab = Vocabulary("v", (FuzzyInterval("x", *corners),))
+        assert validate_vocabulary(vocab) == [Finding(
+            ERROR, "interval-corners",
+            f"v[0] ('x'): corners must be int, float or Fraction, got ({kinds})")]
 
     def test_fraction_corners_are_formatted(self):
         # Python 3.11 has no "g" format for a Fraction.

@@ -1,7 +1,9 @@
 """Tests for report rendering: table layout and JSON document."""
 
 import json
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,12 +11,16 @@ from fuzzmine import (
     FuzzyRule,
     RuleSet,
     build_tree,
+    load_config,
     mine,
+    parse_streams_csv,
     render_json,
     render_table,
 )
 
-from common import quickstart_bundle, quickstart_mining_config, ruleset_of
+from common import quickstart_bundle, quickstart_mining_config, ruleset_of, write_workload
+
+PIECE = 64 * 1024   # the size of the pieces render_json passes to ``write``
 
 
 def quickstart_ruleset():
@@ -68,6 +74,52 @@ class TestReportDocument:
             '    "level": "root"\n'
             '  }\n'
             '}\n')
+
+
+@pytest.fixture(scope="module")
+def wide_vocab_ruleset(tmp_path_factory):
+    """The rule set of the ``wide-vocab`` benchmark workload at seed 1:
+    6,445 rules, a 3.3 MB report with its tree."""
+    csv_path, config_path = write_workload(tmp_path_factory.mktemp("wide-vocab"),
+                                           "wide-vocab", 1)
+    cfg = load_config(config_path)
+    streams = parse_streams_csv(Path(csv_path).read_text(encoding="utf-8"), cfg.roles)
+    return mine(streams, cfg.mining)
+
+
+def streamed(ruleset, tree):
+    """The pieces render_json passes to ``write``, checked to join into
+    the report it returns without."""
+    pieces = []
+    assert render_json(ruleset, tree, write=pieces.append) is None
+    assert "".join(pieces) == render_json(ruleset, tree)
+    return pieces
+
+
+WITH_TREE = pytest.mark.parametrize("with_tree", [False, True], ids=["rules", "tree"])
+
+
+class TestStreamedReport:
+    @WITH_TREE
+    def test_large_report_arrives_in_pieces_of_about_64_kib(self, wide_vocab_ruleset,
+                                                            with_tree):
+        tree = build_tree(wide_vocab_ruleset) if with_tree else None
+        pieces = streamed(wide_vocab_ruleset, tree)
+        assert len(pieces) > 1
+        assert all(PIECE <= len(piece) <= 2 * PIECE for piece in pieces[:-1])
+        assert len(pieces[-1]) <= 2 * PIECE
+
+    @WITH_TREE
+    def test_small_report_is_one_piece(self, with_tree):
+        ruleset = quickstart_ruleset()
+        tree = build_tree(ruleset) if with_tree else None
+        assert len(streamed(ruleset, tree)) == 1
+
+    @WITH_TREE
+    def test_empty_rule_set_is_one_piece(self, with_tree):
+        ruleset = RuleSet(rules=(), total_weight=0.0, trigger_weights={})
+        tree = build_tree(ruleset) if with_tree else None
+        assert len(streamed(ruleset, tree)) == 1
 
 
 def dumped_report(ruleset, tree):

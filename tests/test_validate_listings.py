@@ -16,12 +16,10 @@ it again from the current code, run
 
 import contextlib
 import hashlib
-import importlib.util
 import io
 import json
 import os
 import shutil
-import sys
 import tempfile
 from pathlib import Path
 
@@ -29,7 +27,7 @@ import pytest
 
 from fuzzmine.cli import main
 
-from common import QUICKSTART_CONFIG, QUICKSTART_CSV, REPO_ROOT
+from common import QUICKSTART_CONFIG, QUICKSTART_CSV, load_workloads
 
 PINNED = Path(__file__).with_name("validate_listings.json")
 
@@ -64,19 +62,6 @@ CASES = {
     **{f"mine-input-{name}": ["mine", "--config", "quickstart/config.json",
                               "--input", f"bad/{name}.csv"] for name in BAD_INPUTS},
 }
-
-
-def load_workloads():
-    """``perfbench/workloads.py`` as a module, no ``__pycache__`` written."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", REPO_ROOT / "perfbench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = dont_write
-    return module
 
 
 def write_inputs(root):
