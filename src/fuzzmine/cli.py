@@ -69,7 +69,7 @@ def build_parser():
 
 def cmd_mine(args):
     """The report for ``mine``, with its exit code: the text, or for JSON
-    the function that passes the text to a writer as it renders it."""
+    a function of a writer, which :func:`render_json` passes the report to."""
     cfg = load_config(args.config)
     streams = parse_streams_csv(read_text(args.input, InputError, "input file"), cfg.roles)
     ruleset = mine(streams, cfg.mining)

@@ -1,5 +1,5 @@
-"""Rule-set reports: the JSON document, the plain-text table and the
-decision-tree view, as indented text or DOT.
+"""Rule-set reports: the JSON document (passed to ``write`` in pieces), the
+plain-text table and the decision-tree view, as indented text or DOT.
 
 Every rendering is deterministic: identical rule sets produce
 byte-identical output. The JSON document keeps full float precision;
@@ -33,15 +33,15 @@ _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _PIECE = 1 << 16   # characters of report text (ASCII, so bytes) per write
 
 
-def render_json(ruleset, tree=None, write=None):
-    """The JSON report: rules, total weight and, if given, the tree.
+def render_json(ruleset, tree, write):
+    """Pass the JSON report to ``write`` in order, in strings of about
+    64 KiB: rules, total weight and, unless ``tree`` is None, the tree.
 
     ``tree`` must be the document of :func:`build_tree`; its nodes are
     written by that schema. The bytes are those the :mod:`json` encoder
     writes with a 2-space indent and sorted keys, plus a final newline.
     They are written here directly because the encoder's fast C path
-    does not indent. With ``write``, the report is passed to it in order,
-    in strings of about 64 KiB, and None is returned.
+    does not indent.
     """
     out = ['{\n  "rules": [']
     separator, size = "\n", 0
@@ -57,7 +57,7 @@ def render_json(ruleset, tree=None, write=None):
                    "    }")
         separator = ",\n"
         size += len(out[-1])
-        if size >= _PIECE and write is not None:
+        if size >= _PIECE:
             write("".join(out))
             out.clear()
             size = 0
@@ -67,8 +67,6 @@ def render_json(ruleset, tree=None, write=None):
         out.append(',\n  "tree": ')
         _node(tree, "  ", out, write, size)
     out.append("\n}\n")
-    if write is None:
-        return "".join(out)
     write("".join(out))
 
 
@@ -91,7 +89,7 @@ def _node(node, pad, out, write, size):
         out.append(separator)
         size = _node(child, nested, out, write, size)
         separator = ",\n" + nested
-        if size >= _PIECE and write is not None:
+        if size >= _PIECE:
             write("".join(out))
             out.clear()
             size = 0

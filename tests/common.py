@@ -15,6 +15,7 @@ from fuzzmine import (
     Vocabulary,
     WindowConfig,
     classify,
+    render_json,
 )
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -108,6 +109,13 @@ def ruleset_of(rows):
         for key, w in sorted(weights.items(), key=lambda item: (-item[1], item[0]))
     )
     return RuleSet(rules=rules, total_weight=total, trigger_weights=pairs)
+
+
+def json_report(ruleset, tree=None):
+    """The JSON report as one string: the pieces render_json writes, joined."""
+    pieces = []
+    render_json(ruleset, tree, pieces.append)
+    return "".join(pieces)
 
 
 def load_workloads():

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from fuzzmine.cli import main
 
-from common import QUICKSTART_CONFIG, QUICKSTART_CSV, write_workload
+from common import QUICKSTART_CONFIG, QUICKSTART_CSV, REPO_ROOT, write_workload
 from dot_grammar import check_dot
 
 CSV = str(QUICKSTART_CSV)
@@ -878,6 +878,19 @@ class TestStandardOutput:
         assert child.returncode == 2
         assert err == (b"fuzzmine: cannot write standard output: "
                        b"[Errno 9] Bad file descriptor\n")
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_report_in_many_pieces_reaches_a_pipe_intact(self, tmp_path, unbuffered):
+        # The wide-vocab report with its tree is about 52 pieces of 64 KiB;
+        # unbuffered, each goes to the pipe's raw FileIO, which may take part.
+        csv_path, config_path = write_workload(tmp_path, "wide-vocab", 1)
+        child = run_child(subprocess.PIPE, unbuffered, "mine", "--input", csv_path,
+                          "--config", config_path, "--format", "json", "--tree", "dot")
+        out, err = child.communicate(timeout=120)
+        assert (child.returncode, err) == (0, b"")
+        pinned = json.loads((REPO_ROOT / "tests" / "validate_listings.json").read_text())
+        assert hashlib.sha256(out).hexdigest() == (
+            pinned["mine-wide-vocab-1-json-dot"]["stdout_sha256"])
 
     def test_reader_closing_mid_report_exits_2(self, tmp_path):
         # A report of about 240 KB overfills the pipe; once the reader has

@@ -20,13 +20,12 @@ from fuzzmine import (
     mine,
     render_ascii,
     render_dot,
-    render_json,
     render_table,
     validate_vocabulary,
 )
 from fuzzmine.validation import ERROR, INFO, Finding
 
-from common import degree, quickstart_bundle, timing_vocab, volume_vocab
+from common import degree, json_report, quickstart_bundle, timing_vocab, volume_vocab
 from strategies import quarters, ruspini_vocabs
 
 # Corners of valid vocabularies, signed zeros, subnormals and huge ones included.
@@ -265,7 +264,7 @@ class TestValidateVocabulary:
                            *(Vocabulary(name, vocab.intervals) for name in names))
         ruleset = mine(quickstart_bundle(), cfg)
         tree = build_tree(ruleset)
-        for text in (render_table(ruleset), render_json(ruleset, tree), render_ascii(tree),
+        for text in (render_table(ruleset), json_report(ruleset, tree), render_ascii(tree),
                      render_dot(tree)):
             text.encode("utf-8")
 

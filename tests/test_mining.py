@@ -375,7 +375,7 @@ class TestMetrics:
         assert rule.confidence == 1.0
 
 
-class TestApplyThresholds:
+class TestThresholds:
     """Pruning by min_support and min_confidence, seen through mine()."""
 
     def test_quickstart_min_support_filters_to_two_rules(self):

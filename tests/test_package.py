@@ -1,5 +1,7 @@
-"""Tests for the package surface and for the README's worked example."""
+"""Tests for the package surface and for the README's worked examples."""
 
+import inspect
+import json
 import os
 import pickle
 import re
@@ -21,6 +23,7 @@ from fuzzmine import (
     Vocabulary,
     WindowConfig,
     mine,
+    render_json,
 )
 from fuzzmine.cli import main
 from fuzzmine.config import PipelineConfig
@@ -67,6 +70,12 @@ class TestPublicSurface:
         for name in REMOVED_NAMES:
             assert name not in fuzzmine.__all__
             assert not hasattr(fuzzmine, name), name
+
+    def test_render_json_has_one_form(self):
+        # The report always goes to ``write``; no argument has a default.
+        parameters = inspect.signature(render_json).parameters.values()
+        assert [(p.name, p.default) for p in parameters] == [
+            (name, inspect.Parameter.empty) for name in ("ruleset", "tree", "write")]
 
 
 STREAM = EventStream("a", (0.0, 1.0), (2.0, 3.0))
@@ -139,17 +148,36 @@ class TestRecords:
         assert child.stdout == "[]\n"
 
 
+def library_use_blocks():
+    """The Python blocks of the README's "Library use" section, in order."""
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    section = re.search(r"\n## Library use\n(.*?)\n## ", readme, re.S)
+    assert section is not None
+    return re.findall(r"```python\n(.*?)```", section.group(1), re.S)
+
+
 class TestReadme:
     def test_library_use_block_runs(self, capsys, monkeypatch):
-        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
-        block = re.search(r"## Library use\n\n```python\n(.*?)```", readme, re.S)
-        assert block is not None
         monkeypatch.chdir(REPO_ROOT)   # the block opens the quickstart files by relative path
-        exec(compile(block.group(1), "<README: Library use>", "exec"), {})
+        exec(compile(library_use_blocks()[0], "<README: Library use>", "exec"), {})
         lines = capsys.readouterr().out.splitlines()
         # One line per quickstart rule, its label tuple first, then the tree.
         assert [line.startswith("('") for line in lines[:5]] == [True] * 4 + [False]
         assert lines[4] == "(root)"
+
+    def test_render_json_examples_run(self, monkeypatch, tmp_path):
+        first, to_file, to_string = library_use_blocks()
+        namespace = {}
+        monkeypatch.chdir(REPO_ROOT)
+        exec(compile(first, "<README: Library use>", "exec"), namespace)
+        monkeypatch.chdir(tmp_path)   # the file example writes rules.json here
+        exec(compile(to_file, "<README: render_json to a file>", "exec"), namespace)
+        exec(compile(to_string, "<README: render_json to a string>", "exec"), namespace)
+        written = (tmp_path / "rules.json").read_text(encoding="utf-8")
+        report = json.loads(written)
+        assert len(report["rules"]) == len(namespace["ruleset"].rules) == 4
+        assert report["tree"]["level"] == "root"
+        assert namespace["report"] == written
 
     def test_quickstart_output_matches_the_cli(self, capsys):
         readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")

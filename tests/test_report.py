@@ -18,7 +18,13 @@ from fuzzmine import (
     render_table,
 )
 
-from common import quickstart_bundle, quickstart_mining_config, ruleset_of, write_workload
+from common import (
+    json_report,
+    quickstart_bundle,
+    quickstart_mining_config,
+    ruleset_of,
+    write_workload,
+)
 
 PIECE = 64 * 1024   # the size of the pieces render_json passes to ``write``
 
@@ -29,7 +35,7 @@ def quickstart_ruleset():
 
 class TestReportDocument:
     def test_rule_entries_carry_all_fields(self):
-        report = json.loads(render_json(quickstart_ruleset()))
+        report = json.loads(json_report(quickstart_ruleset()))
         assert set(report) == {"rules", "total_weight"}
         for entry in report["rules"]:
             assert set(entry) == {"trigger1", "trigger2", "delta_t", "consequence",
@@ -38,12 +44,12 @@ class TestReportDocument:
     def test_tree_is_attached_when_given(self):
         ruleset = quickstart_ruleset()
         tree = build_tree(ruleset)
-        report = json.loads(render_json(ruleset, tree))
+        report = json.loads(json_report(ruleset, tree))
         assert report["tree"] == tree
 
     def test_json_keeps_full_precision(self):
         ruleset = quickstart_ruleset()
-        parsed = json.loads(render_json(ruleset))
+        parsed = json.loads(json_report(ruleset))
         originals = {rule.labels: rule.support for rule in ruleset.rules}
         assert len(parsed["rules"]) == len(originals)
         for entry in parsed["rules"]:
@@ -55,16 +61,16 @@ class TestReportDocument:
     def test_json_rendering_is_deterministic(self):
         ruleset = quickstart_ruleset()
         tree = build_tree(ruleset)
-        assert render_json(ruleset, tree) == render_json(ruleset, tree)
+        assert json_report(ruleset, tree) == json_report(ruleset, tree)
 
     def test_empty_rule_set_bytes(self):
         ruleset = RuleSet(rules=(), total_weight=0.0, trigger_weights={})
-        assert render_json(ruleset) == (
+        assert json_report(ruleset) == (
             '{\n'
             '  "rules": [],\n'
             '  "total_weight": 0.0\n'
             '}\n')
-        assert render_json(ruleset, build_tree(ruleset)) == (
+        assert json_report(ruleset, build_tree(ruleset)) == (
             '{\n'
             '  "rules": [],\n'
             '  "total_weight": 0.0,\n'
@@ -88,11 +94,9 @@ def wide_vocab_ruleset(tmp_path_factory):
 
 
 def streamed(ruleset, tree):
-    """The pieces render_json passes to ``write``, checked to join into
-    the report it returns without."""
+    """The pieces render_json passes to ``write``."""
     pieces = []
-    assert render_json(ruleset, tree, write=pieces.append) is None
-    assert "".join(pieces) == render_json(ruleset, tree)
+    assert render_json(ruleset, tree, pieces.append) is None
     return pieces
 
 
@@ -168,7 +172,7 @@ class TestReportBytes:
     @given(ruleset=rulesets())
     def test_render_json_matches_json_dumps(self, ruleset):
         for tree in (None, build_tree(ruleset)):
-            assert render_json(ruleset, tree) == dumped_report(ruleset, tree)
+            assert json_report(ruleset, tree) == dumped_report(ruleset, tree)
 
 
 class TestTableRendering:

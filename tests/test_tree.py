@@ -12,10 +12,9 @@ from fuzzmine import (
     mine,
     render_ascii,
     render_dot,
-    render_json,
 )
 
-from common import quickstart_bundle, quickstart_mining_config, ruleset_of
+from common import json_report, quickstart_bundle, quickstart_mining_config, ruleset_of
 from dot_grammar import check_dot
 
 GOLDEN_ASCII = """\
@@ -59,7 +58,7 @@ def rule_paths(node, prefix=()):
 
 def reported_tree(ruleset):
     """The tree document as a reader of the JSON report gets it back."""
-    return json.loads(render_json(ruleset, build_tree(ruleset)))["tree"]
+    return json.loads(json_report(ruleset, build_tree(ruleset)))["tree"]
 
 
 def small_rulesets():
