@@ -18,7 +18,7 @@ from .config import load_config, validate
 from .mining import mine
 from .report import build_tree, render_ascii, render_dot, render_json, render_table
 from .streams import parse_streams_csv
-from .validation import ERROR, ConfigError, InputError, read_text
+from .validation import ERROR, ConfigError, InputError, read_text, shown_path
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -101,7 +101,7 @@ def main(argv=None):
     try:
         code, report = args.func(args)
     except InputError as exc:
-        print(f"fuzzmine: {args.input}: {exc}", file=sys.stderr)
+        print(f"fuzzmine: {shown_path(args.input)}: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ConfigError as exc:
         print(f"fuzzmine: {exc}", file=sys.stderr)
@@ -111,7 +111,7 @@ def main(argv=None):
     try:
         _write_output(report, args.out)
     except OSError as exc:
-        where = "standard output" if args.out is None else args.out
+        where = "standard output" if args.out is None else shown_path(args.out)
         print(f"fuzzmine: cannot write {where}: {exc}", file=sys.stderr)
         return EXIT_INPUT
     return code

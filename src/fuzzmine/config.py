@@ -28,7 +28,7 @@ from collections import namedtuple
 from .fuzzy import FuzzyInterval, Vocabulary, validate_vocabulary
 from .mining import MiningConfig, WindowConfig
 from .streams import ROLES, parse_streams, parse_streams_csv, role_names, stream_findings
-from .validation import ERROR, ConfigError, Finding, InputError, read_text
+from .validation import ERROR, ConfigError, Finding, InputError, read_text, shown_path
 
 VOCABULARY_KEYS = ("trigger1", "trigger2", "delta_t", "consequence")
 
@@ -91,11 +91,12 @@ def read_config_file(path):
     """The decoded JSON document of a config file, read as by
     :func:`~fuzzmine.validation.read_text`; ConfigError if unreadable or
     not JSON."""
-    text = read_text(path, ConfigError, f"config file {path}")
+    what = f"config file {shown_path(path)}"
+    text = read_text(path, ConfigError, what)
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:  # also too many digits or too deep
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from None
 
 
 def parse_config_dict(doc):

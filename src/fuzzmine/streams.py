@@ -10,7 +10,9 @@ values are reals in a generic volume unit.
 An :class:`EventStream` stores two columns, its timestamps and its values,
 sorted together by timestamp however they were given, for the miner's
 window search to read directly. Each layout is parsed in one pass straight
-into those columns; malformed input raises :class:`InputError` naming its
+into those columns, from the text's UTF-8 bytes decoded a chunk at a time:
+beside the text and the streams, the parse holds one byte per ASCII
+character of input. Malformed input raises :class:`InputError` naming its
 line. :func:`stream_findings` lists what is legal but notable about one
 stream, for :func:`fuzzmine.validate`.
 """
@@ -130,8 +132,15 @@ def role_names(role_map):
 
 
 def _parse(text):
-    """Shared parser. Returns (streams by name, declared names or None)."""
-    reader = csv.reader(io.StringIO(text, newline=""))
+    """Shared parser. Returns (streams by name, declared names or None).
+
+    Lines end at LF, CR or CR LF, as in a ``StringIO`` with ``newline=""``
+    (which would hold the text again at four bytes a character), and the
+    endings stay in quoted fields. ``surrogatepass`` carries lone
+    surrogates through; a leading U+FEFF stays in the header.
+    """
+    data = io.BytesIO(text.encode("utf-8", "surrogatepass"))
+    reader = csv.reader(io.TextIOWrapper(data, "utf-8", "surrogatepass", newline=""))
     try:
         return _parse_rows(reader)
     except csv.Error as exc:  # e.g. a field past the csv field limit
@@ -162,9 +171,9 @@ def _parse_rows(reader):
 def _parse_long(reader):
     columns = {}
     for row in reader:
-        if not row:
-            continue
         if len(row) != 3:
+            if not row:
+                continue
             raise InputError(f"expected 3 columns, got {len(row)}", line=reader.line_num)
         ts_cell, name, cell = row
         try:
@@ -187,33 +196,49 @@ def _parse_long(reader):
 
 
 def _parse_wide(reader, names):
-    columns = [(name, [], []) for name in names]
+    columns = [([], []) for _ in names]
     width = len(names) + 1
     for row in reader:
-        if not row:
-            continue
         if len(row) != width:
+            if not row:
+                continue
             raise InputError(f"expected {width} columns, got {len(row)}",
                              line=reader.line_num)
         try:
             ts = float(row[0])
         except ValueError:
             raise _non_numeric("timestamp", row[0], reader) from None
-        for i, (name, times, values) in enumerate(columns, 1):
-            cell = row[i].strip()
-            if cell == "-" or not cell:
+        for i, cell in enumerate(row):
+            if cell == "-" or not cell or not i:   # no event, or the timestamp
                 continue
             try:
-                value = float(cell)
+                value = float(cell)   # skips what strip() would, bar U+001C to U+001F
             except ValueError:
-                raise _non_numeric(f"value for {name!r}", cell, reader) from None
+                value = _padded_value(cell, names[i - 1], reader)
+                if value is None:
+                    continue
             if not (0 <= ts < inf and -inf < value < inf):
                 _check_event(ts, value, reader.line_num)
+            times, values = columns[i - 1]
             times.append(ts)
             values.append(value)
         if not 0 <= ts < inf:   # a bad timestamp gets here only in a row without events
             _check_event(ts, 0.0, reader.line_num)
-    return {name: EventStream(name, times, values) for name, times, values in columns}
+    return {name: EventStream(name, times, values)
+            for name, (times, values) in zip(names, columns)}
+
+
+def _padded_value(cell, name, reader):
+    """The value of a wide cell that ``float()`` rejects: None if it is
+    ``-`` or blank once stripped, its float if ``strip()`` removes padding
+    that ``float()`` keeps (U+001C to U+001F), else an InputError."""
+    stripped = cell.strip()
+    if stripped == "-" or not stripped:
+        return None
+    try:
+        return float(stripped)
+    except ValueError:
+        raise _non_numeric(f"value for {name!r}", cell, reader) from None
 
 
 def _non_numeric(what, cell, reader):

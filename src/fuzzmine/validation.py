@@ -51,6 +51,12 @@ class Finding(namedtuple("Finding", "severity code message")):
         return f"{self.severity}: [{self.code}] {self.message}"
 
 
+def shown_path(path):
+    """``path`` as a message names it: ``''`` for an empty path, which
+    would otherwise vanish from the message, else the path as given."""
+    return path or "''"
+
+
 def read_text(path, error, what):
     """The text of the UTF-8 file at ``path``, an optional BOM dropped; ``error``
     naming the file as ``what`` if it cannot be read or decoded."""

@@ -248,7 +248,7 @@ class TestExtractNumerical:
         assert mined_triples(moved, WINDOWS) == mined_triples(bundle, WINDOWS)
 
 
-class TestFuzzify:
+class TestLabelExpansion:
     """Label expansion of one window triple, seen through mine()."""
 
     def test_split_consequence_produces_two_instances(self):

@@ -1,5 +1,8 @@
 """Tests for CSV ingestion, stream ordering, and bundle validation."""
 
+import gc
+import re
+import tracemalloc
 from fractions import Fraction
 from math import inf, nan
 
@@ -13,15 +16,22 @@ from fuzzmine import (
     EventStream,
     InputError,
     StreamBundle,
+    load_config,
     mine,
     parse_streams_csv,
     render_table,
     validate,
 )
 from fuzzmine.streams import parse_streams, stream_findings
-from fuzzmine.validation import ERROR, INFO, WARNING
+from fuzzmine.validation import ERROR, INFO, WARNING, read_text
 
-from common import QUICKSTART_CONFIG, quickstart_bundle, quickstart_mining_config, stream
+from common import (
+    QUICKSTART_CONFIG,
+    quickstart_bundle,
+    quickstart_mining_config,
+    stream,
+    write_workload,
+)
 from strategies import bundles
 
 ROLES = {"trigger1": "stream1", "trigger2": "stream2", "consequence": "stream3"}
@@ -108,6 +118,16 @@ class TestWideLayout:
         with pytest.raises(InputError, match="timestamp"):
             parse_streams("timestamp,a\nnoon,1\n")
 
+    # float() skips ASCII and Unicode spaces; strip() also U+001C to U+001F.
+    def test_cells_are_read_stripped(self):
+        streams = parse_streams("timestamp,a,b,c\n"
+                                "1, 5 ,\t-\t,\u2003\n"
+                                "2,\x1c6\x1f,\xa0,\x1d-\n")
+        assert streams["a"].values == (5.0, 6.0)
+        assert streams["b"].values == streams["c"].values == ()
+        with pytest.raises(InputError, match=r"line 2: non-numeric value for 'b': 'zap'"):
+            parse_streams("timestamp,a,b\n1,-,\x1czap\x1f\n")
+
 
 class TestLongLayout:
     def test_matches_wide_layout(self):
@@ -148,6 +168,144 @@ class TestLongLayout:
     def test_blank_lines_skipped(self):
         text = "timestamp,stream,value\n\n1,a,5\n\n"
         assert len(parse_streams(text)["a"].timestamps) == 1
+
+
+CHUNK = 8192   # the bytes io.TextIOWrapper reads and decodes at a time
+ENDINGS = ("\r\n", "\r", "\n")
+
+
+def utf8(text):
+    return text.encode("utf-8", "surrogatepass")
+
+
+class ChunkedCsv:
+    """CSV rows with mixed line endings, laid out so that chosen characters
+    straddle a multiple of CHUNK bytes of the text's UTF-8."""
+
+    def __init__(self, header, filler):
+        self.filler = filler   # row number -> a valid row
+        self.rows, self.endings, self.size = [], [], 0
+        self.straddles = []    # (boundary, the bytes that must start just before it)
+        self.add(header, "\n")
+
+    def add(self, row, ending=None):
+        ending = ENDINGS[len(self.rows) % 3] if ending is None else ending
+        self.rows.append(row)
+        self.endings.append(ending)
+        self.size += len(utf8(row + ending))
+
+    def fill(self, size):
+        while self.size < size:
+            self.add(self.filler(len(self.rows)))
+
+    def straddle(self, head, rest, ending=None):
+        """After at least one chunk of filler, add ``head``, spaces, then
+        ``rest`` and the ending, such that the first byte after the spaces
+        is the last byte before a multiple of CHUNK."""
+        boundary = (self.size // CHUNK + 2) * CHUNK
+        self.fill(boundary - 100)
+        ending = ENDINGS[len(self.rows) % 3] if ending is None else ending
+        spaces = boundary - 1 - self.size - len(utf8(head))
+        self.straddles.append((boundary, utf8(rest + ending)[:3]))
+        self.add(head + " " * spaces + rest, ending)
+
+    def text(self, rows=None, lf=False):
+        """The first ``rows`` rows (all by default), with their own endings
+        or with ``\\n``."""
+        pairs = list(zip(self.rows, self.endings))[:rows]
+        text = "".join(row + ("\n" if lf else ending) for row, ending in pairs)
+        data = utf8(text)
+        for boundary, start in self.straddles:
+            if boundary < len(data) and not lf:
+                assert data[boundary - 1:boundary - 1 + len(start)] == start
+        return text
+
+
+NAMES = ("a", "b", "str\u00f6m")
+
+
+def long_rows():
+    built = ChunkedCsv("timestamp,stream,value", lambda n: f"{n}.25,{NAMES[n % 3]},{n % 15}")
+    built.straddle("1.5,a,3", "", "\r\n")                 # CR LF
+    built.straddle("2.5,b,4", "", "\r")                    # a lone CR, then the next row
+    built.straddle("3.5,a,", "\xa05")                      # no-break space, 2 bytes
+    built.straddle('4.5,b,"6', '\r\n"')                    # a quoted CR LF: one row, two lines
+    built.straddle("5.5,", "\ud800,7")                     # a lone surrogate, 3 bytes
+    built.straddle("6.5,str", "\u00f6m,8")                 # o with diaeresis, 2 bytes
+    return built
+
+
+def wide_rows():
+    def filler(n):
+        cells = [str(n % 15), "-", ""]
+        return ",".join([f"{n}.25", *cells[n % 3:], *cells[:n % 3]])
+    built = ChunkedCsv("timestamp,a,\udcb0,str\u00f6m", filler)
+    built.straddle("1.5,-,-,3", "", "\r\n")
+    built.straddle("2.5,4,,", "", "\r")
+    built.straddle("3.5,", "\xa05,-,-")
+    built.straddle('4.5,-,"6', '\r\n",-')
+    built.straddle('5.5,"-', '\r\n",7,-')
+    return built
+
+
+class TestLineSource:
+    """The parser decodes the text's UTF-8 a chunk at a time: a line ending
+    or a character across a chunk boundary parses as anywhere else."""
+
+    @pytest.mark.parametrize("rows", [long_rows, wide_rows], ids=["long", "wide"])
+    def test_mixed_endings_parse_as_lf(self, rows):
+        built = rows()
+        built.fill(9 * CHUNK)
+        text = built.text()
+        assert len(utf8(text)) > 64 * 1024
+        streams = parse_streams(text)
+        assert streams == parse_streams(built.text(lf=True))
+        assert sum(len(s.timestamps) for s in streams.values()) == len(built.rows) - 1
+
+    @pytest.mark.parametrize("rows, head, rest, message", [
+        (long_rows, "9.5,a,", "zap", "non-numeric value: 'zap'"),
+        (wide_rows, "9.5,", "zap,-,-", "non-numeric value for 'a': 'zap'"),
+    ], ids=["long", "wide"])
+    def test_bad_row_after_a_boundary_names_its_line(self, rows, head, rest, message):
+        built = rows()
+        built.straddle(head, rest)
+        bad = len(built.rows) - 1
+        built.fill(built.size + CHUNK)
+        line = len(re.findall(r"\r\n|\r|\n", built.text(rows=bad))) + 1
+        with pytest.raises(InputError) as exc:
+            parse_streams(built.text())
+        assert (exc.value.line, str(exc.value)) == (line, f"line {line}: {message}")
+
+    def test_quoted_line_endings_are_kept(self):
+        streams = parse_streams('timestamp,stream,value\r1,"a\rb\nc\r\nd",2\r\n')
+        assert list(streams) == ["a\rb\nc\r\nd"]
+
+    def test_leading_bom_reaches_the_header(self):
+        for text in (LONG, WIDE):
+            with pytest.raises(InputError, match="^line 1: unrecognized header"):
+                parse_streams("\ufeff" + text)
+
+
+class TestParseMemory:
+    """Beside the text, the parse holds its UTF-8 bytes, one per ASCII
+    character, and the rows of one chunk. On ``sparse`` (1.5 MB of ASCII)
+    what it allocates beyond the streams it returns peaks at about twice
+    the text; a copy of the text at 4 bytes per character alone would take
+    it past 4 times."""
+
+    def test_sparse_peak_beyond_the_streams(self, tmp_path):
+        csv_path, config_path = write_workload(tmp_path, "sparse", 1)
+        text = read_text(csv_path, InputError, "input file")
+        roles = load_config(config_path).roles
+        gc.collect()
+        tracemalloc.start()
+        try:
+            bundle = parse_streams_csv(text, roles)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(len(s.timestamps) for s in bundle) == 75_000
+        assert peak - retained < 3 * len(text)
 
 
 class TestHeaderAndRoles:
