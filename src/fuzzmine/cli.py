@@ -17,8 +17,8 @@ import sys
 from .config import load_config, validate
 from .mining import mine
 from .report import build_tree, render_ascii, render_dot, render_json, render_table
-from .streams import parse_streams_csv
-from .validation import ERROR, ConfigError, InputError, read_text, shown_path
+from .streams import open_input, parse_streams_csv
+from .validation import ERROR, ConfigError, InputError, shown_path
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -71,7 +71,8 @@ def cmd_mine(args):
     """The report for ``mine``, with its exit code: the text, or for JSON
     a function of a writer, which :func:`render_json` passes the report to."""
     cfg = load_config(args.config)
-    streams = parse_streams_csv(read_text(args.input, InputError, "input file"), cfg.roles)
+    with open_input(args.input) as handle:
+        streams = parse_streams_csv(handle, cfg.roles)
     ruleset = mine(streams, cfg.mining)
     tree = build_tree(ruleset) if args.tree else None
     if args.format == "json":

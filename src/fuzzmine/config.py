@@ -27,8 +27,9 @@ from collections import namedtuple
 
 from .fuzzy import FuzzyInterval, Vocabulary, validate_vocabulary
 from .mining import MiningConfig, WindowConfig
-from .streams import ROLES, parse_streams, parse_streams_csv, role_names, stream_findings
-from .validation import ERROR, ConfigError, Finding, InputError, read_text, shown_path
+from .streams import (ROLES, open_input, parse_streams, parse_streams_csv, role_names,
+                      stream_findings)
+from .validation import ERROR, ConfigError, Finding, shown_path
 
 VOCABULARY_KEYS = ("trigger1", "trigger2", "delta_t", "consequence")
 
@@ -62,7 +63,8 @@ def validate(config=None, input=None):
     A config that cannot be read or parsed is one ``config`` error finding.
     Streams are located by role if the config parsed, else by sorted name;
     roles the input does not match are one ``roles`` error finding in their
-    place. Raises InputError if the input cannot be read or parsed.
+    place. The input file is opened in binary and decoded by the parser, as
+    by the CLI. Raises InputError if the input cannot be read or parsed.
     """
     findings, cfg = [], None
     if config is not None:
@@ -74,27 +76,29 @@ def validate(config=None, input=None):
             findings += _config_findings(cfg)
     if input is None:
         return findings
-    text = read_text(input, InputError, "input file")
-    if cfg is None:
-        streams = parse_streams(text)
-        located = [(repr(name), streams[name]) for name in sorted(streams)]
-    else:
+    with open_input(input) as handle:
         try:
-            bundle = parse_streams_csv(text, cfg.roles)
+            parsed = parse_streams(handle) if cfg is None else parse_streams_csv(handle, cfg.roles)
         except ConfigError as exc:
             return findings + [Finding(ERROR, "roles", str(exc))]
-        located = [(f"{role} ({stream.name!r})", stream) for role, stream in zip(ROLES, bundle)]
+    if cfg is None:
+        located = [(repr(name), parsed[name]) for name in sorted(parsed)]
+    else:
+        located = [(f"{role} ({stream.name!r})", stream) for role, stream in zip(ROLES, parsed)]
     return findings + [f for where, stream in located for f in stream_findings(where, stream)]
 
 
 def read_config_file(path):
-    """The decoded JSON document of a config file, read as by
-    :func:`~fuzzmine.validation.read_text`; ConfigError if unreadable or
-    not JSON."""
+    """The decoded JSON document of a UTF-8 config file, an optional BOM
+    dropped; ConfigError if unreadable, not UTF-8 or not JSON."""
     what = f"config file {shown_path(path)}"
-    text = read_text(path, ConfigError, what)
     try:
-        return json.loads(text)
+        with open(path, encoding="utf-8-sig") as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} is not valid UTF-8: {exc}") from None
     except (ValueError, RecursionError) as exc:  # also too many digits or too deep
         raise ConfigError(f"{what} is not valid JSON: {exc}") from None
 

@@ -10,16 +10,18 @@ values are reals in a generic volume unit.
 An :class:`EventStream` stores two columns, its timestamps and its values,
 sorted together by timestamp however they were given, for the miner's
 window search to read directly. Each layout is parsed in one pass straight
-into those columns, from the text's UTF-8 bytes decoded a chunk at a time:
-beside the text and the streams, the parse holds one byte per ASCII
-character of input. Malformed input raises :class:`InputError` naming its
-line. :func:`stream_findings` lists what is legal but notable about one
-stream, for :func:`fuzzmine.validate`.
+into those columns, from a binary file (as :func:`open_input` opens it) or
+a text, decoded as UTF-8 a chunk at a time, so a file's text is never held
+whole. Malformed input raises :class:`InputError` naming its line.
+:func:`stream_findings` lists what is legal but notable about one stream,
+for :func:`fuzzmine.validate`.
 """
 
 import csv
 import io
+from codecs import BOM_UTF8
 from collections import Counter, namedtuple
+from contextlib import contextmanager
 from math import inf, isfinite
 from operator import le
 from sys import float_info
@@ -85,19 +87,18 @@ class StreamBundle(namedtuple("StreamBundle", "trigger1 trigger2 consequence")):
     __slots__ = ()
 
 
-def parse_streams(text):
-    """Parse CSV into all streams it defines, keyed by stream name.
-
-    Wide-layout files define a stream per header column even when no row
-    carries an event for it; long-layout files define streams as the
-    names their rows mention.
+def parse_streams(source):
+    """Parse CSV (a text or a binary file) into all streams it defines,
+    keyed by stream name. Wide-layout files define a stream per header
+    column even when no row carries an event for it; long-layout files
+    define streams as the names their rows mention.
     """
-    streams, _ = _parse(text)
+    streams, _ = _parse(source)
     return streams
 
 
-def parse_streams_csv(text, role_map):
-    """Parse CSV and bind streams to the three mining roles.
+def parse_streams_csv(source, role_map):
+    """Parse CSV, a text or a binary file, and bind streams to the roles.
 
     ``role_map`` maps each role (``trigger1``, ``trigger2``,
     ``consequence``) to a stream name. Streams in the file that no role
@@ -106,7 +107,7 @@ def parse_streams_csv(text, role_map):
     in the long layout an unseen name simply yields an empty stream.
     """
     names = role_names(role_map)
-    streams, declared = _parse(text)
+    streams, declared = _parse(source)
     for role, name in zip(ROLES, names):
         if declared is not None and name not in declared:
             raise ConfigError(
@@ -114,6 +115,16 @@ def parse_streams_csv(text, role_map):
                 f"defines {sorted(declared)}"
             )
     return StreamBundle(*(streams.get(name, EventStream(name)) for name in names))
+
+
+@contextmanager
+def open_input(path):
+    """The file at ``path`` open for binary reading; InputError if it cannot be read."""
+    try:
+        with open(path, "rb") as handle:
+            yield handle
+    except OSError as exc:
+        raise InputError(f"cannot read input file: {exc}") from None
 
 
 def role_names(role_map):
@@ -131,20 +142,49 @@ def role_names(role_map):
     return names
 
 
-def _parse(text):
+def _parse(source):
     """Shared parser. Returns (streams by name, declared names or None).
 
-    Lines end at LF, CR or CR LF, as in a ``StringIO`` with ``newline=""``
-    (which would hold the text again at four bytes a character), and the
-    endings stay in quoted fields. ``surrogatepass`` carries lone
-    surrogates through; a leading U+FEFF stays in the header.
+    A file and a text's UTF-8 bytes are decoded by one rule: one leading
+    BOM is dropped, lines end at LF, CR or CR LF, and the endings stay in
+    quoted fields. A text's lone surrogates are carried through; a file
+    that is not UTF-8 gets the message ``bytes.decode("utf-8-sig")`` gives,
+    unless a bad row in an earlier chunk is reported first.
     """
-    data = io.BytesIO(text.encode("utf-8", "surrogatepass"))
-    reader = csv.reader(io.TextIOWrapper(data, "utf-8", "surrogatepass", newline=""))
+    text = isinstance(source, str)
+    counted = _Counted(io.BytesIO(source.encode("utf-8", "surrogatepass")) if text else source)
+    errors = "surrogatepass" if text else "strict"
+    reader = csv.reader(io.TextIOWrapper(counted, "utf-8-sig", errors, newline=""))
     try:
         return _parse_rows(reader)
     except csv.Error as exc:  # e.g. a field past the csv field limit
         raise InputError(str(exc), line=reader.line_num) from None
+    except UnicodeDecodeError as exc:   # its positions count from its chunk's start
+        at = counted.size - len(exc.object)
+        start, last = exc.start + at, exc.end - 1 + at
+        what = (f"byte 0x{exc.object[exc.start]:02x} in position {start}" if start == last
+                else f"bytes in position {start}-{last}")
+        raise InputError(f"input file is not valid UTF-8: '{exc.encoding}' codec can't "
+                         f"decode {what}: {exc.reason}") from None
+
+
+class _Counted(io.BufferedIOBase):
+    """Reads the binary file ``source``; ``size`` counts the bytes read past
+    a leading BOM, as ``bytes.decode("utf-8-sig")`` counts positions (a
+    pipe cannot ``tell()`` them). Closing it leaves ``source`` open."""
+
+    def __init__(self, source):
+        self.source, self.size = source, None
+
+    def readable(self):
+        return True
+
+    def read1(self, size=-1):
+        data = self.source.read(size)
+        if self.size is None:
+            self.size = -len(BOM_UTF8) if data.startswith(BOM_UTF8) else 0
+        self.size += len(data)
+        return data
 
 
 def _parse_rows(reader):

@@ -55,15 +55,3 @@ def shown_path(path):
     """``path`` as a message names it: ``''`` for an empty path, which
     would otherwise vanish from the message, else the path as given."""
     return path or "''"
-
-
-def read_text(path, error, what):
-    """The text of the UTF-8 file at ``path``, an optional BOM dropped; ``error``
-    naming the file as ``what`` if it cannot be read or decoded."""
-    try:
-        with open(path, encoding="utf-8-sig") as handle:
-            return handle.read()
-    except OSError as exc:
-        raise error(f"cannot read {what}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise error(f"{what} is not valid UTF-8: {exc}") from None

@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fuzzmine.cli import main
+from fuzzmine.streams import parse_streams
 
 from common import QUICKSTART_CONFIG, QUICKSTART_CSV, REPO_ROOT, write_workload
 from dot_grammar import check_dot
@@ -232,6 +233,65 @@ class TestMineCommand:
         assert run(capsys, "mine", "--input", str(bad), "--config", CONFIG) == (2, "", err)
         assert run(capsys, "validate", "--input", str(bad)) == (2, "", err)
 
+    # A bad byte, a surrogate encoded in UTF-8 and a cut-off sequence, at
+    # file offsets on both sides of the 8 KiB chunks the parser decodes.
+    @pytest.mark.parametrize("bom", [b"", BOM], ids=["plain", "bom"])
+    @pytest.mark.parametrize("bad, offset", [
+        *(pytest.param(b"\xb0", n, id=f"byte-{n}") for n in (35, 8191, 8192, 20000)),
+        *(pytest.param(b"\xed\xa0\x80", n, id=f"surrogate-{n}") for n in (8190, 20000)),
+        pytest.param(b"\xe2\x82", 8191, id="cut-off-8191"),
+    ])
+    def test_non_utf8_input_names_the_position_in_the_file(self, capsys, tmp_path,
+                                                             bom, bad, offset):
+        head = bom + b'timestamp,stream,value\n1,"'
+        data = head + b"x" * (offset - len(head)) + bad + b'",2\n'
+        with pytest.raises(UnicodeDecodeError) as exc:
+            data.decode("utf-8-sig")
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        err = f"fuzzmine: {path}: input file is not valid UTF-8: {exc.value}\n"
+        assert run(capsys, "mine", "--input", str(path), "--config", CONFIG) == (2, "", err)
+        assert run(capsys, "validate", "--input", str(path)) == (2, "", err)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_non_utf8_pipe_names_the_position_in_the_stream(self, capsys):
+        # A pipe cannot tell its position, so the parser counts what it reads.
+        data = BOM + b"timestamp,stream,value\n" + b"1,s,2\n" * 3000 + b"1,s,\xb0\n"
+        with pytest.raises(UnicodeDecodeError) as exc:
+            data.decode("utf-8-sig")
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, data)   # less than a pipe's 64 KiB buffer
+            os.close(write_end)
+            path = f"/dev/fd/{read_end}"
+            assert run(capsys, "validate", "--input", path) == (
+                2, "", f"fuzzmine: {path}: input file is not valid UTF-8: {exc.value}\n")
+        finally:
+            os.close(read_end)
+
+    def test_cut_off_sequence_at_the_end_names_its_position(self, capsys, tmp_path):
+        data = b"timestamp,stream,value\n" + b"1,s,2\n" * 2000 + b"1,s,\xe2\x82"
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        assert run(capsys, "validate", "--input", str(path)) == (2, "", (
+            f"fuzzmine: {path}: input file is not valid UTF-8: 'utf-8' codec can't decode "
+            "bytes in position 12027-12028: unexpected end of data\n"))
+
+    def test_bad_row_a_chunk_before_a_bad_byte_is_reported_first(self, capsys, tmp_path):
+        # The parser decodes the file 8 KiB at a time, ahead of the rows it
+        # reads: a bad row in an earlier chunk than a bad byte is reported,
+        # while the bad byte wins in the bad row's own chunk.
+        head = b"timestamp,stream,value\n1,s,zap\n"
+        path = tmp_path / "bad.csv"
+        for filler, message in [
+            (b"1,s,2\n" * 2000, "line 2: non-numeric value: 'zap'"),
+            (b"", "input file is not valid UTF-8: 'utf-8' codec can't decode byte 0xb0 "
+                  "in position 35: invalid start byte"),
+        ]:
+            path.write_bytes(head + filler + b"1,s,\xb0\n")
+            assert run(capsys, "validate", "--input", str(path)) == (
+                2, "", f"fuzzmine: {path}: {message}\n")
+
     def test_malformed_csv_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("timestamp,stream1,stream2,stream3\n1,2\n")
@@ -305,6 +365,16 @@ class TestValidateCommand:
         code, out, _ = run(capsys, "validate", "--config", CONFIG, "--input", CSV)
         assert code == 0
         assert "error" not in out
+
+    def test_quoted_crlf_survives_as_in_the_library(self, capsys, tmp_path):
+        # A CR LF inside a quoted name is kept through the CLI, as through the
+        # library's parse of the same file's text.
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(b'timestamp,stream,value\r\n1,"a\r\nb",2\r\n1,"a\r\nb",2\r\n')
+        (name,) = parse_streams(path.read_bytes().decode("utf-8"))
+        assert name == "a\r\nb"
+        assert run(capsys, "validate", "--input", str(path)) == (
+            0, f"info: [duplicate-event] {name!r}: repeated event (timestamp 1, value 2)\n", "")
 
     def test_bad_config_exits_3(self, capsys, tmp_path):
         doc = json.loads(QUICKSTART_CONFIG.read_text())

@@ -275,7 +275,7 @@ class TestLabelExpansion:
         assert sum(weight for _, weight in rules) == pytest.approx(1.0, abs=1e-12)
 
 
-class TestAggregate:
+class TestRuleTotals:
     """Folding instances into rule totals, seen through mine()."""
 
     def test_quickstart_weights(self):

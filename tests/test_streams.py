@@ -1,10 +1,13 @@
 """Tests for CSV ingestion, stream ordering, and bundle validation."""
 
 import gc
+import io
+import os
 import re
 import tracemalloc
 from fractions import Fraction
 from math import inf, nan
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -22,8 +25,8 @@ from fuzzmine import (
     render_table,
     validate,
 )
-from fuzzmine.streams import parse_streams, stream_findings
-from fuzzmine.validation import ERROR, INFO, WARNING, read_text
+from fuzzmine.streams import open_input, parse_streams, stream_findings
+from fuzzmine.validation import ERROR, INFO, WARNING
 
 from common import (
     QUICKSTART_CONFIG,
@@ -249,8 +252,9 @@ def wide_rows():
 
 
 class TestLineSource:
-    """The parser decodes the text's UTF-8 a chunk at a time: a line ending
-    or a character across a chunk boundary parses as anywhere else."""
+    """The parser decodes a file, or a text's UTF-8, a chunk at a time: a
+    line ending or a character across a chunk boundary parses as anywhere
+    else."""
 
     @pytest.mark.parametrize("rows", [long_rows, wide_rows], ids=["long", "wide"])
     def test_mixed_endings_parse_as_lf(self, rows):
@@ -280,10 +284,23 @@ class TestLineSource:
         streams = parse_streams('timestamp,stream,value\r1,"a\rb\nc\r\nd",2\r\n')
         assert list(streams) == ["a\rb\nc\r\nd"]
 
-    def test_leading_bom_reaches_the_header(self):
+    @pytest.mark.parametrize("rows", [long_rows, wide_rows], ids=["long", "wide"])
+    def test_a_file_parses_as_its_text(self, rows):
+        built = rows()
+        built.fill(9 * CHUNK)
+        # A file is strict UTF-8: each lone surrogate becomes another 3-byte character.
+        text = re.sub("[\ud800-\udfff]", "\u20ac", built.text())
+        assert len(utf8(text)) == len(utf8(built.text()))
+        assert parse_streams(io.BytesIO(text.encode("utf-8"))) == parse_streams(text)
+
+    def test_leading_bom_is_dropped(self):
+        # One BOM, from a file or a text alike: a second one reaches the header.
         for text in (LONG, WIDE):
+            expected = parse_streams(text)
+            assert parse_streams("\ufeff" + text) == expected
+            assert parse_streams(io.BytesIO(("\ufeff" + text).encode("utf-8"))) == expected
             with pytest.raises(InputError, match="^line 1: unrecognized header"):
-                parse_streams("\ufeff" + text)
+                parse_streams("\ufeff\ufeff" + text)
 
 
 class TestParseMemory:
@@ -291,11 +308,13 @@ class TestParseMemory:
     character, and the rows of one chunk. On ``sparse`` (1.5 MB of ASCII)
     what it allocates beyond the streams it returns peaks at about twice
     the text; a copy of the text at 4 bytes per character alone would take
-    it past 4 times."""
+    it past 4 times. A file is read a chunk at a time, as the CLI reads
+    it, with no copy of its text: the peak beyond the streams is about the
+    file's size (three times it when the CLI read the whole text first)."""
 
     def test_sparse_peak_beyond_the_streams(self, tmp_path):
         csv_path, config_path = write_workload(tmp_path, "sparse", 1)
-        text = read_text(csv_path, InputError, "input file")
+        text = Path(csv_path).read_text(encoding="utf-8")
         roles = load_config(config_path).roles
         gc.collect()
         tracemalloc.start()
@@ -306,6 +325,20 @@ class TestParseMemory:
             tracemalloc.stop()
         assert sum(len(s.timestamps) for s in bundle) == 75_000
         assert peak - retained < 3 * len(text)
+
+    def test_sparse_file_peak_beyond_the_streams(self, tmp_path):
+        csv_path, config_path = write_workload(tmp_path, "sparse", 1)
+        roles = load_config(config_path).roles
+        gc.collect()
+        tracemalloc.start()
+        try:
+            with open_input(csv_path) as handle:
+                bundle = parse_streams_csv(handle, roles)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(len(s.timestamps) for s in bundle) == 75_000
+        assert peak - retained < 1.5 * os.path.getsize(csv_path)
 
 
 class TestHeaderAndRoles:
