@@ -7,7 +7,11 @@ its four membership degrees. A rule's support is its weight over that of
 all rules, its confidence its weight over that of the rules sharing its
 trigger pair. :func:`mine` does it all in one fused, deterministic pass
 and returns a :class:`RuleSet`, a named tuple whose ``rules`` field
-holds the rules.
+holds the rules. A trigger value is classified once; a consequence's
+value and its elapsed time are classified once for each trigger-2 event
+that reaches it. Beyond the streams, the pass holds only what its
+trigger window reaches and one row of totals per trigger label pair, so
+its memory does not grow with the length of the streams.
 """
 
 from bisect import bisect_left, bisect_right
@@ -84,13 +88,13 @@ def mine(bundle, cfg):
     ``cfg.min_support`` and ``cfg.min_confidence``.
 
     Each window triple yields one instance per combination of its four
-    readings' labels, weighing ``((m1 * m2) * m_dt) * m3``. A value is
-    classified once, when first needed; a trigger-2 event's consequence
-    combos are built once and dropped when the trigger-1 scan has passed
-    it. Instances are added one at a time, in (t1, t2, t3) then label
-    order, into their rule's, their trigger pair's and the grand total,
-    so every sum is bit-reproducible. A product that underflows to 0.0
-    adds nothing.
+    readings' labels, weighing ``((m1 * m2) * m_dt) * m3``. A trigger
+    value is classified once; a consequence's value and its Δt once for
+    each trigger-2 event that reaches it, into that event's combos, which
+    are dropped when the trigger-1 scan has passed it. Instances are
+    added one at a time, in (t1, t2, t3) then label order, into their
+    rule's, their trigger pair's and the grand total, so every sum is
+    bit-reproducible. A product that underflows to 0.0 adds nothing.
 
     A vocabulary of ``cfg`` with no error finding from
     :func:`~fuzzmine.fuzzy.validate_vocabulary` mines; ``load_config``
@@ -111,7 +115,6 @@ def mine(bundle, cfg):
     span12, span23 = cfg.windows.trigger_window, cfg.windows.consequence_window
     times2, values2 = bundle.trigger2.timestamps, bundle.trigger2.values
     times3, values3 = bundle.consequence.timestamps, bundle.consequence.values
-    degrees3 = [None] * len(times3)
     # For the trigger-2 events first, first + 1, ...: None if no labelled
     # consequence is in reach, else the event's degrees and, per such
     # consequence, its (l_dt, l3) combos.
@@ -126,11 +129,10 @@ def mine(bundle, cfg):
         for j in range(lo + len(window), hi):
             t2, group = times2[j], []
             for k in range(bisect_left(times3, t2), bisect_right(times3, t2 + span23)):
-                if degrees3[k] is None:
-                    degrees3[k] = classify(vocab3, values3[k])
+                degrees3 = classify(vocab3, values3[k])
                 combos = [(slots[l_dt, l3], m_dt, m3)
                           for l_dt, m_dt in classify(vocab_dt, times3[k] - t2)
-                          for l3, m3 in degrees3[k]] if degrees3[k] else None
+                          for l3, m3 in degrees3] if degrees3 else None
                 if combos:
                     group.append(combos)
             window.append((classify(vocab2, values2[j]), group) if group else None)

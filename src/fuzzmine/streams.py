@@ -219,14 +219,14 @@ def _parse_long(reader):
         try:
             ts = float(ts_cell)
         except ValueError:
-            raise _non_numeric("timestamp", ts_cell, reader) from None
+            ts = _padded_float(ts_cell, "timestamp", reader)
         name = name.strip()
         if not name:
             raise InputError("stream name is empty", line=reader.line_num)
         try:
             value = float(cell)
         except ValueError:
-            raise _non_numeric("value", cell, reader) from None
+            value = _padded_float(cell, "value", reader)
         if not (0 <= ts < inf and -inf < value < inf):
             _check_event(ts, value, reader.line_num)
         times, values = columns.get(name) or columns.setdefault(name, ([], []))
@@ -247,16 +247,16 @@ def _parse_wide(reader, names):
         try:
             ts = float(row[0])
         except ValueError:
-            raise _non_numeric("timestamp", row[0], reader) from None
+            ts = _padded_float(row[0], "timestamp", reader)
         for i, cell in enumerate(row):
             if cell == "-" or not cell or not i:   # no event, or the timestamp
                 continue
             try:
                 value = float(cell)   # skips what strip() would, bar U+001C to U+001F
             except ValueError:
-                value = _padded_value(cell, names[i - 1], reader)
-                if value is None:
+                if cell.strip() in ("-", ""):   # no event once stripped
                     continue
+                value = _padded_float(cell, f"value for {names[i - 1]!r}", reader)
             if not (0 <= ts < inf and -inf < value < inf):
                 _check_event(ts, value, reader.line_num)
             times, values = columns[i - 1]
@@ -268,21 +268,14 @@ def _parse_wide(reader, names):
             for name, (times, values) in zip(names, columns)}
 
 
-def _padded_value(cell, name, reader):
-    """The value of a wide cell that ``float()`` rejects: None if it is
-    ``-`` or blank once stripped, its float if ``strip()`` removes padding
-    that ``float()`` keeps (U+001C to U+001F), else an InputError."""
-    stripped = cell.strip()
-    if stripped == "-" or not stripped:
-        return None
+def _padded_float(cell, what, reader):
+    """The float of a cell that ``float()`` rejects, if ``strip()`` removes
+    padding that ``float()`` keeps (U+001C to U+001F), else an InputError."""
     try:
-        return float(stripped)
+        return float(cell.strip())
     except ValueError:
-        raise _non_numeric(f"value for {name!r}", cell, reader) from None
-
-
-def _non_numeric(what, cell, reader):
-    return InputError(f"non-numeric {what}: {cell.strip()!r}", line=reader.line_num)
+        raise InputError(f"non-numeric {what}: {cell.strip()!r}",
+                         line=reader.line_num) from None
 
 
 def _check_event(ts, value, line):

@@ -475,6 +475,10 @@ INPUT_CASES = {
                               "line 2: non-numeric timestamp: 'noon'"),
     "long-padded-value": (LONG_HEADER, "1,stream1, zap \n", 2,
                           "line 2: non-numeric value: 'zap'"),
+    "long-separator-padded-timestamp": (LONG_HEADER, "\x1c1,stream1,2\n", 0, ""),
+    "long-separator-padded-value": (LONG_HEADER, "1,stream1,\x1c5\n", 0, ""),
+    "long-separator-padded-non-numeric-value": (LONG_HEADER, "1,stream1,\x1czap\n", 2,
+                                                "line 2: non-numeric value: 'zap'"),
     "long-nan-timestamp": (LONG_HEADER, "nan,stream1,2\n", 2,
                            "line 2: timestamp must be finite, got nan"),
     "long-inf-timestamp": (LONG_HEADER, "inf,stream1,2\n", 2,
@@ -524,6 +528,7 @@ INPUT_CASES = {
                               "line 2: non-numeric timestamp: 'noon'"),
     "wide-padded-value": (WIDE_HEADER, "1, zap ,-,-\n", 2,
                           "line 2: non-numeric value for 'stream1': 'zap'"),
+    "wide-separator-padded-timestamp": (WIDE_HEADER, "\x1c1,2,-,-\n", 0, ""),
     "wide-nan-timestamp": (WIDE_HEADER, "nan,1,-,-\n", 2,
                            "line 2: timestamp must be finite, got nan"),
     "wide-inf-timestamp": (WIDE_HEADER, "inf,-,1,-\n", 2,

@@ -4,7 +4,10 @@ All of it runs through mine(), the one mining entry point, and is
 checked against the independent oracle where the oracle has an answer.
 """
 
+import gc
 import math
+import random
+import tracemalloc
 from collections import Counter
 from itertools import product
 
@@ -472,6 +475,42 @@ class TestMine:
         assert [r.labels for r in ruleset.rules] == sorted(
             expected, key=lambda labels: (-expected[labels][0], labels))
         assert (ruleset.total_weight, ruleset.trigger_weights) == oracle_fold(bundle, cfg)
+
+
+def aligned_bundle(n, seed=1):
+    """Three streams of ``n`` events each, sharing one timestamp per row,
+    with gaps uniform in [0, 100] (a mean of 5 times the quickstart
+    windows) and values uniform over the quickstart volume labels."""
+    rng = random.Random(seed)
+    t, times = 0.0, []
+    for _ in range(n):
+        t += rng.uniform(0, 100)
+        times.append(t)
+    return StreamBundle(*(stream(name, [(t, rng.uniform(0, 15)) for t in times])
+                          for name in STREAM_NAMES))
+
+
+class TestMemory:
+    """Beyond the streams, mine() holds only what its trigger window
+    reaches and one row of totals per (l1, l2) pair, so doubling the
+    streams leaves its traced peak where it was (about 41 KB here). A
+    structure with one slot per event would add at least 20 KB: a cache
+    of consequence degrees added 388 KB."""
+
+    @staticmethod
+    def traced_peak(bundle, cfg):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            mine(bundle, cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_does_not_grow_with_the_streams(self):
+        cfg = quickstart_mining_config()
+        short, long = (self.traced_peak(aligned_bundle(n), cfg) for n in (2_500, 5_000))
+        assert long - short < 10_000
 
 
 class TestConfigTypes:
