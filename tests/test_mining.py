@@ -161,7 +161,7 @@ SPARSE_SHAPE = (
                  Vocabulary("dt", (FuzzyInterval("soon", 0, 0, 2, 4),)), ramps("c", 12)))
 
 
-class TestExtractNumerical:
+class TestWindows:
     """Window semantics, seen through mine(): point labels turn each window
     triple into one unit of weight in the rule named by its readings."""
 
