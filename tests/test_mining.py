@@ -494,23 +494,20 @@ class TestMemory:
     """Beyond the streams, mine() holds only what its trigger window
     reaches and one row of totals per (l1, l2) pair, so doubling the
     streams leaves its traced peak where it was (about 41 KB here). A
-    structure with one slot per event would add at least 20 KB: a cache
-    of consequence degrees added 388 KB."""
-
-    @staticmethod
-    def traced_peak(bundle, cfg):
-        gc.collect()
-        tracemalloc.start()
-        try:
-            mine(bundle, cfg)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    list with one slot per event would add at least 20 KB between the two."""
 
     def test_peak_does_not_grow_with_the_streams(self):
-        cfg = quickstart_mining_config()
-        short, long = (self.traced_peak(aligned_bundle(n), cfg) for n in (2_500, 5_000))
-        assert long - short < 10_000
+        cfg, peaks = quickstart_mining_config(), []
+        for n in (2_500, 5_000):
+            bundle = aligned_bundle(n)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                mine(bundle, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 10_000
 
 
 class TestConfigTypes:
