@@ -7,14 +7,15 @@ its four membership degrees. A rule's support is its weight over that of
 all rules, its confidence its weight over that of the rules sharing its
 trigger pair. :func:`mine` does it all in one fused, deterministic pass
 and returns a :class:`RuleSet`, a named tuple whose ``rules`` field
-holds the rules. A trigger value is classified once; a consequence's
+holds the rules. The windows are found by indices into the streams'
+time-sorted columns that only move forward, so each timestamp is passed
+over once per index. A trigger value is classified once; a consequence's
 value and its elapsed time are classified once for each trigger-2 event
 that reaches it. Beyond the streams, the pass holds only what its
 trigger window reaches and one row of totals per trigger label pair, so
 its memory does not grow with the length of the streams.
 """
 
-from bisect import bisect_left, bisect_right
 from collections import defaultdict, namedtuple
 from itertools import product
 from sys import float_info
@@ -87,8 +88,10 @@ def mine(bundle, cfg):
     """Mine a bundle's rules in one fused pass, keeping those that meet
     ``cfg.min_support`` and ``cfg.min_confidence``.
 
-    Each window triple yields one instance per combination of its four
-    readings' labels, weighing ``((m1 * m2) * m_dt) * m3``. A trigger
+    A window triple has ``t1 <= t2 <= t1 + trigger_window`` and
+    ``t2 <= t3 <= t2 + consequence_window``, each sum a float addition.
+    It yields one instance per combination of its four readings' labels,
+    weighing ``((m1 * m2) * m_dt) * m3``. A trigger
     value is classified once; a consequence's value and its Δt once for
     each trigger-2 event that reaches it, into that event's combos, which
     are dropped when the trigger-1 scan has passed it. Instances are
@@ -119,16 +122,28 @@ def mine(bundle, cfg):
     # consequence is in reach, else the event's degrees and, per such
     # consequence, its (l_dt, l3) combos.
     window, first = [], 0
+    # Windows by indices that only move forward, as the timestamps do:
+    # [lo, hi) into times2 for t1's window, [lo3, hi3) into times3 for t2's.
+    lo = hi = lo3 = hi3 = 0
+    n2, n3 = len(times2), len(times3)
     for t1, v1 in zip(bundle.trigger1.timestamps, bundle.trigger1.values):
-        lo = bisect_left(times2, t1)
-        if lo == len(times2) or times2[lo] > t1 + span12:
+        end = t1 + span12
+        while lo < n2 and times2[lo] < t1:
+            lo += 1
+        if lo == n2 or times2[lo] > end:
             continue
-        hi = bisect_right(times2, t1 + span12, lo)
+        while hi < n2 and times2[hi] <= end:
+            hi += 1
         del window[:lo - first]
         first = lo
         for j in range(lo + len(window), hi):
             t2, group = times2[j], []
-            for k in range(bisect_left(times3, t2), bisect_right(times3, t2 + span23)):
+            end3 = t2 + span23
+            while lo3 < n3 and times3[lo3] < t2:
+                lo3 += 1
+            while hi3 < n3 and times3[hi3] <= end3:
+                hi3 += 1
+            for k in range(lo3, hi3):
                 degrees3 = classify(vocab3, values3[k])
                 combos = [(slots[l_dt, l3], m_dt, m3)
                           for l_dt, m_dt in classify(vocab_dt, times3[k] - t2)

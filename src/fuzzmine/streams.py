@@ -8,10 +8,11 @@ timestamp. Timestamps are non-negative reals in a generic time unit;
 values are reals in a generic volume unit.
 
 An :class:`EventStream` stores two columns, its timestamps and its values,
-sorted together by timestamp however they were given, for the miner's
-window search to read directly. Each layout is parsed in one pass straight
-into those columns, from a binary file (as :func:`open_input` opens it) or
-a text, decoded as UTF-8 a chunk at a time, so a file's text is never held
+as ``array('d')`` (8 bytes a reading), sorted together by timestamp however
+they were given, for the miner's window walk to read directly. Each layout
+is parsed in one pass straight into such arrays, with no list or tuple of
+floats built, from a binary file (as :func:`open_input` opens it) or a
+text, decoded as UTF-8 a chunk at a time, so a file's text is never held
 whole. Malformed input raises :class:`InputError` naming its line.
 :func:`stream_findings` lists what is legal but notable about one stream,
 for :func:`fuzzmine.validate`.
@@ -19,6 +20,7 @@ for :func:`fuzzmine.validate`.
 
 import csv
 import io
+from array import array
 from codecs import BOM_UTF8
 from collections import Counter, namedtuple
 from contextlib import contextmanager
@@ -34,20 +36,20 @@ _LONG_HEADER = ("timestamp", "stream", "value")
 
 Event = namedtuple("Event", "timestamp value")
 
-_MAX = float_info.max   # -_MAX <= x <= _MAX is False for NaN, ±inf and ints past it
+_MAX = float_info.max   # -_MAX <= x <= _MAX is False for NaN and ±inf
 
 
 class EventStream(namedtuple("EventStream", "name timestamps values")):
     """A named, time-ordered stream of events, held as two columns.
 
-    The constructor stores ``timestamps`` and ``values`` as tuples sorted
-    together by timestamp, stably, so input order among equal timestamps
-    survives; it sorts only when the timestamps are out of order. It is
-    the one place a stream's fields are checked: an empty name, columns
-    of unequal length, a timestamp that is negative or not a finite float
-    (NaN, infinite, or an int past the float range), or a value that is
-    not a finite float raise ValueError. ``_make`` and ``_replace`` skip
-    the sort and the checks.
+    The constructor copies ``timestamps`` and ``values`` into ``array('d')``
+    columns of floats, sorted together by timestamp, stably, so input
+    order among equal timestamps survives; it sorts only when the
+    timestamps are out of order. It is the one place a stream's fields are
+    checked: an empty name, columns of unequal length, a timestamp that is
+    negative or not a finite float (NaN, infinite, or a number past the
+    float range), or a value that is not a finite float raise ValueError.
+    ``_make`` and ``_replace`` skip the copy, the sort and the checks.
     """
 
     __slots__ = ()
@@ -55,7 +57,7 @@ class EventStream(namedtuple("EventStream", "name timestamps values")):
     def __new__(cls, name, timestamps=(), values=()):
         if not name:
             raise ValueError("stream name is empty")
-        times, values = tuple(timestamps), tuple(values)
+        times, values = _floats(name, timestamps, "timestamp"), _floats(name, values, "value")
         if len(times) != len(values):
             raise ValueError(f"stream {name!r} has {len(times)} timestamps "
                              f"but {len(values)} values")
@@ -64,14 +66,11 @@ class EventStream(namedtuple("EventStream", "name timestamps values")):
             raise ValueError(f"stream {name!r} has a timestamp that is not finite")
         if not ordered:
             order = sorted(range(len(times)), key=times.__getitem__)
-            times, values = (tuple(column[i] for i in order) for column in (times, values))
+            times, values = (array("d", map(column.__getitem__, order))
+                             for column in (times, values))
         if times and times[0] < 0:
             raise ValueError(f"stream {name!r} has a negative timestamp")
-        try:
-            finite = all(map(isfinite, values))
-        except OverflowError:   # an int or fraction past the float range
-            finite = False
-        if not finite:
+        if not all(map(isfinite, values)):
             raise ValueError(f"stream {name!r} has a value that is not finite")
         return super().__new__(cls, name, times, values)
 
@@ -79,6 +78,14 @@ class EventStream(namedtuple("EventStream", "name timestamps values")):
     def events(self):
         """The events in time order, as ``(timestamp, value)`` named tuples."""
         return tuple(map(Event, self.timestamps, self.values))
+
+
+def _floats(name, numbers, what):
+    """``numbers`` copied into an ``array('d')``."""
+    try:
+        return array("d", numbers)
+    except OverflowError:   # an int or fraction past the float range
+        raise ValueError(f"stream {name!r} has a {what} that is not finite") from None
 
 
 class StreamBundle(namedtuple("StreamBundle", "trigger1 trigger2 consequence")):
@@ -229,14 +236,14 @@ def _parse_long(reader):
             value = _padded_float(cell, "value", reader)
         if not (0 <= ts < inf and -inf < value < inf):
             _check_event(ts, value, reader.line_num)
-        times, values = columns.get(name) or columns.setdefault(name, ([], []))
+        times, values = columns.get(name) or columns.setdefault(name, (array("d"), array("d")))
         times.append(ts)
         values.append(value)
     return {name: EventStream(name, *column) for name, column in columns.items()}
 
 
 def _parse_wide(reader, names):
-    columns = [([], []) for _ in names]
+    columns = [(array("d"), array("d")) for _ in names]
     width = len(names) + 1
     for row in reader:
         if len(row) != width:
@@ -248,8 +255,9 @@ def _parse_wide(reader, names):
             ts = float(row[0])
         except ValueError:
             ts = _padded_float(row[0], "timestamp", reader)
-        for i, cell in enumerate(row):
-            if cell == "-" or not cell or not i:   # no event, or the timestamp
+        for i in range(1, width):
+            cell = row[i]
+            if cell == "-" or not cell:   # no event
                 continue
             try:
                 value = float(cell)   # skips what strip() would, bar U+001C to U+001F
@@ -301,5 +309,5 @@ def stream_findings(where, stream):
                         f"{where} has no events; no associations can involve it")]
     repeats = Counter(zip(stream.timestamps, stream.values))
     return [Finding(INFO, "duplicate-event", f"{where}: repeated event "
-                    f"(timestamp {float(ts):g}, value {float(value):g})")
+                    f"(timestamp {ts:g}, value {value:g})")
             for ts, value in sorted(e for e, n in repeats.items() if n > 1)]

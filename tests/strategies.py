@@ -3,7 +3,9 @@
 Timestamps, values, and interval corners are drawn from a quarter-unit
 grid: every quantity is an exact dyadic float, so window boundary
 checks never wobble and ramp arithmetic stays bit-reproducible between
-the pipeline and the oracles.
+the pipeline and the oracles. ``tenths_bundles`` is the exception: its
+timestamps are tenths, where ``t + window`` rounds (``0.1 + 0.2 != 0.3``),
+to test the window edges under float rounding.
 """
 
 import hypothesis.strategies as st
@@ -37,6 +39,25 @@ def bundles(max_events=10, max_time=30, max_value=12):
         return StreamBundle(*map(stream, STREAM_NAMES, parts))
 
     return st.tuples(events, events, events).map(build)
+
+
+def tenths(low, high):
+    """Multiples of 0.1 in [low, high] (bounds given as integers), each the
+    float nearest its tenth, as a CSV cell such as ``0.3`` parses."""
+    return st.integers(10 * low, 10 * high).map(lambda k: k / 10)
+
+
+@st.composite
+def tenths_bundles(draw, max_events=6, max_time=4, max_value=12):
+    """Three-stream bundles with timestamps on a tenth grid. Each drawn
+    timestamp carries a run of one to three events."""
+
+    def events():
+        times = draw(st.lists(tenths(0, max_time), max_size=max_events))
+        return [(t, draw(quarters(0, max_value)))
+                for t in times for _ in range(draw(st.integers(1, 3)))]
+
+    return StreamBundle(*(stream(name, events()) for name in STREAM_NAMES))
 
 
 @st.composite

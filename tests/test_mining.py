@@ -33,9 +33,20 @@ from common import (
     stream,
 )
 from oracle import brute_force_associations, brute_force_rule_table, trapezoid_degree
-from strategies import STREAM_NAMES, arbitrary_settings, bundles, ruspini_settings
+from strategies import (
+    STREAM_NAMES,
+    arbitrary_settings,
+    bundles,
+    ruspini_settings,
+    tenths,
+    tenths_bundles,
+)
 
 WINDOWS = WindowConfig(trigger_window=10, consequence_window=10)
+
+# Exact numbers a caller may put in a stream built in code, on a grid of
+# thirds to sevenths that floats do not hit.
+EXACT = st.one_of(st.integers(0, 30), st.fractions(0, 30, max_denominator=7))
 
 # One label covering every value and elapsed time the tests produce.
 ANY = Vocabulary("any", (FuzzyInterval("any", -1e9, -1e9, 1e9, 1e9),))
@@ -224,6 +235,29 @@ class TestWindows:
            w=st.tuples(st.integers(1, 48), st.integers(1, 48)))
     def test_matches_brute_force_enumeration(self, bundle, w):
         windows = WindowConfig(w[0] / 4, w[1] / 4)
+        slow = brute_force_associations(bundle, windows.trigger_window,
+                                        windows.consequence_window)
+        found, total = mined_triples(bundle, windows)
+        assert found == Counter(t[:4] for t in slow)
+        assert total == len(slow)
+
+    # On tenths t + window rounds either way: 0.1 + 0.2 lands above 0.3, so
+    # t2 = 0.3 is in the window of 0.2 after t1 = 0.1; 0.7 + 0.1 lands below
+    # 0.8, so t3 = 0.8 is not in the window of 0.1 after t2 = 0.7. The
+    # oracle adds the same floats.
+    @given(bundle=tenths_bundles(),
+           windows=st.builds(WindowConfig, *[tenths(0, 3).filter(bool)] * 2))
+    @example(bundle=StreamBundle(stream("a", [(0.1, 1), (0.6, 2)]),
+                                 stream("b", [(0.3, 3), (0.7, 4)]),
+                                 stream("c", [(0.3, 5), (0.8, 6)])),
+             windows=WindowConfig(0.2, 0.1))
+    @example(bundle=StreamBundle(stream("a", [(0.6, 1), (0.6, 2), (2.5, 3)]),
+                                 stream("b", [(0.8, 4), (0.8, 5), (0.8, 6)]),
+                                 stream("c", [(0.8, 7), (0.9, 8), (1.1, 9)])),
+             windows=WindowConfig(0.2, 0.3))
+    def test_matches_brute_force_on_tenths(self, bundle, windows):
+        # Runs of equal timestamps, and trigger-2 events that stop before
+        # the trigger-1 events do, walk the window indices past each end.
         slow = brute_force_associations(bundle, windows.trigger_window,
                                         windows.consequence_window)
         found, total = mined_triples(bundle, windows)
@@ -438,6 +472,17 @@ class TestMine:
                   for name, four in zip(("t1", "t2", "dt", "c"), corners))
         ruleset = mine(bundle, MiningConfig(WINDOWS, *vocabs))
         assert all(rule.weight > 0.0 for rule in ruleset.rules)
+
+    @given(parts=st.lists(st.lists(st.tuples(EXACT, EXACT), max_size=8),
+                          min_size=3, max_size=3))
+    def test_ints_and_fractions_mine_as_their_float_twins(self, parts):
+        # Columns hold floats, so a stream built from exact numbers mines
+        # with the floats nearest them, not with exact window arithmetic.
+        exact = StreamBundle(*map(stream, STREAM_NAMES, parts))
+        twin = StreamBundle(*(stream(name, [(float(t), float(v)) for t, v in part])
+                              for name, part in zip(STREAM_NAMES, parts)))
+        cfg = quickstart_mining_config()
+        assert mine(exact, cfg) == mine(twin, cfg)
 
     @given(settings_pair=arbitrary_settings(max_events=6))
     @settings(max_examples=40)

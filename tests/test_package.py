@@ -7,6 +7,7 @@ import pickle
 import re
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import pytest
@@ -134,7 +135,7 @@ class TestRecords:
         rules, total, weights = mine(quickstart_bundle(), quickstart_mining_config())
         assert (len(rules), total, len(weights)) == (4, 3.0, 2)
         name, times, values = EventStream("s", (2, 1), (20, 10))
-        assert (name, times, values) == ("s", (1, 2), (10, 20))
+        assert (name, times, values) == ("s", array("d", (1, 2)), array("d", (10, 20)))
 
     def test_cli_imports_neither_dataclasses_nor_inspect(self):
         # dataclasses also loads inspect, ast, dis and tokenize: about 10 ms

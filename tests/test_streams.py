@@ -5,6 +5,8 @@ import io
 import os
 import re
 import tracemalloc
+from array import array
+from decimal import Decimal
 from fractions import Fraction
 from math import inf, nan
 from pathlib import Path
@@ -126,8 +128,8 @@ class TestWideLayout:
         streams = parse_streams("timestamp,a,b,c\n"
                                 "1, 5 ,\t-\t,\u2003\n"
                                 "2,\x1c6\x1f,\xa0,\x1d-\n")
-        assert streams["a"].values == (5.0, 6.0)
-        assert streams["b"].values == streams["c"].values == ()
+        assert streams["a"].values == array("d", (5.0, 6.0))
+        assert streams["b"].values == streams["c"].values == array("d")
         with pytest.raises(InputError, match=r"line 2: non-numeric value for 'b': 'zap'"):
             parse_streams("timestamp,a,b\n1,-,\x1czap\x1f\n")
 
@@ -310,7 +312,24 @@ class TestParseMemory:
     the text; a copy of the text at 4 bytes per character alone would take
     it past 4 times. A file is read a chunk at a time, as the CLI reads
     it, with no copy of its text: the peak beyond the streams is about the
-    file's size (three times it when the CLI read the whole text first)."""
+    file's size (three times it when the CLI read the whole text first).
+    The streams it returns hold 8 bytes per timestamp and per value, about
+    16 bytes per event; a tuple slot and a float object per reading, as
+    columns of tuples held them, take 48 or more."""
+
+    def test_sparse_streams_retain_under_24_bytes_per_event(self, tmp_path):
+        csv_path, config_path = write_workload(tmp_path, "sparse", 1)
+        roles = load_config(config_path).roles
+        gc.collect()
+        tracemalloc.start()
+        try:
+            with open_input(csv_path) as handle:
+                bundle = parse_streams_csv(handle, roles)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert sum(len(s.timestamps) for s in bundle) == 75_000
+        assert retained / 75_000 < 24
 
     def test_sparse_peak_beyond_the_streams(self, tmp_path):
         csv_path, config_path = write_workload(tmp_path, "sparse", 1)
@@ -412,6 +431,15 @@ class TestEventStream:
     def test_non_finite_timestamp_raises(self, times):
         with pytest.raises(ValueError, match="stream 'a' has a timestamp that is not finite"):
             EventStream("a", times, (1,) * len(times))
+
+    def test_columns_are_float_arrays(self):
+        built = EventStream("a", (2, Fraction(1, 3)), (Decimal("0.5"), 7))
+        assert built.timestamps.typecode == built.values.typecode == "d"
+        assert built == ("a", array("d", (1 / 3, 2.0)), array("d", (7.0, 0.5)))
+        with pytest.raises(TypeError, match="unhashable type"):
+            hash(built)
+        with pytest.raises(ValueError, match="stream 'a' has a value that is not finite"):
+            EventStream("a", (1,), (Fraction(10**400),))
 
     def test_columns_of_unequal_length_raise(self):
         with pytest.raises(ValueError, match="stream 'a' has 2 timestamps but 1 values"):
