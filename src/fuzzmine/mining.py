@@ -91,13 +91,13 @@ def mine(bundle, cfg):
     A window triple has ``t1 <= t2 <= t1 + trigger_window`` and
     ``t2 <= t3 <= t2 + consequence_window``, each sum a float addition.
     It yields one instance per combination of its four readings' labels,
-    weighing ``((m1 * m2) * m_dt) * m3``. A trigger
-    value is classified once; a consequence's value and its Δt once for
-    each trigger-2 event that reaches it, into that event's combos, which
-    are dropped when the trigger-1 scan has passed it. Instances are
-    added one at a time, in (t1, t2, t3) then label order, into their
-    rule's, their trigger pair's and the grand total, so every sum is
-    bit-reproducible. A product that underflows to 0.0 adds nothing.
+    weighing ``((m1 * m2) * m_dt) * m3``. A trigger value is classified
+    once; a consequence's value and its Δt once for each trigger-2 event
+    that reaches it, into that event's combos, which are dropped when
+    the trigger-1 scan has passed it. Instances are added one at a time,
+    in (t1, t2, t3) then label order, into their rule's, their trigger
+    pair's and the grand total, so every sum is bit-reproducible. A
+    product that underflows to 0.0 adds nothing.
 
     A vocabulary of ``cfg`` with no error finding from
     :func:`~fuzzmine.fuzzy.validate_vocabulary` mines; ``load_config``

@@ -81,7 +81,8 @@ class EventStream(namedtuple("EventStream", "name timestamps values")):
 
 
 def _floats(name, numbers, what):
-    """``numbers`` copied into an ``array('d')``."""
+    """``numbers`` copied into an ``array('d')``; ValueError naming
+    ``what`` if one is past the float range."""
     try:
         return array("d", numbers)
     except OverflowError:   # an int or fraction past the float range

@@ -44,8 +44,8 @@ from strategies import (
 
 WINDOWS = WindowConfig(trigger_window=10, consequence_window=10)
 
-# Exact numbers a caller may put in a stream built in code, on a grid of
-# thirds to sevenths that floats do not hit.
+# Exact numbers a caller may put in a stream built in code, among them
+# thirds, fifths and sevenths, which no float equals.
 EXACT = st.one_of(st.integers(0, 30), st.fractions(0, 30, max_denominator=7))
 
 # One label covering every value and elapsed time the tests produce.
