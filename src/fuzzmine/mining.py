@@ -5,19 +5,19 @@ Three role-bound streams become rules (trigger1, trigger2) =>
 triple the two windows allow is one instance, weighing the product of
 its four membership degrees. A rule's support is its weight over that of
 all rules, its confidence its weight over that of the rules sharing its
-trigger pair. :func:`mine` does it all in one fused, deterministic pass
-and returns a :class:`RuleSet`, a named tuple whose ``rules`` field
-holds the rules. The windows are found by indices into the streams'
-time-sorted columns that only move forward, so each timestamp is passed
-over once per index. A trigger value is classified once; a consequence's
-value and its elapsed time are classified once for each trigger-2 event
-that reaches it. Beyond the streams, the pass holds only what its
-trigger window reaches and one row of totals per trigger label pair, so
-its memory does not grow with the length of the streams.
+trigger pair. :func:`mine` does it all in one fused, deterministic pass.
+Its windows are found by indices into the streams' time-sorted columns
+that only move forward, so each timestamp is passed over once per index.
+A trigger value is classified once; a consequence's value and its
+elapsed time once for each trigger-2 event that reaches it. Beyond the
+streams, the pass holds only what its trigger window reaches and one row
+of totals per trigger label pair, so its memory does not grow with their
+length. Each rule is made once, from its row; the heaviest come first.
 """
 
 from collections import defaultdict, namedtuple
 from itertools import product
+from operator import itemgetter
 from sys import float_info
 
 from .fuzzy import Vocabulary, classify
@@ -97,7 +97,9 @@ def mine(bundle, cfg):
     the trigger-1 scan has passed it. Instances are added one at a time,
     in (t1, t2, t3) then label order, into their rule's, their trigger
     pair's and the grand total, so every sum is bit-reproducible. A
-    product that underflows to 0.0 adds nothing.
+    product that underflows to 0.0 adds nothing. Each rule is then made
+    once, as a :class:`FuzzyRule` straight from its pair's row, and the
+    list is sorted by labels, then stably by descending weight.
 
     A vocabulary of ``cfg`` with no error finding from
     :func:`~fuzzmine.fuzzy.validate_vocabulary` mines; ``load_config``
@@ -167,12 +169,9 @@ def mine(bundle, cfg):
                     row[width] = pair_total
 
     trigger_weights = {pair: row[width] for pair, row in rows.items() if row[width]}
-    found = sorted(((pair + tails[k], w) for pair, row in rows.items()
-                    for k, w in enumerate(row[:width]) if w),
-                   key=lambda item: (-item[1], item[0]))
-    rules = (FuzzyRule(*labels, weight=w, support=w / total,
-                       confidence=w / trigger_weights[labels[:2]])
-             for labels, w in found)
+    rules = [FuzzyRule._make((*pair, *tail, w, w / total, w / row[width]))
+             for pair, row in rows.items() for tail, w in zip(tails, row) if w]
+    rules.sort()   # by labels, which no two rules share
+    rules.sort(key=itemgetter(4), reverse=True)   # by weight, stable: ties stay in label order
     return RuleSet(tuple(rule for rule in rules if rule.support >= cfg.min_support
-                         and rule.confidence >= cfg.min_confidence),
-                   total, trigger_weights)
+                         and rule.confidence >= cfg.min_confidence), total, trigger_weights)

@@ -127,18 +127,19 @@ def build_tree(ruleset):
 
 
 def _subtree(depth, label, rules):
-    node = {"level": LEVELS[depth], "label": label, "children": []}
-    if depth == len(LEVELS) - 1:
-        node["support"], node["confidence"] = rules[0].support, rules[0].confidence
-        return node
     groups = {}
     for rule in rules:
         groups.setdefault(rule[depth], []).append(rule)   # the rule's label at depth
     # Weights (rule[4]) add left to right: sum() compensates on Python 3.12+.
-    ordered = sorted(groups, key=lambda lab: (-reduce(add, [r[4] for r in groups[lab]], 0.0),
-                                              lab))
-    node["children"] = [_subtree(depth + 1, lab, groups[lab]) for lab in ordered]
-    return node
+    ordered = sorted(groups.items(), key=lambda item: (-reduce(add, [r[4] for r in item[1]], 0.0),
+                                                       item[0]))
+    if depth == len(LEVELS) - 2:   # leaves, each with its group's first rule's metrics
+        children = [{"level": LEVELS[-1], "label": lab, "children": [],
+                     "support": group[0].support, "confidence": group[0].confidence}
+                    for lab, group in ordered]
+    else:
+        children = [_subtree(depth + 1, lab, group) for lab, group in ordered]
+    return {"level": LEVELS[depth], "label": label, "children": children}
 
 
 def render_ascii(tree):

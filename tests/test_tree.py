@@ -8,6 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fuzzmine import (
+    FuzzyRule,
+    RuleSet,
     build_tree,
     mine,
     render_ascii,
@@ -91,6 +93,17 @@ class TestBuildTree:
                              "Long Time After", "Medium Volume")]
         assert sup == pytest.approx(1 / 3, abs=1e-9)
         assert conf == pytest.approx(1.0, abs=1e-9)
+
+    def test_one_leaf_for_repeated_labels_carries_the_first_rules_metrics(self):
+        # A rule set built in code may repeat a label path. Its leaf is the
+        # first such rule's in rule-set order, not the heavier one's.
+        labels = ("p", "q", "r", "s")
+        ruleset = RuleSet((FuzzyRule(*labels, 1.0, 0.25, 0.5),
+                           FuzzyRule(*labels, 2.0, 0.5, 1.0)), 4.0, {labels[:2]: 3.0})
+        tree = build_tree(ruleset)
+        assert leaves(tree) == [{"level": "consequence", "label": "s", "children": [],
+                                 "support": 0.25, "confidence": 0.5}]
+        assert list(rule_paths(reported_tree(ruleset))) == [(labels, (0.25, 0.5))]
 
     def test_empty_ruleset_gives_bare_root(self):
         tree = build_tree(ruleset_of([]))
