@@ -8,11 +8,12 @@ import unicodedata
 import pytest
 
 from fuzzmine import ConfigError, load_config, validate
+from fuzzmine.cli import main
 from fuzzmine.config import parse_config_dict
 from fuzzmine.fuzzy import _CONTROL
 from fuzzmine.validation import ERROR, INFO
 
-from common import QUICKSTART_CONFIG
+from common import QUICKSTART_CONFIG, QUICKSTART_CSV
 
 
 def quickstart_doc():
@@ -23,6 +24,18 @@ def write_config(tmp_path, doc):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     return path
+
+
+def config_text(key, literal):
+    """The quickstart config as JSON text, with the number at the dotted
+    ``key`` spelled as the JSON ``literal``."""
+    doc = quickstart_doc()
+    *parents, last = key.split(".")
+    parent = doc
+    for name in parents:
+        parent = parent[name]
+    parent[last] = "@"
+    return json.dumps(doc).replace('"@"', literal)
 
 
 class TestLoadConfig:
@@ -212,3 +225,53 @@ class TestConfigFindings:
         doc["vocabularies"]["trigger2"][2]["d"] = float("inf")
         with pytest.raises(ConfigError, match="corners must be finite"):
             load_config(write_config(tmp_path, doc))
+
+
+# Each single fault in a window or a threshold, as (key, JSON literal), and
+# the exact ConfigError text of parse_config_dict.
+NUMBER_FAULTS = {
+    (key, literal): message
+    for key, rule, out_of_range in (
+        ("windows.trigger", "a positive finite number", ("0", "-1")),
+        ("windows.consequence", "a positive finite number", ("0", "-1")),
+        ("min_support", "a number in [0, 1]", ("1.5", "-0.1")),
+        ("min_confidence", "a number in [0, 1]", ("1.5", "-0.1")),
+    )
+    for literal, message in (
+        *((value, f"'{key}' must be {rule}, got {value}") for value in out_of_range),
+        ('"ten"', f"'{key}' must be a number, got 'ten'"),
+        ("true", f"'{key}' must be a number, got True"),
+        ("null", f"'{key}' must be a number, got None"),
+        ("1e999", f"'{key}' must be {rule}, got inf"),
+        ("NaN", f"'{key}' must be {rule}, got nan"),
+        ("9" * 400, f"'{key}' is too large for a float"),
+    )
+}
+
+
+class TestNumberMessages:
+    """The message of each single fault in a window or a threshold, through
+    the loader, ``fuzzmine mine`` and ``fuzzmine validate``."""
+
+    @pytest.mark.parametrize("key, literal, message", [
+        pytest.param(key, literal, message,
+                     id=f"{key}={literal if len(literal) < 9 else 'digits'}")
+        for (key, literal), message in NUMBER_FAULTS.items()])
+    def test_single_fault_message(self, key, literal, message):
+        with pytest.raises(ConfigError) as exc:
+            parse_config_dict(json.loads(config_text(key, literal)))
+        assert str(exc.value) == message
+
+    def test_mine_exits_3_with_the_message(self, capsys, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(config_text("windows.trigger", "0"), encoding="utf-8")
+        code = main(["mine", "--input", str(QUICKSTART_CSV), "--config", str(path)])
+        assert (code, *capsys.readouterr()) == (
+            3, "", "fuzzmine: 'windows.trigger' must be a positive finite number, got 0\n")
+
+    def test_validate_lists_the_message(self, capsys, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(config_text("min_confidence", "NaN"), encoding="utf-8")
+        code = main(["validate", "--config", str(path)])
+        assert (code, *capsys.readouterr()) == (
+            3, "error: [config] 'min_confidence' must be a number in [0, 1], got nan\n", "")
