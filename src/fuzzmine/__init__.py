@@ -20,18 +20,16 @@ from .mining import (
     FuzzyRule,
     MiningConfig,
     RuleSet,
-    WindowConfig,
     mine,
 )
 from .report import build_tree, render_ascii, render_dot, render_json, render_table
-from .streams import Event, EventStream, StreamBundle, parse_streams_csv
+from .streams import EventStream, StreamBundle, parse_streams_csv
 from .validation import ConfigError, Finding, InputError
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError",
-    "Event",
     "EventStream",
     "Finding",
     "FuzzyInterval",
@@ -41,7 +39,6 @@ __all__ = [
     "RuleSet",
     "StreamBundle",
     "Vocabulary",
-    "WindowConfig",
     "build_tree",
     "classify",
     "load_config",

@@ -16,7 +16,8 @@ thresholds::
     }
 
 ``min_support`` and ``min_confidence`` default to 0. The loader checks the
-JSON's shape; :func:`~fuzzmine.fuzzy.validate_vocabulary` checks what a vocabulary holds.
+JSON's shape, :class:`~fuzzmine.mining.MiningConfig` the windows and
+thresholds, and :func:`~fuzzmine.fuzzy.validate_vocabulary` what a vocabulary holds.
 
 :func:`load_config` gives the config a run mines; :func:`validate` lists
 the findings of ``fuzzmine validate`` about a config file and an input.
@@ -26,7 +27,7 @@ import json
 from collections import namedtuple
 
 from .fuzzy import FuzzyInterval, Vocabulary, validate_vocabulary
-from .mining import MiningConfig, WindowConfig
+from .mining import MiningConfig
 from .streams import (ROLES, open_input, parse_streams, parse_streams_csv, role_names,
                       stream_findings)
 from .validation import ERROR, ConfigError, Finding, shown_path
@@ -34,6 +35,10 @@ from .validation import ERROR, ConfigError, Finding, shown_path
 VOCABULARY_KEYS = ("trigger1", "trigger2", "delta_t", "consequence")
 
 _TOP_LEVEL_KEYS = ("roles", "windows", "vocabularies", "min_support", "min_confidence")
+
+# The JSON key of each number field of MiningConfig, in field order.
+_NUMBER_KEYS = {"trigger_window": "windows.trigger", "consequence_window": "windows.consequence",
+                "min_support": "min_support", "min_confidence": "min_confidence"}
 
 
 class PipelineConfig(namedtuple("PipelineConfig", "roles mining")):
@@ -107,9 +112,9 @@ def parse_config_dict(doc):
     """Turn a decoded JSON document into a PipelineConfig.
 
     Raises ConfigError naming the offending field on any schema
-    violation, including a window or threshold that its record's
-    constructor rejects. What a vocabulary holds is left to
-    validate_vocabulary; see _config_findings.
+    violation, including a window or threshold that MiningConfig
+    rejects. What a vocabulary holds is left to validate_vocabulary; see
+    _config_findings.
     """
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
@@ -118,11 +123,21 @@ def parse_config_dict(doc):
             raise ConfigError(f"unknown config key {key!r}")
 
     roles = dict(zip(ROLES, role_names(_require(doc, "roles", dict))))
-    windows = _parse_windows(_require(doc, "windows", dict))
+    windows = _require(doc, "windows", dict)
+    if set(windows) != {"trigger", "consequence"}:
+        raise ConfigError("'windows' must have exactly the keys "
+                          f"'trigger' and 'consequence'; got {sorted(windows)}")
     vocabs = _parse_vocabularies(_require(doc, "vocabularies", dict))
-    thresholds = {key: (key, doc.get(key, 0)) for key in ("min_support", "min_confidence")}
-    mining = _build(MiningConfig, thresholds, windows, *(vocabs[key] for key in VOCABULARY_KEYS),
-                    *(_number(raw, key) for key, raw in thresholds.values()))
+    given = dict(doc, **{f"windows.{key}": value for key, value in windows.items()})
+    raw = {key: given.get(key, 0) for key in _NUMBER_KEYS.values()}
+    w12, w23, support, confidence = (_number(value, key) for key, value in raw.items())
+    try:
+        mining = MiningConfig(w12, w23, *vocabs, support, confidence)
+    except ValueError as exc:
+        # The record names the field and the rule, not the JSON key and value.
+        field, _, rule = str(exc).partition(" ")
+        key = _NUMBER_KEYS[field]
+        raise ConfigError(f"'{key}' {rule}, got {raw[key]!r}") from None
     return PipelineConfig(roles=roles, mining=mining)
 
 
@@ -143,20 +158,12 @@ def _require(doc, key, kind):
     return value
 
 
-def _parse_windows(doc):
-    if set(doc) != {"trigger", "consequence"}:
-        raise ConfigError("'windows' must have exactly the keys "
-                          f"'trigger' and 'consequence'; got {sorted(doc)}")
-    keys = {f"{key}_window": (f"windows.{key}", doc[key]) for key in ("trigger", "consequence")}
-    return _build(WindowConfig, keys, *(_number(raw, key) for key, raw in keys.values()))
-
-
 def _parse_vocabularies(doc):
-    """Each vocabulary's array of label and corners objects; labels pass unchecked."""
+    """The four vocabularies, in VOCABULARY_KEYS order; labels pass unchecked."""
     if set(doc) != set(VOCABULARY_KEYS):
         raise ConfigError("'vocabularies' must have exactly the keys "
                           f"{', '.join(VOCABULARY_KEYS)}; got {sorted(doc)}")
-    vocabs = {}
+    vocabs = []
     for key in VOCABULARY_KEYS:
         entries = doc[key]
         if not isinstance(entries, list):
@@ -172,30 +179,15 @@ def _parse_vocabularies(doc):
                 raise ConfigError(f"'{where}' has unknown keys {sorted(extra)}")
             intervals.append(FuzzyInterval(entry.get("label"), *(
                 _number(entry.get(corner), f"{where}.{corner}") for corner in "abcd")))
-        vocabs[key] = Vocabulary(name=key, intervals=tuple(intervals))
+        vocabs.append(Vocabulary(name=key, intervals=tuple(intervals)))
     return vocabs
-
-
-def _build(record, keys, *fields):
-    """``record(*fields)``, its ValueError turned into a ConfigError.
-
-    The record's constructor names the field it rejects first and the
-    rule that field breaks, not its value; ``keys`` maps the field to its
-    JSON key and raw JSON value, which the ConfigError names in its place.
-    """
-    try:
-        return record(*fields)
-    except ValueError as exc:
-        field, _, rule = str(exc).partition(" ")
-        key, raw = keys[field]
-        raise ConfigError(f"'{key}' {rule}, got {raw!r}") from None
 
 
 def _number(value, where):
     """A JSON number as a float, or ConfigError naming ``where``.
 
-    Non-finite floats pass: the record constructors decide whether they
-    are legal.
+    Non-finite floats pass: MiningConfig and validate_vocabulary decide
+    whether they are legal.
     """
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:

@@ -1,4 +1,4 @@
-"""Windowed association mining: rules, their metrics and thresholds.
+"""Windowed association mining: its config, rules, metrics and thresholds.
 
 Three role-bound streams become rules (trigger1, trigger2) =>
 (elapsed-time, consequence). Each combination of the labels of an event
@@ -21,27 +21,6 @@ from operator import itemgetter
 from sys import float_info
 
 from .fuzzy import Vocabulary, classify
-
-
-class WindowConfig(namedtuple("WindowConfig", "trigger_window consequence_window")):
-    """Maximum allowed spacings between the events of one association.
-
-    ``trigger_window`` bounds the time from the trigger-1 event to the
-    trigger-2 event; ``consequence_window`` bounds the time from the
-    trigger-2 event to the consequence event. Both windows are closed:
-    an event landing exactly on the boundary is included. A window that
-    is not a positive finite number raises ValueError, whose message
-    starts with the field's name.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, trigger_window, consequence_window):
-        self = super().__new__(cls, trigger_window, consequence_window)
-        for name, value in zip(self._fields, self):
-            if not 0 < value <= float_info.max:   # also False for NaN and ints past it
-                raise ValueError(f"{name} must be a positive finite number")
-        return self
 
 
 class FuzzyRule(namedtuple("FuzzyRule", "l1 l2 l_dt l3 weight support confidence")):
@@ -67,19 +46,25 @@ class RuleSet(namedtuple("RuleSet", "rules total_weight trigger_weights")):
     __slots__ = ()
 
 
-class MiningConfig(namedtuple("MiningConfig", "windows vocab_t1 vocab_t2 vocab_dt vocab_c "
-                                              "min_support min_confidence",
+class MiningConfig(namedtuple("MiningConfig", "trigger_window consequence_window vocab_t1 "
+                              "vocab_t2 vocab_dt vocab_c min_support min_confidence",
                               defaults=(0.0, 0.0))):
     """Everything one mining run needs besides the streams themselves.
-    ``min_support`` and ``min_confidence`` default to 0; one outside
-    [0, 1] raises ValueError, whose message starts with the field's name."""
+
+    The closed windows bound the time from a trigger-1 to a trigger-2
+    event and from that to a consequence event. The thresholds default to
+    0. A window that is not a positive finite number, or a threshold
+    outside [0, 1], raises ValueError starting with the field's name.
+    """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        for name, value in zip(self._fields[5:], self[5:]):
-            if not 0.0 <= value <= 1.0:
+        for name, value in zip(self._fields, self):   # every range is False for NaN
+            if name.endswith("_window") and not 0 < value <= float_info.max:   # and ints past it
+                raise ValueError(f"{name} must be a positive finite number")
+            if name.startswith("min_") and not 0 <= value <= 1:
                 raise ValueError(f"{name} must be a number in [0, 1]")
         return self
 
@@ -101,6 +86,10 @@ def mine(bundle, cfg):
     once, as a :class:`FuzzyRule` straight from its pair's row, and the
     list is sorted by labels, then stably by descending weight.
 
+    It trusts the streams' time order, which the EventStream constructor
+    makes: a column changed in place afterwards can give wrong rules with
+    no error.
+
     A vocabulary of ``cfg`` with no error finding from
     :func:`~fuzzmine.fuzzy.validate_vocabulary` mines; ``load_config``
     returns no other kind, and one built in code with one may raise.
@@ -117,7 +106,7 @@ def mine(bundle, cfg):
     width = len(tails)
     rows = defaultdict(lambda: [0.0] * (width + 1))
     total = 0.0
-    span12, span23 = cfg.windows.trigger_window, cfg.windows.consequence_window
+    span12, span23 = cfg.trigger_window, cfg.consequence_window
     times2, values2 = bundle.trigger2.timestamps, bundle.trigger2.values
     times3, values3 = bundle.consequence.timestamps, bundle.consequence.values
     # For the trigger-2 events first, first + 1, ...: None if no labelled

@@ -50,6 +50,7 @@ class EventStream(namedtuple("EventStream", "name timestamps values")):
     negative or not a finite float (NaN, infinite, or a number past the
     float range), or a value that is not a finite float raise ValueError.
     ``_make`` and ``_replace`` skip the copy, the sort and the checks.
+    ``mine`` trusts this order: a column changed in place can give wrong rules.
     """
 
     __slots__ = ()

@@ -1,9 +1,11 @@
 """Shared fixture data: the quickstart example in code and on disk, streams
-built from event pairs, and hand-made rule sets for the renderers."""
+built from event pairs, hand-made rule sets for the renderers, and the
+config shape the oracle reads."""
 
 import importlib.util
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from fuzzmine import (
     EventStream,
@@ -13,7 +15,6 @@ from fuzzmine import (
     RuleSet,
     StreamBundle,
     Vocabulary,
-    WindowConfig,
     classify,
     render_json,
 )
@@ -74,7 +75,8 @@ def quickstart_bundle():
 
 def quickstart_mining_config(min_support=0.0, min_confidence=0.0):
     return MiningConfig(
-        windows=WindowConfig(trigger_window=10, consequence_window=10),
+        trigger_window=10,
+        consequence_window=10,
         vocab_t1=volume_vocab("trigger1"),
         vocab_t2=volume_vocab("trigger2"),
         vocab_dt=timing_vocab("delta_t"),
@@ -82,6 +84,16 @@ def quickstart_mining_config(min_support=0.0, min_confidence=0.0):
         min_support=min_support,
         min_confidence=min_confidence,
     )
+
+
+def oracle_config(cfg):
+    """A MiningConfig as ``tests/oracle.py`` reads it: plain attributes with
+    the windows nested, as ``perfbench/run.py`` ``oracle_inputs`` builds it."""
+    return SimpleNamespace(
+        windows=SimpleNamespace(trigger_window=cfg.trigger_window,
+                                consequence_window=cfg.consequence_window),
+        vocab_t1=cfg.vocab_t1, vocab_t2=cfg.vocab_t2,
+        vocab_dt=cfg.vocab_dt, vocab_c=cfg.vocab_c)
 
 
 def points(name, values):

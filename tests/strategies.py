@@ -15,7 +15,6 @@ from fuzzmine import (
     MiningConfig,
     StreamBundle,
     Vocabulary,
-    WindowConfig,
 )
 
 from common import stream
@@ -98,11 +97,12 @@ def ruspini_settings(draw, max_events=16, max_time=30, max_value=12):
     """(bundle, config) pairs where all four vocabularies are Ruspini
     partitions covering every value the pipeline can encounter."""
     consequence_window = draw(st.integers(2, 12))
-    windows = WindowConfig(draw(st.integers(1, 48)) / 4, float(consequence_window))
+    trigger_window = draw(st.integers(1, 48)) / 4
     bundle = draw(bundles(max_events=max_events, max_time=max_time,
                           max_value=max_value))
     cfg = MiningConfig(
-        windows=windows,
+        trigger_window=trigger_window,
+        consequence_window=float(consequence_window),
         vocab_t1=draw(ruspini_vocabs("t1", 0, max_value)),
         vocab_t2=draw(ruspini_vocabs("t2", 0, max_value)),
         vocab_dt=draw(ruspini_vocabs("dt", 0, consequence_window)),
@@ -114,11 +114,13 @@ def ruspini_settings(draw, max_events=16, max_time=30, max_value=12):
 @st.composite
 def arbitrary_settings(draw, max_events=8, max_time=30, max_value=12):
     """(bundle, config) pairs with unconstrained valid vocabularies."""
-    windows = WindowConfig(draw(st.integers(1, 40)) / 4, draw(st.integers(1, 40)) / 4)
+    trigger_window = draw(st.integers(1, 40)) / 4
+    consequence_window = draw(st.integers(1, 40)) / 4
     bundle = draw(bundles(max_events=max_events, max_time=max_time,
                           max_value=max_value))
     cfg = MiningConfig(
-        windows=windows,
+        trigger_window=trigger_window,
+        consequence_window=consequence_window,
         vocab_t1=draw(arbitrary_vocabs("t1", 0, max_value)),
         vocab_t2=draw(arbitrary_vocabs("t2", 0, max_value)),
         vocab_dt=draw(arbitrary_vocabs("dt", 0, 10)),
@@ -140,7 +142,7 @@ def crisp_settings(draw, max_events=8, max_time=20, max_value=9):
     """(bundle, config) pairs with integer data and rectangle vocabularies,
     so every membership degree is 0 or 1."""
     consequence_window = draw(st.integers(1, 8))
-    windows = WindowConfig(float(draw(st.integers(1, 8))), float(consequence_window))
+    trigger_window = float(draw(st.integers(1, 8)))
     events = st.lists(
         st.tuples(st.integers(0, max_time), st.integers(0, max_value)),
         max_size=max_events,
@@ -151,7 +153,8 @@ def crisp_settings(draw, max_events=8, max_time=20, max_value=9):
         for name, part in zip(STREAM_NAMES, parts)
     ]
     cfg = MiningConfig(
-        windows=windows,
+        trigger_window=trigger_window,
+        consequence_window=float(consequence_window),
         vocab_t1=rectangle_vocab("t1", max_value + 1),
         vocab_t2=rectangle_vocab("t2", max_value + 1),
         vocab_dt=rectangle_vocab("dt", consequence_window + 1),

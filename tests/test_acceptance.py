@@ -14,14 +14,20 @@ from hypothesis import HealthCheck, given, settings
 from fuzzmine import (
     FuzzyInterval,
     MiningConfig,
-    WindowConfig,
     build_tree,
     mine,
     render_dot,
 )
 from fuzzmine.cli import main
 
-from common import QUICKSTART_CONFIG, QUICKSTART_CSV, QUICKSTART_RULES, degree, points
+from common import (
+    QUICKSTART_CONFIG,
+    QUICKSTART_CSV,
+    QUICKSTART_RULES,
+    degree,
+    oracle_config,
+    points,
+)
 from dot_grammar import check_dot
 from oracle import brute_force_associations, brute_force_rule_table, crisp_rule_counts
 from strategies import arbitrary_settings, crisp_settings, ruspini_settings
@@ -33,7 +39,7 @@ CONFIG = str(QUICKSTART_CONFIG)
 def test_golden_extraction_is_exact(quickstart_bundle):
     # One point label per value and per elapsed time that occurs: each
     # window triple then weighs exactly 1 in the rule that spells its readings.
-    cfg = MiningConfig(WindowConfig(10, 10), points("t1", (2, 7)), points("t2", (8, 2)),
+    cfg = MiningConfig(10, 10, points("t1", (2, 7)), points("t2", (8, 2)),
                        points("dt", (4, 10)), points("c", (10.5, 15, 7)))
     ruleset = mine(quickstart_bundle, cfg)
     assert sorted((r.labels, r.weight) for r in ruleset.rules) == [
@@ -74,8 +80,7 @@ def test_membership_anchor_points():
 @given(case=ruspini_settings(max_events=16))
 def test_normalization_properties(case):
     bundle, cfg = case
-    associations = brute_force_associations(
-        bundle, cfg.windows.trigger_window, cfg.windows.consequence_window)
+    associations = brute_force_associations(bundle, cfg.trigger_window, cfg.consequence_window)
     ruleset = mine(bundle, cfg)
     assert ruleset.total_weight == pytest.approx(len(associations), abs=1e-9)
     if not ruleset.rules:
@@ -96,7 +101,7 @@ def test_normalization_properties(case):
 def test_pipeline_matches_brute_force_oracle(case):
     bundle, cfg = case
     ruleset = mine(bundle, cfg)
-    expected = brute_force_rule_table(bundle, cfg)
+    expected = brute_force_rule_table(bundle, oracle_config(cfg))
     assert {r.labels for r in ruleset.rules} == set(expected)
     for rule in ruleset.rules:
         weight, support, confidence = expected[rule.labels]
@@ -112,7 +117,7 @@ def test_pipeline_matches_brute_force_oracle(case):
 def test_crisp_vocabularies_reduce_to_counting(case):
     bundle, cfg = case
     ruleset = mine(bundle, cfg)
-    expected = crisp_rule_counts(bundle, cfg)
+    expected = crisp_rule_counts(bundle, oracle_config(cfg))
     assert {r.labels for r in ruleset.rules} == set(expected)
     for rule in ruleset.rules:
         count, support, confidence = expected[rule.labels]

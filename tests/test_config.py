@@ -43,8 +43,8 @@ class TestLoadConfig:
         cfg = load_config(QUICKSTART_CONFIG)
         assert cfg.roles == {"trigger1": "stream1", "trigger2": "stream2",
                              "consequence": "stream3"}
-        assert cfg.mining.windows.trigger_window == 10
-        assert cfg.mining.windows.consequence_window == 10
+        assert cfg.mining.trigger_window == 10
+        assert cfg.mining.consequence_window == 10
         assert cfg.mining.min_support == 0
         assert cfg.mining.min_confidence == 0
         assert cfg.mining.vocab_t1.labels == (

@@ -14,7 +14,6 @@ from fuzzmine import (
     FuzzyInterval,
     MiningConfig,
     Vocabulary,
-    WindowConfig,
     build_tree,
     classify,
     mine,
@@ -263,7 +262,7 @@ class TestValidateVocabulary:
         if ERROR in {f.severity for f in findings}:
             return
         names = ("trigger1", "trigger2", "delta_t", "consequence")
-        cfg = MiningConfig(WindowConfig(10, 10),
+        cfg = MiningConfig(10, 10,
                            *(Vocabulary(name, vocab.intervals) for name in names))
         ruleset = mine(quickstart_bundle(), cfg)
         tree = build_tree(ruleset)

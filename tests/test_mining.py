@@ -22,7 +22,6 @@ from fuzzmine import (
     MiningConfig,
     StreamBundle,
     Vocabulary,
-    WindowConfig,
     load_config,
     mine,
     parse_streams_csv,
@@ -30,6 +29,7 @@ from fuzzmine import (
 
 from common import (
     QUICKSTART_RULES,
+    oracle_config,
     points,
     quickstart_bundle,
     quickstart_mining_config,
@@ -46,7 +46,7 @@ from strategies import (
     tenths_bundles,
 )
 
-WINDOWS = WindowConfig(trigger_window=10, consequence_window=10)
+WINDOWS = (10, 10)   # (trigger_window, consequence_window)
 
 # Exact numbers a caller may put in a stream built in code, among them
 # thirds, fifths and sevenths, which no float equals.
@@ -66,7 +66,7 @@ def mined_triples(bundle, windows):
     t1, t2, c = (s.events for s in (bundle.trigger1, bundle.trigger2,
                                     bundle.consequence))
     cfg = MiningConfig(
-        windows, points("t1", [e.value for e in t1]),
+        *windows, points("t1", [e.value for e in t1]),
         points("t2", [e.value for e in t2]),
         points("dt", [e3.timestamp - e2.timestamp for e2 in t2 for e3 in c]),
         points("c", [e.value for e in c]))
@@ -86,8 +86,7 @@ def oracle_fold(bundle, cfg):
     vocabulary order, each product taken left to right."""
     total, pairs = 0.0, {}
     dims = (cfg.vocab_t1, cfg.vocab_t2, cfg.vocab_dt, cfg.vocab_c)
-    triples = brute_force_associations(
-        bundle, cfg.windows.trigger_window, cfg.windows.consequence_window)
+    triples = brute_force_associations(bundle, cfg.trigger_window, cfg.consequence_window)
     for v1, v2, dt, v3, *_ in triples:
         for ivs in product(*(vocab.intervals for vocab in dims)):
             weight = 1.0
@@ -110,7 +109,7 @@ def one_triple_rules(e1, e2, e3):
 def same_streams(events, windows, vocabs):
     """Three streams holding the same (timestamp, value) events."""
     bundle = StreamBundle(*(stream(name, events) for name in STREAM_NAMES))
-    return bundle, MiningConfig(windows, *vocabs)
+    return bundle, MiningConfig(*windows, *vocabs)
 
 
 def ramps(name, top):
@@ -123,14 +122,14 @@ def ramps(name, top):
 # Every stream has events at 0, 2 and 5, so triples tie across streams and
 # land on both closed window boundaries (2 after t1, 3 after t2).
 BOUNDARY_TIES = same_streams(
-    [(0, 4), (2, 5), (2, 10), (5, 7.25), (5, 11)], WindowConfig(2, 3),
+    [(0, 4), (2, 5), (2, 10), (5, 7.25), (5, 11)], (2, 3),
     (ramps("t1", 12), ramps("t2", 12), ramps("dt", 3), ramps("c", 12)))
 
 # a == b == c == d: the point set has degree 1 at its corner and 0 elsewhere.
 POINT = Vocabulary("point", (FuzzyInterval("at5", 5, 5, 5, 5),
                              FuzzyInterval("near5", 2, 5, 5, 8)))
 ZERO_WIDTH = same_streams(
-    [(0, 5), (0, 4.5), (1, 5), (1, 6)], WindowConfig(1, 1),
+    [(0, 5), (0, 4.5), (1, 5), (1, 6)], (1, 1),
     (POINT, POINT, Vocabulary("dt", (FuzzyInterval("now", 0, 0, 0, 0),
                                      FuzzyInterval("soon", 0, 1, 1, 1))), POINT))
 
@@ -139,7 +138,7 @@ ZERO_WIDTH = same_streams(
 FAINT = Vocabulary("faint", (FuzzyInterval("faint", 0, 3e160, 3e160, 6e160),
                              FuzzyInterval("plain", 0, 12, 12, 12)))
 SUBNORMAL = same_streams(
-    [(0, 2.5), (1, 0.75), (2, 11), (3, 6.5)], WindowConfig(2, 2),
+    [(0, 2.5), (1, 0.75), (2, 11), (3, 6.5)], (2, 2),
     (FAINT, FAINT, FAINT, FAINT))
 
 # Labels z, m, a in reverse lexicographic order with crisp degrees, so many
@@ -147,7 +146,7 @@ SUBNORMAL = same_streams(
 ZMA = Vocabulary("zma", (FuzzyInterval("z", 0, 0, 1, 1), FuzzyInterval("m", 1, 1, 2, 2),
                          FuzzyInterval("a", 2, 2, 3, 3)))
 REVERSE_LEX_TIES = same_streams(
-    [(0, 0.5), (1, 1.5), (1, 2.5), (2, 0.5), (3, 2.5), (4, 1.5)], WindowConfig(2, 2),
+    [(0, 0.5), (1, 1.5), (1, 2.5), (2, 0.5), (3, 2.5), (4, 1.5)], (2, 2),
     (ZMA, ZMA, Vocabulary("dt", (FuzzyInterval("z", 0, 0, 1, 1),
                                  FuzzyInterval("a", 1.25, 1.25, 2, 2))), ZMA))
 
@@ -158,7 +157,7 @@ REPEATED = Vocabulary("repeated", (
     FuzzyInterval("low", 0, 0, 6, 9), FuzzyInterval("mid", 3, 6, 6, 9),
     FuzzyInterval("high", 6, 12, 12, 12)))
 DUPLICATE_LABELS = same_streams(
-    [(0, 1), (0.5, 4.5), (1, 7), (1.5, 10.5), (2, 11.75)], WindowConfig(1.5, 1.5),
+    [(0, 1), (0.5, 4.5), (1, 7), (1.5, 10.5), (2, 11.75)], (1.5, 1.5),
     (REPEATED, REPEATED, ramps("dt", 1.5), REPEATED))
 
 # Shaped like a sparse stream: most trigger windows hold nothing, one
@@ -172,7 +171,7 @@ SPARSE_SHAPE = (
         stream("beta", [(2, 7), (3, 30), (120, 2)]),
         stream("gamma", [(4, 9), (5, 40), (12.5, 3),
                               (200, 1)])),
-    MiningConfig(WindowConfig(2, 10), ramps("t1", 12), ramps("t2", 12),
+    MiningConfig(2, 10, ramps("t1", 12), ramps("t2", 12),
                  Vocabulary("dt", (FuzzyInterval("soon", 0, 0, 2, 4),)), ramps("c", 12)))
 
 
@@ -231,16 +230,15 @@ class TestWindows:
             stream("b", [(2, 7), (1, 2)]),
             stream("c", [(3, 11), (2, 3)]),
         )
-        cfg = MiningConfig(WINDOWS, ramps("t1", 12), ramps("t2", 12),
+        cfg = MiningConfig(*WINDOWS, ramps("t1", 12), ramps("t2", 12),
                            ramps("dt", 10), ramps("c", 12))
-        assert rule_table(mine(bundle, cfg)) == brute_force_rule_table(bundle, cfg)
+        assert rule_table(mine(bundle, cfg)) == brute_force_rule_table(bundle, oracle_config(cfg))
 
     @given(bundle=bundles(max_events=12),
            w=st.tuples(st.integers(1, 48), st.integers(1, 48)))
     def test_matches_brute_force_enumeration(self, bundle, w):
-        windows = WindowConfig(w[0] / 4, w[1] / 4)
-        slow = brute_force_associations(bundle, windows.trigger_window,
-                                        windows.consequence_window)
+        windows = (w[0] / 4, w[1] / 4)
+        slow = brute_force_associations(bundle, *windows)
         found, total = mined_triples(bundle, windows)
         assert found == Counter(t[:4] for t in slow)
         assert total == len(slow)
@@ -250,20 +248,19 @@ class TestWindows:
     # 0.8, so t3 = 0.8 is not in the window of 0.1 after t2 = 0.7. The
     # oracle adds the same floats.
     @given(bundle=tenths_bundles(),
-           windows=st.builds(WindowConfig, *[tenths(0, 3).filter(bool)] * 2))
+           windows=st.tuples(*[tenths(0, 3).filter(bool)] * 2))
     @example(bundle=StreamBundle(stream("a", [(0.1, 1), (0.6, 2)]),
                                  stream("b", [(0.3, 3), (0.7, 4)]),
                                  stream("c", [(0.3, 5), (0.8, 6)])),
-             windows=WindowConfig(0.2, 0.1))
+             windows=(0.2, 0.1))
     @example(bundle=StreamBundle(stream("a", [(0.6, 1), (0.6, 2), (2.5, 3)]),
                                  stream("b", [(0.8, 4), (0.8, 5), (0.8, 6)]),
                                  stream("c", [(0.8, 7), (0.9, 8), (1.1, 9)])),
-             windows=WindowConfig(0.2, 0.3))
+             windows=(0.2, 0.3))
     def test_matches_brute_force_on_tenths(self, bundle, windows):
         # Runs of equal timestamps, and trigger-2 events that stop before
         # the trigger-1 events do, walk the window indices past each end.
-        slow = brute_force_associations(bundle, windows.trigger_window,
-                                        windows.consequence_window)
+        slow = brute_force_associations(bundle, *windows)
         found, total = mined_triples(bundle, windows)
         assert found == Counter(t[:4] for t in slow)
         assert total == len(slow)
@@ -272,8 +269,8 @@ class TestWindows:
            w=st.tuples(st.integers(1, 20), st.integers(1, 20)),
            grow=st.tuples(st.integers(0, 20), st.integers(0, 20)))
     def test_enlarging_windows_never_drops_associations(self, bundle, w, grow):
-        small = WindowConfig(w[0] / 4, w[1] / 4)
-        large = WindowConfig((w[0] + grow[0]) / 4, (w[1] + grow[1]) / 4)
+        small = (w[0] / 4, w[1] / 4)
+        large = ((w[0] + grow[0]) / 4, (w[1] + grow[1]) / 4)
         found_small, _ = mined_triples(bundle, small)
         found_large, _ = mined_triples(bundle, large)
         assert all(found_large[k] >= n for k, n in found_small.items())
@@ -353,7 +350,7 @@ class TestRuleTotals:
         assert not any(r.labels.count("faint") >= 3 for r in ruleset.rules)
         # Values 100 only read as faint (degree ~3e-159), so every product
         # of the one triple underflows to 0.0.
-        faint, _ = same_streams([(0, 100), (1, 100)], WindowConfig(1, 1),
+        faint, _ = same_streams([(0, 100), (1, 100)], (1, 1),
                                 (FAINT, FAINT, FAINT, FAINT))
         empty = StreamBundle(EventStream("a"), EventStream("b"), EventStream("c"))
         assert mine(faint, cfg) == mine(empty, cfg)
@@ -365,7 +362,7 @@ class TestRuleTotals:
                               (1.5, 2.5)]),
             stream("b", [(2, 0.5)]),
             stream("c", [(3, 0.5)]))
-        cfg = MiningConfig(WINDOWS, ZMA, ZMA, ANY, ZMA)
+        cfg = MiningConfig(*WINDOWS, ZMA, ZMA, ANY, ZMA)
         assert [(r.labels, r.weight) for r in mine(bundle, cfg).rules] == [
             (("z", "z", "any", "z"), 2.0),
             (("a", "z", "any", "z"), 1.0),
@@ -409,7 +406,7 @@ class TestMetrics:
                               stream("b", [(1, 6)]),
                               stream("c", [(2, 1.5)]))
         half = Vocabulary("half", (FuzzyInterval("half", 0, 3, 3, 3),))
-        ruleset = mine(bundle, MiningConfig(WINDOWS, half, ANY, ANY, half))
+        ruleset = mine(bundle, MiningConfig(*WINDOWS, half, ANY, ANY, half))
         rule, = ruleset.rules
         assert rule.weight == 0.25
         assert rule.support == 1.0
@@ -431,7 +428,7 @@ class TestThresholds:
         # At zero thresholds mine() keeps every rule, with the oracle's metrics.
         ruleset = mine(quickstart_bundle(), quickstart_mining_config(0.0, 0.0))
         assert rule_table(ruleset) == brute_force_rule_table(
-            quickstart_bundle(), quickstart_mining_config())
+            quickstart_bundle(), oracle_config(quickstart_mining_config()))
 
     def test_full_thresholds_empty_the_set(self):
         ruleset = mine(quickstart_bundle(), quickstart_mining_config(1.0, 1.0))
@@ -458,7 +455,7 @@ class TestThresholds:
         metrics = st.sampled_from([0.0, 1.0, *(value for rule in full.rules
                                                 for value in (rule.support, rule.confidence))])
         min_support, min_confidence = data.draw(st.tuples(metrics, metrics))
-        pruned = mine(bundle, MiningConfig(*cfg[:5], min_support, min_confidence))
+        pruned = mine(bundle, MiningConfig(*cfg[:6], min_support, min_confidence))
         assert pruned.rules == tuple(rule for rule in full.rules
                                      if rule.support >= min_support
                                      and rule.confidence >= min_confidence)
@@ -490,7 +487,7 @@ class TestMine:
         # including NaN, infinite and unordered ones, mine() completes.
         vocabs = (Vocabulary(name, (FuzzyInterval(name, *four),))
                   for name, four in zip(("t1", "t2", "dt", "c"), corners))
-        ruleset = mine(bundle, MiningConfig(WINDOWS, *vocabs))
+        ruleset = mine(bundle, MiningConfig(*WINDOWS, *vocabs))
         assert all(rule.weight > 0.0 for rule in ruleset.rules)
 
     @given(parts=st.lists(st.lists(st.tuples(EXACT, EXACT), max_size=8),
@@ -535,7 +532,7 @@ class TestMine:
         # weight and metric must agree to the last bit, not within a tolerance.
         bundle, cfg = case
         ruleset = mine(bundle, cfg)
-        expected = brute_force_rule_table(bundle, cfg)
+        expected = brute_force_rule_table(bundle, oracle_config(cfg))
         assert rule_table(ruleset) == expected
         assert [r.labels for r in ruleset.rules] == sorted(
             expected, key=lambda labels: (-expected[labels][0], labels))
@@ -595,21 +592,24 @@ class TestMemory:
 
 class TestConfigTypes:
     def test_window_config_rejects_non_positive(self):
+        vocabs = quickstart_mining_config()[2:6]
         with pytest.raises(ValueError):
-            WindowConfig(0, 10)
+            MiningConfig(0, 10, *vocabs)
         with pytest.raises(ValueError):
-            WindowConfig(10, -1)
+            MiningConfig(10, -1, *vocabs)
         with pytest.raises(ValueError):
-            WindowConfig(float("inf"), 1)
+            MiningConfig(float("inf"), 1, *vocabs)
+        with pytest.raises(ValueError):
+            MiningConfig(math.nan, 1, *vocabs)
         with pytest.raises(ValueError):   # not OverflowError
-            WindowConfig(1, 10**400)
+            MiningConfig(1, 10**400, *vocabs)
 
     def test_rejection_names_the_field_not_the_value(self):
         # str() of an int past the 4,300-digit limit raises its own
         # ValueError, which would name no field.
         with pytest.raises(ValueError, match=r"^consequence_window must be a "
                                              r"positive finite number$"):
-            WindowConfig(1, 10**5000)
+            MiningConfig(1, 10**5000, *quickstart_mining_config()[2:6])
         with pytest.raises(ValueError, match=r"^min_support must be a number in \[0, 1\]$"):
             quickstart_mining_config(min_support=10**5000)
 
@@ -618,3 +618,5 @@ class TestConfigTypes:
             quickstart_mining_config(min_support=1.5)
         with pytest.raises(ValueError):
             quickstart_mining_config(min_confidence=-0.1)
+        with pytest.raises(ValueError):
+            quickstart_mining_config(min_confidence=math.nan)

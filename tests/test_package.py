@@ -14,7 +14,6 @@ import pytest
 
 import fuzzmine
 from fuzzmine import (
-    Event,
     EventStream,
     Finding,
     FuzzyInterval,
@@ -22,12 +21,12 @@ from fuzzmine import (
     RuleSet,
     StreamBundle,
     Vocabulary,
-    WindowConfig,
     mine,
     render_json,
 )
 from fuzzmine.cli import main
 from fuzzmine.config import PipelineConfig
+from fuzzmine.streams import Event
 
 from common import (
     QUICKSTART_CONFIG,
@@ -38,24 +37,25 @@ from common import (
 )
 
 PUBLIC_NAMES = [
-    "ConfigError", "Event", "EventStream", "Finding", "FuzzyInterval",
-    "FuzzyRule", "InputError", "MiningConfig", "RuleSet", "StreamBundle",
-    "Vocabulary", "WindowConfig", "build_tree", "classify", "load_config",
-    "mine", "parse_streams_csv", "render_ascii", "render_dot", "render_json",
-    "render_table", "validate", "validate_vocabulary",
+    "ConfigError", "EventStream", "Finding", "FuzzyInterval", "FuzzyRule",
+    "InputError", "MiningConfig", "RuleSet", "StreamBundle", "Vocabulary",
+    "build_tree", "classify", "load_config", "mine", "parse_streams_csv",
+    "render_ascii", "render_dot", "render_json", "render_table", "validate",
+    "validate_vocabulary",
 ]
 
 # Names the package no longer exports because a surviving public name or
 # form does their job. Most were deleted; parse_streams, parse_config_dict
-# and PipelineConfig remain in their modules for validate() and load_config.
+# and PipelineConfig remain in their modules for validate() and load_config,
+# and Event for EventStream.events.
 REMOVED_NAMES = [
-    "Classification", "FuzzmineError", "NumericalAssociation", "ParseError",
+    "Classification", "Event", "FuzzmineError", "NumericalAssociation", "ParseError",
     "PipelineConfig", "RuleInstance", "StreamDataError", "TreeNode",
-    "UndefinedMetricError", "aggregate", "apply_thresholds", "bundle_to_long_csv",
-    "confidence", "config_findings", "extract_numerical", "fuzzify", "has_errors",
-    "membership", "parse_config_dict", "parse_streams", "ruleset_to_report",
-    "support", "tree_from_structured", "tree_to_structured", "validate_bundle",
-    "validate_stream",
+    "UndefinedMetricError", "WindowConfig", "aggregate", "apply_thresholds",
+    "bundle_to_long_csv", "confidence", "config_findings", "extract_numerical",
+    "fuzzify", "has_errors", "membership", "parse_config_dict", "parse_streams",
+    "ruleset_to_report", "support", "tree_from_structured", "tree_to_structured",
+    "validate_bundle", "validate_stream",
 ]
 
 
@@ -82,7 +82,7 @@ class TestPublicSurface:
 STREAM = EventStream("a", (0.0, 1.0), (2.0, 3.0))
 RULE = FuzzyRule("S", "M", "Soon", "L", 1.0, 1.0, 1.0)
 
-# Every public record, with one of its fields.
+# Every record, with one of its fields.
 RECORDS = pytest.mark.parametrize("record, field", [
     (Event(0.0, 2.0), "value"),
     (STREAM, "timestamps"),
@@ -90,7 +90,7 @@ RECORDS = pytest.mark.parametrize("record, field", [
     (Finding("info", "code", "message"), "severity"),
     (FuzzyInterval("S", 0, 1, 2, 3), "d"),
     (Vocabulary("v", [FuzzyInterval("S", 0, 1, 2, 3)]), "intervals"),
-    (WindowConfig(10, 10), "trigger_window"),
+    (quickstart_mining_config(), "trigger_window"),
     (quickstart_mining_config(), "min_support"),
     (PipelineConfig({"trigger1": "a"}, quickstart_mining_config()), "roles"),
     (RULE, "weight"),
@@ -130,7 +130,7 @@ class TestRecords:
     def test_named_tuple_records_unpack_and_equal_plain_tuples(self):
         label, *corners = FuzzyInterval("S", 0, 1, 2, 3)
         assert (label, corners) == ("S", [0, 1, 2, 3])
-        assert WindowConfig(2, 3) == (2, 3)
+        assert Finding("info", "code", "text") == ("info", "code", "text")
         assert Vocabulary("v", [("S", 0, 1, 2, 3)]).intervals == (("S", 0, 1, 2, 3),)
         rules, total, weights = mine(quickstart_bundle(), quickstart_mining_config())
         assert (len(rules), total, len(weights)) == (4, 3.0, 2)

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from fuzzmine import (
     ConfigError,
-    Event,
     EventStream,
     InputError,
     StreamBundle,
@@ -27,7 +26,7 @@ from fuzzmine import (
     render_table,
     validate,
 )
-from fuzzmine.streams import open_input, parse_streams, stream_findings
+from fuzzmine.streams import Event, open_input, parse_streams, stream_findings
 from fuzzmine.validation import ERROR, INFO, WARNING
 
 from common import (
