@@ -24,13 +24,10 @@ from .fuzzy import Vocabulary, classify
 
 
 class FuzzyRule(namedtuple("FuzzyRule", "l1 l2 l_dt l3 weight support confidence")):
-    """An aggregated linguistic rule with its accumulated metrics."""
+    """An aggregated linguistic rule with its accumulated metrics;
+    ``rule[:4]`` is its four labels."""
 
     __slots__ = ()
-
-    @property
-    def labels(self):
-        return self[:4]
 
 
 class RuleSet(namedtuple("RuleSet", "rules total_weight trigger_weights")):

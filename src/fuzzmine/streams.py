@@ -180,10 +180,17 @@ def _parse(source):
 class _Counted(io.BufferedIOBase):
     """Reads the binary file ``source``; ``size`` counts the bytes read past
     a leading BOM, as ``bytes.decode("utf-8-sig")`` counts positions (a
-    pipe cannot ``tell()`` them). Closing it leaves ``source`` open."""
+    pipe cannot ``tell()`` them). Closing it leaves ``source`` open.
+    ``closed`` is a plain attribute, not IOBase's property: the decoder
+    reads it once a line, and the property's flag lookup costs more."""
+
+    closed = False
 
     def __init__(self, source):
         self.source, self.size = source, None
+
+    def close(self):
+        self.closed = True
 
     def readable(self):
         return True
@@ -246,6 +253,7 @@ def _parse_long(reader):
 
 def _parse_wide(reader, names):
     columns = [(array("d"), array("d")) for _ in names]
+    slots = [(i, times.append, values.append) for i, (times, values) in enumerate(columns, 1)]
     width = len(names) + 1
     for row in reader:
         if len(row) != width:
@@ -257,7 +265,8 @@ def _parse_wide(reader, names):
             ts = float(row[0])
         except ValueError:
             ts = _padded_float(row[0], "timestamp", reader)
-        for i in range(1, width):
+        good = 0 <= ts < inf
+        for i, add_time, add_value in slots:   # left to right: the first bad cell is named
             cell = row[i]
             if cell == "-" or not cell:   # no event
                 continue
@@ -267,12 +276,11 @@ def _parse_wide(reader, names):
                 if cell.strip() in ("-", ""):   # no event once stripped
                     continue
                 value = _padded_float(cell, f"value for {names[i - 1]!r}", reader)
-            if not (0 <= ts < inf and -inf < value < inf):
+            if not (good and -inf < value < inf):
                 _check_event(ts, value, reader.line_num)
-            times, values = columns[i - 1]
-            times.append(ts)
-            values.append(value)
-        if not 0 <= ts < inf:   # a bad timestamp gets here only in a row without events
+            add_time(ts)
+            add_value(value)
+        if not good:   # a bad timestamp gets here only in a row without events
             _check_event(ts, 0.0, reader.line_num)
     return {name: EventStream(name, times, values)
             for name, (times, values) in zip(names, columns)}

@@ -42,7 +42,7 @@ def test_golden_extraction_is_exact(quickstart_bundle):
     cfg = MiningConfig(10, 10, points("t1", (2, 7)), points("t2", (8, 2)),
                        points("dt", (4, 10)), points("c", (10.5, 15, 7)))
     ruleset = mine(quickstart_bundle, cfg)
-    assert sorted((r.labels, r.weight) for r in ruleset.rules) == [
+    assert sorted((r[:4], r.weight) for r in ruleset.rules) == [
         (("2.0", "8.0", "10.0", "15.0"), 1.0),
         (("2.0", "8.0", "4.0", "10.5"), 1.0),
         (("7.0", "2.0", "10.0", "7.0"), 1.0),
@@ -54,7 +54,7 @@ def test_golden_rule_set(quickstart_bundle, quickstart_config):
     ruleset = mine(quickstart_bundle, quickstart_config.mining)
     assert len(ruleset.rules) == 4
     assert ruleset.total_weight == pytest.approx(3.0, abs=1e-9)
-    by_labels = {r.labels: r for r in ruleset.rules}
+    by_labels = {r[:4]: r for r in ruleset.rules}
     for labels, (weight, support, confidence) in QUICKSTART_RULES.items():
         rule = by_labels.get(labels)
         assert rule is not None, labels
@@ -102,9 +102,9 @@ def test_pipeline_matches_brute_force_oracle(case):
     bundle, cfg = case
     ruleset = mine(bundle, cfg)
     expected = brute_force_rule_table(bundle, oracle_config(cfg))
-    assert {r.labels for r in ruleset.rules} == set(expected)
+    assert {r[:4] for r in ruleset.rules} == set(expected)
     for rule in ruleset.rules:
-        weight, support, confidence = expected[rule.labels]
+        weight, support, confidence = expected[rule[:4]]
         assert rule.weight == pytest.approx(weight, abs=1e-9)
         assert rule.support == pytest.approx(support, abs=1e-9)
         assert rule.confidence == pytest.approx(confidence, abs=1e-9)
@@ -118,9 +118,9 @@ def test_crisp_vocabularies_reduce_to_counting(case):
     bundle, cfg = case
     ruleset = mine(bundle, cfg)
     expected = crisp_rule_counts(bundle, oracle_config(cfg))
-    assert {r.labels for r in ruleset.rules} == set(expected)
+    assert {r[:4] for r in ruleset.rules} == set(expected)
     for rule in ruleset.rules:
-        count, support, confidence = expected[rule.labels]
+        count, support, confidence = expected[rule[:4]]
         assert rule.weight == float(count)
         assert rule.support == support
         assert rule.confidence == confidence
@@ -152,7 +152,7 @@ def test_leaves_biject_with_rules_on_random_cases(case):
     leaf_metrics = _collect_leaves(build_tree(ruleset))
     assert len(leaf_metrics) == len(ruleset.rules)
     for rule in ruleset.rules:
-        assert leaf_metrics[rule.labels] == (rule.support, rule.confidence)
+        assert leaf_metrics[rule[:4]] == (rule.support, rule.confidence)
 
 
 @pytest.mark.criterion(8, "deterministic reports")

@@ -71,13 +71,13 @@ def mined_triples(bundle, windows):
         points("dt", [e3.timestamp - e2.timestamp for e2 in t2 for e3 in c]),
         points("c", [e.value for e in c]))
     ruleset = mine(bundle, cfg)
-    found = Counter({tuple(map(float, r.labels)): r.weight for r in ruleset.rules})
+    found = Counter({tuple(map(float, r[:4])): r.weight for r in ruleset.rules})
     return found, ruleset.total_weight
 
 
 def rule_table(ruleset):
     """label tuple -> (weight, support, confidence), the oracle's table form."""
-    return {r.labels: (r.weight, r.support, r.confidence) for r in ruleset.rules}
+    return {r[:4]: (r.weight, r.support, r.confidence) for r in ruleset.rules}
 
 
 def oracle_fold(bundle, cfg):
@@ -103,7 +103,7 @@ def one_triple_rules(e1, e2, e3):
     """(labels, weight) of the quickstart rules mined from a single triple."""
     bundle = StreamBundle(*(stream(name, [event])
                             for name, event in zip(STREAM_NAMES, (e1, e2, e3))))
-    return [(r.labels, r.weight) for r in mine(bundle, quickstart_mining_config()).rules]
+    return [(r[:4], r.weight) for r in mine(bundle, quickstart_mining_config()).rules]
 
 
 def same_streams(events, windows, vocabs):
@@ -320,7 +320,7 @@ class TestRuleTotals:
         ruleset = mine(quickstart_bundle(), quickstart_mining_config())
         assert len(ruleset.rules) == 4
         assert ruleset.total_weight == pytest.approx(3.0, abs=1e-9)
-        by_labels = {r.labels: r for r in ruleset.rules}
+        by_labels = {r[:4]: r for r in ruleset.rules}
         for labels, (weight, _, _) in QUICKSTART_RULES.items():
             assert by_labels[labels].weight == pytest.approx(weight, abs=1e-9)
 
@@ -330,7 +330,7 @@ class TestRuleTotals:
                               stream("b", [(2, 1)]),
                               stream("c", [(12, 1)]))
         ruleset = mine(bundle, quickstart_mining_config())
-        assert [(r.labels, r.weight) for r in ruleset.rules] == [
+        assert [(r[:4], r.weight) for r in ruleset.rules] == [
             (("Small Volume", "Small Volume", "Long Time After", "Small Volume"), 2.0)]
 
     def test_empty_input(self):
@@ -347,7 +347,7 @@ class TestRuleTotals:
         ruleset = mine(bundle, cfg)
         assert ruleset.rules and all(r.weight > 0.0 for r in ruleset.rules)
         assert all(w > 0.0 for w in ruleset.trigger_weights.values())
-        assert not any(r.labels.count("faint") >= 3 for r in ruleset.rules)
+        assert not any(r[:4].count("faint") >= 3 for r in ruleset.rules)
         # Values 100 only read as faint (degree ~3e-159), so every product
         # of the one triple underflows to 0.0.
         faint, _ = same_streams([(0, 100), (1, 100)], (1, 1),
@@ -363,7 +363,7 @@ class TestRuleTotals:
             stream("b", [(2, 0.5)]),
             stream("c", [(3, 0.5)]))
         cfg = MiningConfig(*WINDOWS, ZMA, ZMA, ANY, ZMA)
-        assert [(r.labels, r.weight) for r in mine(bundle, cfg).rules] == [
+        assert [(r[:4], r.weight) for r in mine(bundle, cfg).rules] == [
             (("z", "z", "any", "z"), 2.0),
             (("a", "z", "any", "z"), 1.0),
             (("m", "z", "any", "z"), 1.0)]
@@ -390,7 +390,7 @@ class TestRuleTotals:
 class TestMetrics:
     def test_quickstart_support_and_confidence(self):
         ruleset = mine(quickstart_bundle(), quickstart_mining_config())
-        by_labels = {r.labels: r for r in ruleset.rules}
+        by_labels = {r[:4]: r for r in ruleset.rules}
         for labels, (weight, sup, conf) in QUICKSTART_RULES.items():
             rule = by_labels[labels]
             assert rule.weight == pytest.approx(weight, abs=1e-9)
@@ -418,7 +418,7 @@ class TestThresholds:
 
     def test_quickstart_min_support_filters_to_two_rules(self):
         pruned = mine(quickstart_bundle(), quickstart_mining_config(min_support=0.3))
-        kept = {r.labels for r in pruned.rules}
+        kept = {r[:4] for r in pruned.rules}
         assert kept == {
             ("Small Volume", "Medium Volume", "Long Time After", "Large Volume"),
             ("Medium Volume", "Small Volume", "Long Time After", "Medium Volume"),
@@ -441,7 +441,7 @@ class TestThresholds:
         assert pruned.total_weight == ruleset.total_weight
         assert pruned.trigger_weights == ruleset.trigger_weights
         assert set(pruned.rules) < set(ruleset.rules)
-        rule = {r.labels: r for r in pruned.rules}[
+        rule = {r[:4]: r for r in pruned.rules}[
             ("Small Volume", "Medium Volume", "Long Time After", "Large Volume")]
         assert rule.support == pytest.approx(1 / 3, abs=1e-9)
         assert rule.confidence == pytest.approx(0.5, abs=1e-9)
@@ -467,7 +467,7 @@ class TestMine:
     def test_quickstart_end_to_end(self):
         ruleset = mine(quickstart_bundle(), quickstart_mining_config())
         assert len(ruleset.rules) == 4
-        assert {r.labels for r in ruleset.rules} == set(QUICKSTART_RULES)
+        assert {r[:4] for r in ruleset.rules} == set(QUICKSTART_RULES)
 
     def test_thresholds_flow_through_config(self):
         cfg = quickstart_mining_config(min_support=0.3)
@@ -534,7 +534,7 @@ class TestMine:
         ruleset = mine(bundle, cfg)
         expected = brute_force_rule_table(bundle, oracle_config(cfg))
         assert rule_table(ruleset) == expected
-        assert [r.labels for r in ruleset.rules] == sorted(
+        assert [r[:4] for r in ruleset.rules] == sorted(
             expected, key=lambda labels: (-expected[labels][0], labels))
         assert (ruleset.total_weight, ruleset.trigger_weights) == oracle_fold(bundle, cfg)
 

@@ -50,7 +50,7 @@ class TestReportDocument:
     def test_json_keeps_full_precision(self):
         ruleset = quickstart_ruleset()
         parsed = json.loads(json_report(ruleset))
-        originals = {rule.labels: rule.support for rule in ruleset.rules}
+        originals = {rule[:4]: rule.support for rule in ruleset.rules}
         assert len(parsed["rules"]) == len(originals)
         for entry in parsed["rules"]:
             key = (entry["trigger1"], entry["trigger2"], entry["delta_t"],

@@ -2,6 +2,7 @@
 
 import gc
 import io
+from collections import Counter
 import os
 import re
 import tracemalloc
@@ -26,7 +27,7 @@ from fuzzmine import (
     render_table,
     validate,
 )
-from fuzzmine.streams import Event, open_input, parse_streams, stream_findings
+from fuzzmine.streams import Event, _Counted, open_input, parse_streams, stream_findings
 from fuzzmine.validation import ERROR, INFO, WARNING
 
 from common import (
@@ -57,6 +58,25 @@ def long_csv(bundle):
             for stream in (bundle.trigger1, bundle.trigger2, bundle.consequence)
             for event in stream.events]
     return "\n".join(["timestamp,stream,value", *rows]) + "\n"
+
+
+def wide_csv(bundle, blank):
+    """The bundle in the wide layout. The k-th event at a timestamp of each
+    stream shares a row with the other streams' k-th at that timestamp;
+    rows go in (timestamp, k) order, and each cell without an event is
+    ``blank()``."""
+    streams = (bundle.trigger1, bundle.trigger2, bundle.consequence)
+    rows = {}
+    for i, stream in enumerate(streams):
+        seen = Counter()
+        for ts, value in zip(stream.timestamps, stream.values):
+            seen[ts] += 1
+            rows.setdefault((ts, seen[ts]), [None] * 3)[i] = value
+    lines = [",".join(["timestamp", *(stream.name for stream in streams)])]
+    for (ts, _), cells in sorted(rows.items()):
+        lines.append(",".join([repr(ts), *(blank() if value is None else repr(value)
+                                            for value in cells)]))
+    return "\n".join(lines) + "\n"
 
 
 LONG = """timestamp,stream,value
@@ -304,6 +324,27 @@ class TestLineSource:
                 parse_streams("\ufeff\ufeff" + text)
 
 
+class TestSourceStaysOpen:
+    """The parser reads a binary file to its end and leaves it open."""
+
+    @pytest.mark.parametrize("text", [LONG, WIDE], ids=["long", "wide"])
+    def test_a_parsed_file_is_left_open(self, tmp_path, text):
+        path = tmp_path / "streams.csv"
+        path.write_text(text)
+        with open_input(path) as handle:
+            assert parse_streams(handle) == parse_streams(text)
+            assert not handle.closed
+            assert handle.read() == b""
+
+    def test_the_byte_counter_reads_closed_once_closed(self):
+        source = io.BytesIO(b"timestamp,stream,value\n")
+        counted = _Counted(source)
+        assert not counted.closed
+        counted.close()
+        assert counted.closed
+        assert not source.closed
+
+
 class TestParseMemory:
     """Beside the text, the parse holds its UTF-8 bytes, one per ASCII
     character, and the rows of one chunk. On ``sparse`` (1.5 MB of ASCII)
@@ -398,6 +439,15 @@ class TestRoundTrip:
         roles = {"trigger1": "alpha", "trigger2": "beta", "consequence": "gamma"}
         text = long_csv(bundle)
         assert parse_streams_csv(text, roles) == bundle
+
+    @given(bundle=bundles(max_events=4), data=st.data())
+    def test_wide_round_trip_on_random_bundles(self, bundle, data):
+        # Every spelling of "no event": a dash, an empty cell, and each once stripped.
+        blanks = st.sampled_from(["-", "", " - ", "\x1c-"])
+        roles = {"trigger1": "alpha", "trigger2": "beta", "consequence": "gamma"}
+        text = wide_csv(bundle, lambda: data.draw(blanks))
+        assert parse_streams_csv(text, roles) == bundle
+        assert parse_streams_csv(text, roles) == parse_streams_csv(long_csv(bundle), roles)
 
 
 # Numbers a caller may put in a stream built in code.

@@ -130,7 +130,7 @@ class TestBuildTree:
         found = {path: metrics for path, metrics in rule_paths(tree)}
         assert len(found) == len(ruleset.rules)
         for rule in ruleset.rules:
-            assert found[rule.labels] == (rule.support, rule.confidence)
+            assert found[rule[:4]] == (rule.support, rule.confidence)
 
     @given(ruleset=small_rulesets())
     def test_leaf_supports_sum_like_rule_supports(self, ruleset):
@@ -236,7 +236,7 @@ class TestStructuredTree:
                              ("a", "b", "t", "d", 0.2)])
         path_metrics = dict(rule_paths(reported_tree(ruleset)))
         for rule in ruleset.rules:
-            assert path_metrics[rule.labels] == (rule.support, rule.confidence)
+            assert path_metrics[rule[:4]] == (rule.support, rule.confidence)
 
     @given(ruleset=small_rulesets())
     def test_round_trip_on_random_trees(self, ruleset):
