@@ -2,11 +2,11 @@
 
 import gc
 import io
-from collections import Counter
 import os
 import re
 import tracemalloc
 from array import array
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from math import inf, nan
@@ -442,7 +442,7 @@ class TestRoundTrip:
 
     @given(bundle=bundles(max_events=4), data=st.data())
     def test_wide_round_trip_on_random_bundles(self, bundle, data):
-        # Every spelling of "no event": a dash, an empty cell, and each once stripped.
+        # Every spelling of "no event": a dash, an empty cell, and padded dashes.
         blanks = st.sampled_from(["-", "", " - ", "\x1c-"])
         roles = {"trigger1": "alpha", "trigger2": "beta", "consequence": "gamma"}
         text = wide_csv(bundle, lambda: data.draw(blanks))
