@@ -68,8 +68,8 @@ def build_parser():
 
 
 def cmd_mine(args):
-    """The report for ``mine``, with its exit code: the text, or for JSON
-    a function of a writer, which :func:`render_json` passes the report to."""
+    """The report for ``mine``, with its exit code: a function of a writer,
+    to which it passes the report in pieces, as the renderers do."""
     cfg = load_config(args.config)
     with open_input(args.input) as handle:
         streams = parse_streams_csv(handle, cfg.roles)
@@ -77,22 +77,25 @@ def cmd_mine(args):
     tree = build_tree(ruleset) if args.tree else None
     if args.format == "json":
         return EXIT_OK, lambda write: render_json(ruleset, tree, write)
-    text = render_table(ruleset)
-    if tree is not None:
-        text += "\n" + {"ascii": render_ascii, "dot": render_dot}[args.tree](tree)
-    return EXIT_OK, text
+
+    def report(write):
+        render_table(ruleset, write)
+        if tree is not None:
+            write("\n")
+            {"ascii": render_ascii, "dot": render_dot}[args.tree](tree, write)
+    return EXIT_OK, report
 
 
 def cmd_validate(args):
     """The findings listing for ``validate``, with its exit code (no
-    listing on a usage error)."""
+    listing on a usage error): a function of a writer, as for ``mine``."""
     if args.config is None and args.input is None:
         print("fuzzmine validate: provide --config and/or --input",
               file=sys.stderr)
         return EXIT_USAGE, None
     findings = validate(args.config, args.input)
-    listing = "".join(f"{finding}\n" for finding in findings) or "no findings\n"
-    return (EXIT_CONFIG if any(f.severity == ERROR for f in findings) else EXIT_OK), listing
+    code = EXIT_CONFIG if any(f.severity == ERROR for f in findings) else EXIT_OK
+    return code, lambda write: write("".join(f"{f}\n" for f in findings) or "no findings\n")
 
 
 def main(argv=None):
@@ -119,8 +122,8 @@ def main(argv=None):
 
 
 def _write_output(report, path):
-    """Write ``report`` as UTF-8 to ``path``, or to standard output if None.
-    A file name Python decoded with surrogateescape goes back to its bytes."""
+    """Write ``report``'s text as UTF-8 to ``path``, or to standard output if
+    None. A file name Python decoded with surrogateescape goes back to its bytes."""
     if path is not None:
         with open(path, "wb") as handle:
             _send(report, handle)
@@ -141,13 +144,10 @@ def _write_output(report, path):
 
 
 def _send(report, sink):
-    """Write to the binary ``sink`` a text, or what a function passes to
+    """Write to the binary ``sink`` what the function ``report`` passes to
     the writer it is given (in pieces, each ending on a whole character)."""
     def write(text):
         data = memoryview(text.encode("utf-8", "surrogateescape"))
         while data:
             data = data[sink.write(data) or 0:]   # None: would block, retry
-    if callable(report):
-        report(write)
-    else:
-        write(report)
+    report(write)

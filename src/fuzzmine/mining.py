@@ -21,6 +21,7 @@ from operator import itemgetter
 from sys import float_info
 
 from .fuzzy import Vocabulary, classify
+from .streams import in_order
 
 
 class FuzzyRule(namedtuple("FuzzyRule", "l1 l2 l_dt l3 weight support confidence")):
@@ -83,14 +84,16 @@ def mine(bundle, cfg):
     once, as a :class:`FuzzyRule` straight from its pair's row, and the
     list is sorted by labels, then stably by descending weight.
 
-    It trusts the streams' time order, which the EventStream constructor
-    makes: a column changed in place afterwards can give wrong rules with
-    no error.
+    A stream whose timestamps are out of order or out of [0, float max],
+    as a column changed in place can leave them, raises ValueError.
 
     A vocabulary of ``cfg`` with no error finding from
     :func:`~fuzzmine.fuzzy.validate_vocabulary` mines; ``load_config``
     returns no other kind, and one built in code with one may raise.
     """
+    for stream in bundle:
+        if not in_order(stream.timestamps):
+            raise ValueError(f"stream {stream.name!r} has timestamps out of order or range")
     # Intervals as plain tuples, which classify unpacks faster than named tuples.
     vocab1, vocab2, vocab_dt, vocab3 = (
         Vocabulary(vocab.name, map(tuple, vocab.intervals))

@@ -1,4 +1,5 @@
-"""Rule-set reports: the JSON document (passed to ``write`` in pieces), the
+"""Rule-set reports, each passed to a function ``write`` in order, in strings
+of about 64 KiB, so that none is held whole: the JSON document, the
 plain-text table and the decision-tree view, as indented text or DOT.
 
 Every rendering is deterministic: identical rule sets produce
@@ -19,6 +20,7 @@ has level ``root`` and an empty label.
 """
 
 from functools import reduce
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _string
 from operator import add
 
@@ -30,12 +32,12 @@ _COLUMNS = ("trigger1", "trigger2", "delta_t", "consequence",
 # json's spelling of the floats whose repr is not a JSON number.
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
-_PIECE = 1 << 16   # characters of report text (ASCII, so bytes) per write
+_PIECE = 1 << 16   # characters of report text per write, at least
 
 
 def render_json(ruleset, tree, write):
-    """Pass the JSON report to ``write`` in order, in strings of about
-    64 KiB: rules, total weight and, unless ``tree`` is None, the tree.
+    """Pass ``write`` the JSON report: rules, total weight and, unless
+    ``tree`` is None, the tree.
 
     ``tree`` must be the document of :func:`build_tree`; its nodes are
     written by that schema. The bytes are those the :mod:`json` encoder
@@ -43,60 +45,64 @@ def render_json(ruleset, tree, write):
     They are written here directly because the encoder's fast C path
     does not indent.
     """
-    out = ['{\n  "rules": [']
-    separator, size = "\n", 0
+    _write(_json(ruleset, tree), write)
+
+
+def _json(ruleset, tree):
+    yield '{\n  "rules": ['
+    separator = "\n"
     for l1, l2, l_dt, l3, weight, support, confidence in ruleset.rules:
-        out.append(f"{separator}    {{\n"
-                   f'      "confidence": {_number(confidence)},\n'
-                   f'      "consequence": {_string(l3)},\n'
-                   f'      "delta_t": {_string(l_dt)},\n'
-                   f'      "support": {_number(support)},\n'
-                   f'      "trigger1": {_string(l1)},\n'
-                   f'      "trigger2": {_string(l2)},\n'
-                   f'      "weight": {_number(weight)}\n'
-                   "    }")
+        yield (f"{separator}    {{\n"
+               f'      "confidence": {_number(confidence)},\n'
+               f'      "consequence": {_string(l3)},\n'
+               f'      "delta_t": {_string(l_dt)},\n'
+               f'      "support": {_number(support)},\n'
+               f'      "trigger1": {_string(l1)},\n'
+               f'      "trigger2": {_string(l2)},\n'
+               f'      "weight": {_number(weight)}\n'
+               "    }")
         separator = ",\n"
-        size += len(out[-1])
-        if size >= _PIECE:
-            write("".join(out))
-            out.clear()
-            size = 0
-    out.append("\n  ]" if ruleset.rules else "]")
-    out.append(f',\n  "total_weight": {_number(ruleset.total_weight)}')
+    yield "\n  ]" if ruleset.rules else "]"
+    yield f',\n  "total_weight": {_number(ruleset.total_weight)}'
     if tree is not None:
-        out.append(',\n  "tree": ')
-        _node(tree, "  ", out, write, size)
-    out.append("\n}\n")
-    write("".join(out))
+        yield ',\n  "tree": '
+        yield from _node(tree, "  ")
+    yield "\n}\n"
 
 
-def _node(node, pad, out, write, size):
-    """Append to ``out`` the pieces of one tree node whose closing brace is
-    indented by ``pad``. ``size`` counts ``out``'s leaf and rule text, which
-    goes to ``write`` between children once it reaches ``_PIECE``; returns it."""
+def _node(node, pad):
+    """The text of a tree node, not a leaf, whose closing brace is indented by ``pad``."""
     inner = pad + "  "
-    if "support" in node:   # a leaf, which has no children
-        out.append(f'{{\n{inner}"children": [],\n'
-                   f'{inner}"confidence": {_number(node["confidence"])},\n'
-                   f'{inner}"label": {_string(node["label"])},\n'
-                   f'{inner}"level": {_string(node["level"])},\n'
-                   f'{inner}"support": {_number(node["support"])}\n{pad}}}')
-        return size + len(out[-1])
-    out.append(f'{{\n{inner}"children": [')
-    nested = inner + "  "
+    nested, leaf = inner + "  ", inner + "    "
+    yield f'{{\n{inner}"children": ['
     separator = "\n" + nested
     for child in node["children"]:
-        out.append(separator)
-        size = _node(child, nested, out, write, size)
+        if "support" in child:   # a leaf, which has no children
+            yield (f'{separator}{{\n{leaf}"children": [],\n'
+                   f'{leaf}"confidence": {_number(child["confidence"])},\n'
+                   f'{leaf}"label": {_string(child["label"])},\n'
+                   f'{leaf}"level": {_string(child["level"])},\n'
+                   f'{leaf}"support": {_number(child["support"])}\n{nested}}}')
+        else:
+            yield separator
+            yield from _node(child, nested)
         separator = ",\n" + nested
+    yield (f"\n{inner}]" if node["children"] else "]") + (
+        f',\n{inner}"label": {_string(node["label"])},\n'
+        f'{inner}"level": {_string(node["level"])}\n{pad}}}')
+
+
+def _write(texts, write):
+    """Pass the strings ``texts`` yields to ``write``, joined into pieces of
+    at least ``_PIECE`` characters but the last, which may be shorter."""
+    out, size = [], 0
+    for text in texts:
         if size >= _PIECE:
             write("".join(out))
-            out.clear()
-            size = 0
-    out.append(f"\n{inner}]" if node["children"] else "]")
-    out.append(f',\n{inner}"label": {_string(node["label"])},\n'
-               f'{inner}"level": {_string(node["level"])}\n{pad}}}')
-    return size
+            out, size = [], 0
+        out.append(text)
+        size += len(text)
+    write("".join(out))
 
 
 def _number(value):
@@ -104,16 +110,18 @@ def _number(value):
     return _NON_FINITE.get(text, text)
 
 
-def render_table(ruleset):
-    """Fixed-width table of rule tuples and their metrics."""
-    # A rule's four labels, then its weight, support and confidence to 6 digits.
-    rows = [_COLUMNS, *(rule[:4] + tuple(f"{v:.6g}" for v in rule[4:]) for rule in ruleset.rules)]
-    widths = [max(map(len, column)) for column in zip(*rows)]
-    lines = ["  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
-             for row in rows]
-    lines.insert(1, "  ".join("-" * width for width in widths))
-    lines.append(f"\n{len(ruleset.rules)} rules, total weight {ruleset.total_weight:.6g}")
-    return "\n".join(lines) + "\n"
+def render_table(ruleset, write):
+    """Pass ``write`` a fixed-width table of rule tuples and their metrics."""
+    # A column's name, then each rule's label, or its metric to 6 digits.
+    columns = [[name, *(rule[k] if k < 4 else f"{rule[k]:.6g}" for rule in ruleset.rules)]
+               for k, name in enumerate(_COLUMNS)]
+    widths = [max(map(len, column)) for column in columns]
+    # Cells padded to their column's width, but the last, a metric's digits.
+    rows = map(("  ".join(f"%-{width}s" for width in widths[:-1]) + "  %s\n").__mod__,
+               zip(*columns))
+    _write(chain([next(rows), "  ".join("-" * width for width in widths) + "\n"], rows,
+                 [f"\n{len(ruleset.rules)} rules, total weight {ruleset.total_weight:.6g}\n"]),
+           write)
 
 
 def build_tree(ruleset):
@@ -142,47 +150,40 @@ def _subtree(depth, label, rules):
     return {"level": LEVELS[depth], "label": label, "children": children}
 
 
-def render_ascii(tree):
-    """Render the tree as indented text, one node per line.
+def render_ascii(tree, write):
+    """Pass ``write`` the tree as indented text, one node per line.
 
     Leaves are suffixed with their metrics to four decimal places, e.g.
     ``Medium Volume [sup=0.3333, conf=1.0000]``.
     """
-    return "".join(["  " * depth + _text(node, depth, str, " ") + "\n"
-                    for node, depth, _, _ in _walk(tree)])
+    _write(("  " * depth + _text(node, depth, str, " ") + "\n"
+            for node, depth, _, _ in _walk(tree)), write)
 
 
-def render_dot(tree):
-    """Render the tree as a DOT digraph.
+def render_dot(tree, write):
+    """Pass ``write`` the tree as a DOT digraph.
 
     Node identifiers are the root-to-node label paths (with separator
     escaping, so they stay unique whatever the labels contain), which
     makes the output stable across runs. Leaves show their metrics on a
     second label line.
     """
-    nodes, edges = [], []
-    for node, depth, path, parent in _walk(tree):
-        text = _text(node, depth, _dot_escape, "\\n")   # a line break when drawn
-        nodes.append(f'  "{_dot_escape(path)}" [label="{text}"];')
-        if parent is not None:
-            edges.append(f'  "{_dot_escape(parent)}" -> "{_dot_escape(path)}";')
-    return "\n".join(["digraph rules {", "  node [shape=box];", *nodes, *edges, "}"]) + "\n"
+    order = list(_walk(tree))
+    nodes = ('  "%s" [label="%s"];\n' % (_dot_escape(path), _text(node, depth, _dot_escape, r"\n"))
+             for node, depth, path, _ in order)
+    edges = ('  "%s" -> "%s";\n' % (_dot_escape(parent), _dot_escape(path))
+             for _, _, path, parent in order[1:])   # every node but the root has a parent
+    _write(chain(["digraph rules {\n  node [shape=box];\n"], nodes, edges, ["}\n"]), write)
 
 
-def _walk(tree):
-    """Every node of ``tree`` in pre-order, as (node, depth, DOT path,
-    parent's DOT path or None). A path joins the labels from the root,
-    each with its backslashes and slashes escaped."""
-    order = []
-
-    def visit(node, depth, path, parent):
-        order.append((node, depth, path, parent))
-        for child in node["children"]:
-            visit(child, depth + 1,
-                  path + "/" + child["label"].replace("\\", "\\\\").replace("/", "\\/"), path)
-
-    visit(tree, 0, "root", None)
-    return order
+def _walk(node, depth=0, path="root", parent=None):
+    """Every node of the tree ``node`` in pre-order, as (node, depth, DOT
+    path, parent's DOT path or None). A path joins the labels from the
+    root, each with its backslashes and slashes escaped."""
+    yield node, depth, path, parent
+    for child in node["children"]:
+        label = child["label"].replace("\\", "\\\\").replace("/", "\\/")
+        yield from _walk(child, depth + 1, f"{path}/{label}", path)
 
 
 def _text(node, depth, escape, separator):

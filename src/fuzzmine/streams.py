@@ -24,6 +24,7 @@ from array import array
 from codecs import BOM_UTF8
 from collections import Counter, namedtuple
 from contextlib import contextmanager
+from itertools import chain
 from math import inf, isfinite
 from operator import le
 from sys import float_info
@@ -50,7 +51,8 @@ class EventStream(namedtuple("EventStream", "name timestamps values")):
     negative or not a finite float (NaN, infinite, or a number past the
     float range), or a value that is not a finite float raise ValueError.
     ``_make`` and ``_replace`` skip the copy, the sort and the checks.
-    ``mine`` trusts this order: a column changed in place can give wrong rules.
+    ``mine`` checks this order again (:func:`in_order`): a timestamp changed
+    in place out of order or out of range raises ValueError there.
     """
 
     __slots__ = ()
@@ -62,15 +64,14 @@ class EventStream(namedtuple("EventStream", "name timestamps values")):
         if len(times) != len(values):
             raise ValueError(f"stream {name!r} has {len(times)} timestamps "
                              f"but {len(values)} values")
-        ordered = all(map(le, times, times[1:]))   # False if two or more and any is NaN
-        if not all(-_MAX <= t <= _MAX for t in (times[:1] + times[-1:] if ordered else times)):
-            raise ValueError(f"stream {name!r} has a timestamp that is not finite")
-        if not ordered:
+        if not in_order(times):   # a sort to make, or a timestamp to reject
+            if not all(-_MAX <= t <= _MAX for t in times):
+                raise ValueError(f"stream {name!r} has a timestamp that is not finite")
             order = sorted(range(len(times)), key=times.__getitem__)
             times, values = (array("d", map(column.__getitem__, order))
                              for column in (times, values))
-        if times and times[0] < 0:
-            raise ValueError(f"stream {name!r} has a negative timestamp")
+            if times[0] < 0:
+                raise ValueError(f"stream {name!r} has a negative timestamp")
         if not all(map(isfinite, values)):
             raise ValueError(f"stream {name!r} has a value that is not finite")
         return super().__new__(cls, name, times, values)
@@ -79,6 +80,11 @@ class EventStream(namedtuple("EventStream", "name timestamps values")):
     def events(self):
         """The events in time order, as ``(timestamp, value)`` named tuples."""
         return tuple(map(Event, self.timestamps, self.values))
+
+
+def in_order(times):
+    """Whether the timestamps ``times`` never fall, from 0 up to the float maximum."""
+    return all(map(le, chain((0.0,), times), chain(times, (_MAX,))))   # False at a NaN
 
 
 def _floats(name, numbers, what):

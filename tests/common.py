@@ -123,11 +123,17 @@ def ruleset_of(rows):
     return RuleSet(rules=rules, total_weight=total, trigger_weights=pairs)
 
 
-def json_report(ruleset, tree=None):
-    """The JSON report as one string: the pieces render_json writes, joined."""
+def rendered(render, *args):
+    """A report as one string: the pieces ``render(*args, write)`` passes
+    to ``write``, joined."""
     pieces = []
-    render_json(ruleset, tree, pieces.append)
+    assert render(*args, pieces.append) is None
     return "".join(pieces)
+
+
+def json_report(ruleset, tree=None):
+    """The JSON report as one string."""
+    return rendered(render_json, ruleset, tree)
 
 
 def load_workloads():

@@ -27,6 +27,7 @@ from common import (
     degree,
     oracle_config,
     points,
+    rendered,
 )
 from dot_grammar import check_dot
 from oracle import brute_force_associations, brute_force_rule_table, crisp_rule_counts
@@ -134,7 +135,7 @@ def test_golden_tree_shape_and_metrics(quickstart_bundle, quickstart_config):
     for labels, (_, support, confidence) in QUICKSTART_RULES.items():
         assert leaf_metrics[labels][0] == pytest.approx(support, abs=1e-9)
         assert leaf_metrics[labels][1] == pytest.approx(confidence, abs=1e-9)
-    dot_text = render_dot(tree)
+    dot_text = rendered(render_dot, tree)
     node_count = sum("[label=" in line for line in dot_text.splitlines())
     edge_count = sum(" -> " in line for line in dot_text.splitlines())
     assert node_count == 12

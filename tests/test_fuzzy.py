@@ -24,7 +24,7 @@ from fuzzmine import (
 )
 from fuzzmine.validation import ERROR, INFO, Finding
 
-from common import degree, json_report, quickstart_bundle, timing_vocab, volume_vocab
+from common import degree, json_report, quickstart_bundle, rendered, timing_vocab, volume_vocab
 from strategies import quarters, ruspini_vocabs
 
 # Corners of valid vocabularies, signed zeros, subnormals and huge ones included.
@@ -266,8 +266,8 @@ class TestValidateVocabulary:
                            *(Vocabulary(name, vocab.intervals) for name in names))
         ruleset = mine(quickstart_bundle(), cfg)
         tree = build_tree(ruleset)
-        for text in (render_table(ruleset), json_report(ruleset, tree), render_ascii(tree),
-                     render_dot(tree)):
+        for text in (rendered(render_table, ruleset), json_report(ruleset, tree),
+                     rendered(render_ascii, tree), rendered(render_dot, tree)):
             text.encode("utf-8")
 
     def test_non_finite_corner(self):

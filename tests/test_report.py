@@ -1,4 +1,5 @@
-"""Tests for report rendering: table layout and JSON document."""
+"""Tests for report rendering: table layout, JSON document, and the pieces
+every renderer passes to ``write``."""
 
 import json
 from pathlib import Path
@@ -14,6 +15,8 @@ from fuzzmine import (
     load_config,
     mine,
     parse_streams_csv,
+    render_ascii,
+    render_dot,
     render_json,
     render_table,
 )
@@ -22,11 +25,12 @@ from common import (
     json_report,
     quickstart_bundle,
     quickstart_mining_config,
+    rendered,
     ruleset_of,
     write_workload,
 )
 
-PIECE = 64 * 1024   # the size of the pieces render_json passes to ``write``
+PIECE = 64 * 1024   # the size of the pieces each renderer passes to ``write``
 
 
 def quickstart_ruleset():
@@ -93,37 +97,42 @@ def wide_vocab_ruleset(tmp_path_factory):
     return mine(streams, cfg.mining)
 
 
-def streamed(ruleset, tree):
-    """The pieces render_json passes to ``write``."""
+# Each report of a rule set, as its renderer and the arguments before ``write``:
+# the JSON report without and with its tree, the table, and each text tree.
+REPORTS = {
+    "rules": lambda ruleset: (render_json, ruleset, None),
+    "tree": lambda ruleset: (render_json, ruleset, build_tree(ruleset)),
+    "table": lambda ruleset: (render_table, ruleset),
+    "ascii": lambda ruleset: (render_ascii, build_tree(ruleset)),
+    "dot": lambda ruleset: (render_dot, build_tree(ruleset)),
+}
+EVERY_REPORT = pytest.mark.parametrize("report", REPORTS)
+
+
+def streamed(report, ruleset):
+    """The pieces the renderer of ``report`` passes to ``write``."""
+    render, *args = REPORTS[report](ruleset)
     pieces = []
-    assert render_json(ruleset, tree, pieces.append) is None
+    assert render(*args, pieces.append) is None
     return pieces
 
 
-WITH_TREE = pytest.mark.parametrize("with_tree", [False, True], ids=["rules", "tree"])
-
-
 class TestStreamedReport:
-    @WITH_TREE
-    def test_large_report_arrives_in_pieces_of_about_64_kib(self, wide_vocab_ruleset,
-                                                            with_tree):
-        tree = build_tree(wide_vocab_ruleset) if with_tree else None
-        pieces = streamed(wide_vocab_ruleset, tree)
+    @EVERY_REPORT
+    def test_large_report_arrives_in_pieces_of_about_64_kib(self, wide_vocab_ruleset, report):
+        pieces = streamed(report, wide_vocab_ruleset)
         assert len(pieces) > 1
         assert all(PIECE <= len(piece) <= 2 * PIECE for piece in pieces[:-1])
         assert len(pieces[-1]) <= 2 * PIECE
 
-    @WITH_TREE
-    def test_small_report_is_one_piece(self, with_tree):
-        ruleset = quickstart_ruleset()
-        tree = build_tree(ruleset) if with_tree else None
-        assert len(streamed(ruleset, tree)) == 1
+    @EVERY_REPORT
+    def test_small_report_is_one_piece(self, report):
+        assert len(streamed(report, quickstart_ruleset())) == 1
 
-    @WITH_TREE
-    def test_empty_rule_set_is_one_piece(self, with_tree):
+    @EVERY_REPORT
+    def test_empty_rule_set_is_one_piece(self, report):
         ruleset = RuleSet(rules=(), total_weight=0.0, trigger_weights={})
-        tree = build_tree(ruleset) if with_tree else None
-        assert len(streamed(ruleset, tree)) == 1
+        assert len(streamed(report, ruleset)) == 1
 
 
 def dumped_report(ruleset, tree):
@@ -177,16 +186,16 @@ class TestReportBytes:
 
 class TestTableRendering:
     def test_six_significant_digits(self):
-        text = render_table(quickstart_ruleset())
+        text = rendered(render_table, quickstart_ruleset())
         assert "0.166667" in text
         assert "0.333333" in text
 
     def test_summary_line(self):
-        text = render_table(quickstart_ruleset())
+        text = rendered(render_table, quickstart_ruleset())
         assert text.rstrip().endswith("4 rules, total weight 3")
 
     def test_empty_rule_set_renders_header_only(self):
-        text = render_table(ruleset_of([]))
+        text = rendered(render_table, ruleset_of([]))
         lines = text.splitlines()
         assert lines[0].startswith("trigger1")
         assert "0 rules, total weight 0" in text
@@ -196,5 +205,5 @@ class TestTableRendering:
             ("a-very-long-label", "b", "t", "c", 1.0),
             ("x", "y", "t", "c", 1.0),
         ])
-        header, separator, first, *_ = render_table(ruleset).splitlines()
+        header, separator, first, *_ = rendered(render_table, ruleset).splitlines()
         assert len(separator.split("  ")[0]) == len("a-very-long-label")

@@ -34,6 +34,7 @@ from common import (
     QUICKSTART_CONFIG,
     quickstart_bundle,
     quickstart_mining_config,
+    rendered,
     stream,
     write_workload,
 )
@@ -462,8 +463,24 @@ class TestEventStream:
             bundle.trigger1, bundle.trigger2,
             stream(bundle.consequence.name, bundle.consequence.events[::-1]))
         cfg = quickstart_mining_config()
-        assert render_table(mine(shuffled, cfg)) == render_table(mine(bundle, cfg))
+        assert (rendered(render_table, mine(shuffled, cfg))
+                == rendered(render_table, mine(bundle, cfg)))
         assert shuffled == bundle
+
+    # The columns are arrays, which can be changed in place after the
+    # constructor sorted and checked them. mine() checks each stream's order
+    # and range again, rather than mine wrong rules (here 0 in place of 4).
+    @pytest.mark.parametrize("role, index, timestamp", [
+        ("trigger2", 0, 2000.0), ("trigger1", 0, -1.0), ("consequence", -1, inf),
+        ("consequence", 1, nan),
+    ], ids=["out-of-order", "negative", "inf", "nan"])
+    def test_column_changed_in_place_raises_in_mine(self, role, index, timestamp):
+        bundle = quickstart_bundle()
+        changed = getattr(bundle, role)
+        changed.timestamps[index] = timestamp
+        with pytest.raises(ValueError, match=f"^stream '{changed.name}' has timestamps "
+                                             "out of order or range$"):
+            mine(bundle, quickstart_mining_config())
 
     def test_equal_timestamps_keep_input_order(self):
         ordered = stream("a", [(5, 3), (1, 9), (5, 1), (5, 2)])
@@ -501,6 +518,8 @@ class TestEventStream:
     def test_negative_timestamp_raises(self):
         with pytest.raises(ValueError, match="stream 'a' has a negative timestamp"):
             EventStream("a", (3, -1), (2, 2))
+        with pytest.raises(ValueError, match="stream 'a' has a negative timestamp"):
+            EventStream("a", (-1, 3), (2, 2))
 
     # An int past the float range has no float value: the check must say
     # so with ValueError, not fail with OverflowError.

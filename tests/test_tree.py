@@ -16,7 +16,7 @@ from fuzzmine import (
     render_dot,
 )
 
-from common import json_report, quickstart_bundle, quickstart_mining_config, ruleset_of
+from common import json_report, quickstart_bundle, quickstart_mining_config, rendered, ruleset_of
 from dot_grammar import check_dot
 
 GOLDEN_ASCII = """\
@@ -147,19 +147,19 @@ class TestBuildTree:
 
 class TestRenderAscii:
     def test_quickstart_render(self):
-        assert render_ascii(build_tree(quickstart_ruleset())) == GOLDEN_ASCII
+        assert rendered(render_ascii, build_tree(quickstart_ruleset())) == GOLDEN_ASCII
 
     def test_contains_full_confidence_leaf(self):
-        text = render_ascii(build_tree(quickstart_ruleset()))
+        text = rendered(render_ascii, build_tree(quickstart_ruleset()))
         assert "Medium Volume [sup=0.3333, conf=1.0000]" in text
 
     def test_empty_tree(self):
-        assert render_ascii(build_tree(ruleset_of([]))) == "(root)\n"
+        assert rendered(render_ascii, build_tree(ruleset_of([]))) == "(root)\n"
 
     @given(rulesets=st.lists(small_rulesets(), min_size=2, max_size=6))
     def test_distinct_trees_render_distinctly(self, rulesets):
         trees = [build_tree(rs) for rs in rulesets]
-        renders = [render_ascii(t) for t in trees]
+        renders = [rendered(render_ascii, t) for t in trees]
         for i, tree_a in enumerate(trees):
             for j, tree_b in enumerate(trees):
                 if tree_a != tree_b:
@@ -168,27 +168,27 @@ class TestRenderAscii:
 
 class TestRenderDot:
     def test_quickstart_counts(self):
-        text = render_dot(build_tree(quickstart_ruleset()))
+        text = rendered(render_dot, build_tree(quickstart_ruleset()))
         node_lines = [l for l in text.splitlines() if "[label=" in l]
         edge_lines = [l for l in text.splitlines() if " -> " in l]
         assert len(node_lines) == 12
         assert len(edge_lines) == 11
 
     def test_quickstart_passes_grammar_check(self):
-        assert check_dot(render_dot(build_tree(quickstart_ruleset())))
+        assert check_dot(rendered(render_dot, build_tree(quickstart_ruleset())))
 
     def test_empty_tree_is_one_node_no_edges(self):
-        text = render_dot(build_tree(ruleset_of([])))
+        text = rendered(render_dot, build_tree(ruleset_of([])))
         assert check_dot(text)
         assert len([l for l in text.splitlines() if "[label=" in l]) == 1
         assert " -> " not in text
 
     def test_output_is_byte_deterministic(self):
         tree = build_tree(quickstart_ruleset())
-        assert render_dot(tree) == render_dot(tree)
+        assert rendered(render_dot, tree) == rendered(render_dot, tree)
 
     def test_leaf_labels_carry_metrics(self):
-        text = render_dot(build_tree(quickstart_ruleset()))
+        text = rendered(render_dot, build_tree(quickstart_ruleset()))
         assert "[sup=0.3333, conf=1.0000]" in text
 
     def test_awkward_labels_stay_valid_and_distinct(self):
@@ -196,7 +196,7 @@ class TestRenderDot:
             ('la "bel', "x/y", "t\\u", "c", 1.0),
             ("la ", '"bel', "x/y", "t\\u", 1.0),
         ])
-        text = render_dot(build_tree(ruleset))
+        text = rendered(render_dot, build_tree(ruleset))
         assert check_dot(text)
         ids = [l.split(" [label=")[0].strip()
                for l in text.splitlines() if "[label=" in l]
@@ -204,7 +204,7 @@ class TestRenderDot:
 
     @given(ruleset=small_rulesets())
     def test_random_trees_always_parse(self, ruleset):
-        assert check_dot(render_dot(build_tree(ruleset)))
+        assert check_dot(rendered(render_dot, build_tree(ruleset)))
 
     def test_grammar_checker_rejects_garbage(self):
         for bad in ('digraph { a -> }', 'digraph { "x" -> "y" ',
@@ -220,8 +220,8 @@ class TestStructuredTree:
         ruleset = quickstart_ruleset()
         tree = build_tree(ruleset)
         again = reported_tree(ruleset)
-        assert render_ascii(again) == render_ascii(tree)
-        assert render_dot(again) == render_dot(tree)
+        assert rendered(render_ascii, again) == rendered(render_ascii, tree)
+        assert rendered(render_dot, again) == rendered(render_dot, tree)
 
     def test_round_trip_restores_equal_tree(self):
         ruleset = quickstart_ruleset()
