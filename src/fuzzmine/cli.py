@@ -63,7 +63,7 @@ def build_parser():
         "validate", help="check a config file and/or an input file")
     validate_cmd.add_argument("--config", metavar="JSON")
     validate_cmd.add_argument("--input", metavar="CSV")
-    validate_cmd.set_defaults(func=cmd_validate, out=None)
+    validate_cmd.set_defaults(func=cmd_validate, out=None, usage_error=validate_cmd.error)
     return parser
 
 
@@ -87,12 +87,10 @@ def cmd_mine(args):
 
 
 def cmd_validate(args):
-    """The findings listing for ``validate``, with its exit code (no
-    listing on a usage error): a function of a writer, as for ``mine``."""
+    """The findings listing for ``validate``, with its exit code: a function
+    of a writer, as for ``mine``. Neither file to check is a usage error."""
     if args.config is None and args.input is None:
-        print("fuzzmine validate: provide --config and/or --input",
-              file=sys.stderr)
-        return EXIT_USAGE, None
+        args.usage_error("provide --config and/or --input")
     findings = validate(args.config, args.input)
     code = EXIT_CONFIG if any(f.severity == ERROR for f in findings) else EXIT_OK
     return code, lambda write: write("".join(f"{f}\n" for f in findings) or "no findings\n")
@@ -110,8 +108,6 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"fuzzmine: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if report is None:
-        return code
     try:
         _write_output(report, args.out)
     except OSError as exc:

@@ -17,6 +17,7 @@ from functools import reduce
 from math import isfinite
 from operator import add
 
+from .streams import _floats
 from .validation import ERROR, INFO, Finding
 
 # Degrees are compared against 1 with this slack when probing whether a
@@ -31,13 +32,18 @@ _CONTROL = frozenset(map(chr, (*range(0x20), *range(0x7F, 0xA0))))
 class FuzzyInterval(namedtuple("FuzzyInterval", "label a b c d")):
     """One trapezoid (a, b, c, d) defining a linguistic label.
 
-    Corner values are expressed in the units of the dimension the
-    interval classifies. Valid intervals satisfy a <= b <= c <= d;
-    construction does not enforce this so that validators can report
-    on malformed definitions (see :func:`validate_vocabulary`).
+    Corner values are in the units of the dimension the interval
+    classifies. The constructor makes each the float nearest it, as
+    ``EventStream`` does its readings: one past the float range raises
+    ValueError naming the interval, one that is not a number TypeError
+    (``_make`` and ``_replace`` skip this). Order and finiteness are left
+    to :func:`validate_vocabulary`, which lists every malformed interval.
     """
 
     __slots__ = ()
+
+    def __new__(cls, label, a, b, c, d):
+        return super().__new__(cls, label, *_floats(f"interval {label!r}", (a, b, c, d), "corner"))
 
 
 class Vocabulary(namedtuple("Vocabulary", "name intervals")):
@@ -83,12 +89,12 @@ def validate_vocabulary(vocab):
 
     Error findings flag invariant breaches (no intervals; a label that is
     not a non-empty string, or has a control character or an unpaired
-    surrogate; a duplicate label; corners that are not int, float or
-    Fraction, out of order, not finite or past the float range; a ramp
-    wider than the float range). Without them the vocabulary mines and
+    surrogate; a duplicate label; corners out of order or not finite; a
+    ramp wider than the float range). Without them the vocabulary mines and
     renders, and informational findings list the coverage gaps in
     ascending order and then say whether the vocabulary forms a Ruspini
-    partition (degrees summing to 1 across the covered range).
+    partition (degrees summing to 1 across the covered range). Corners are
+    floats, as the :class:`FuzzyInterval` constructor makes them.
     """
     findings = []
     if not vocab.name:
@@ -123,24 +129,13 @@ def validate_vocabulary(vocab):
 def _corner_error(iv):
     """``(code, message)`` if the corners of ``iv`` break an invariant, else None."""
     corners = (iv.a, iv.b, iv.c, iv.d)
-    if not all(isinstance(v, (int, float)) for v in corners):
-        from fractions import Fraction   # imported only for a vocabulary built in code
-        if not all(isinstance(v, (int, float, Fraction)) for v in corners):
-            kinds = ", ".join(type(v).__name__ for v in corners)
-            return "interval-corners", f"corners must be int, float or Fraction, got ({kinds})"
-    try:   # every corner: one past the float range may be too long for str()
-        if not all([isfinite(v) for v in corners]):
-            return "interval-corners", f"corners must be finite, got {corners}"
-    except OverflowError:   # an int or Fraction past the float range
-        return "interval-corners", "a corner is past the float range"
+    if not all(map(isfinite, corners)):
+        return "interval-corners", f"corners must be finite, got {corners}"
     if not iv.a <= iv.b <= iv.c <= iv.d:
-        got = ", ".join(map(_g, corners))
+        got = ", ".join(f"{v:g}" for v in corners)
         return "interval-corners", f"requires a <= b <= c <= d, got ({got})"
-    try:   # the widths classify divides by, in the corners' own arithmetic
-        if isfinite(iv.b - iv.a) and isfinite(iv.d - iv.c):
-            return None
-    except OverflowError:   # an int or Fraction width past the float range
-        pass
+    if isfinite(iv.b - iv.a) and isfinite(iv.d - iv.c):   # the widths classify divides by
+        return None
     return "interval-span", f"a ramp is wider than the float range, got {corners}"
 
 
@@ -159,14 +154,14 @@ def _range_findings(vocab):
     for lo, hi in zip(corners, corners[1:]):
         if not any(iv.a <= lo and hi <= iv.d for iv in vocab.intervals):
             findings.append(Finding(INFO, "coverage-gap",
-                                    f"{vocab.name}: no interval covers ({_g(lo)}, {_g(hi)})"))
+                                    f"{vocab.name}: no interval covers ({lo:g}, {hi:g})"))
         probes.append(lo / 2 + hi / 2)   # hi - lo may overflow
     ruspini = all(   # a left fold: sum() compensates on Python 3.12+
         abs(reduce(add, (degree for _, degree in classify(vocab, x)), 0.0) - 1.0)
         <= _PARTITION_TOL
         for x in probes
     )
-    span = f"[{_g(corners[0])}, {_g(corners[-1])}]"
+    span = f"[{corners[0]:g}, {corners[-1]:g}]"
     findings.append(
         Finding(INFO, "ruspini", f"{vocab.name}: memberships sum to 1 over {span} "
                                  "(Ruspini partition)") if ruspini else
@@ -174,7 +169,3 @@ def _range_findings(vocab):
                                      f"everywhere on {span}"))
     return findings
 
-
-def _g(corner):
-    """A finite corner in ``g`` format, a Fraction too (Python 3.11 cannot format one so)."""
-    return f"{float(corner):g}"

@@ -17,6 +17,7 @@ length. Each rule is made once, from its row; the heaviest come first.
 
 from collections import defaultdict, namedtuple
 from itertools import product
+from math import isfinite
 from operator import itemgetter
 from sys import float_info
 
@@ -85,7 +86,8 @@ def mine(bundle, cfg):
     list is sorted by labels, then stably by descending weight.
 
     A stream whose timestamps are out of order or out of [0, float max],
-    as a column changed in place can leave them, raises ValueError.
+    or with a value that is not finite, as a column changed in place can
+    leave them, raises ValueError.
 
     A vocabulary of ``cfg`` with no error finding from
     :func:`~fuzzmine.fuzzy.validate_vocabulary` mines; ``load_config``
@@ -94,6 +96,8 @@ def mine(bundle, cfg):
     for stream in bundle:
         if not in_order(stream.timestamps):
             raise ValueError(f"stream {stream.name!r} has timestamps out of order or range")
+        if not all(map(isfinite, stream.values)):
+            raise ValueError(f"stream {stream.name!r} has a value that is not finite")
     # Intervals as plain tuples, which classify unpacks faster than named tuples.
     vocab1, vocab2, vocab_dt, vocab3 = (
         Vocabulary(vocab.name, map(tuple, vocab.intervals))

@@ -60,7 +60,8 @@ class EventStream(namedtuple("EventStream", "name timestamps values")):
     def __new__(cls, name, timestamps=(), values=()):
         if not name:
             raise ValueError("stream name is empty")
-        times, values = _floats(name, timestamps, "timestamp"), _floats(name, values, "value")
+        owner = f"stream {name!r}"
+        times, values = _floats(owner, timestamps, "timestamp"), _floats(owner, values, "value")
         if len(times) != len(values):
             raise ValueError(f"stream {name!r} has {len(times)} timestamps "
                              f"but {len(values)} values")
@@ -87,13 +88,14 @@ def in_order(times):
     return all(map(le, chain((0.0,), times), chain(times, (_MAX,))))   # False at a NaN
 
 
-def _floats(name, numbers, what):
-    """``numbers`` copied into an ``array('d')``; ValueError naming
-    ``what`` if one is past the float range."""
+def _floats(owner, numbers, what):
+    """``numbers``, each as the float nearest it, in an ``array('d')``: the one
+    place a number given in code becomes a float. ValueError naming ``owner``
+    and ``what`` if one is past the float range; TypeError if one is not a number."""
     try:
         return array("d", numbers)
     except OverflowError:   # an int or fraction past the float range
-        raise ValueError(f"stream {name!r} has a {what} that is not finite") from None
+        raise ValueError(f"{owner} has a {what} that is not finite") from None
 
 
 class StreamBundle(namedtuple("StreamBundle", "trigger1 trigger2 consequence")):

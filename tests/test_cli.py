@@ -440,9 +440,13 @@ class TestValidateCommand:
         assert "zap" in err
 
     def test_no_arguments_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "validate")
-        assert code == 1
-        assert "--config" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["validate"])
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: fuzzmine validate")
+        assert "--config and/or --input" in err
 
     # An empty path names no file; it is read, and fails, as under mine.
     def test_empty_config_path_is_a_config_error(self, capsys):

@@ -1,6 +1,5 @@
 """Tests for trapezoidal degrees, classification, and vocabulary checks."""
 
-import contextlib
 import math
 import sys
 from decimal import Decimal
@@ -37,12 +36,18 @@ def valid_vocabs(draw):
     return Vocabulary("v", [FuzzyInterval(f"L{i}", *sorted(c)) for i, c in enumerate(corners)])
 
 
-# Any label, and any number corner, that a vocabulary built in code might hold.
+# Any label, and any number corner that constructs, that a vocabulary built
+# in code might hold: NaN, infinities and the float maximum's neighbours too.
 LABELS = st.one_of(st.text(), st.text(st.characters(categories=("Cc", "Cs", "Ll")), max_size=3),
                    st.sampled_from(["a", "b"]), st.integers(), st.none(),
                    st.lists(st.integers(), max_size=1))
-WILD_CORNERS = st.one_of(st.floats(), st.integers(-2**1025, 2**1025), st.fractions(),
-                         st.decimals(places=2), st.none(), st.text(max_size=2))
+BIGGEST = int(sys.float_info.max)
+WILD_CORNERS = st.one_of(st.floats(), st.integers(-BIGGEST, BIGGEST), st.fractions(),
+                         st.decimals(places=2, allow_nan=False))
+
+# Exact numbers, each a corner that becomes the float nearest it.
+EXACT = st.one_of(st.integers(-2, 16), st.fractions(-2, 16, max_denominator=7),
+                  st.decimals(-2, 16, places=2))
 
 
 @st.composite
@@ -54,9 +59,7 @@ def wild_vocabs(draw):
         corners = draw(st.lists(st.one_of(quarters(-1, 16), WILD_CORNERS),
                                 min_size=4, max_size=4))
         if draw(st.sampled_from(["sort", "sort", "sort", "keep"])) == "sort":
-            # None and str do not order with numbers, nor a Decimal with a NaN.
-            with contextlib.suppress(TypeError, ArithmeticError):
-                corners.sort()
+            corners.sort(key=float)   # as the constructor converts them
         intervals.append(FuzzyInterval(draw(st.one_of(st.just(f"L{i}"), LABELS)), *corners))
     return Vocabulary("v", intervals)
 
@@ -186,6 +189,42 @@ class TestClassify:
         assert isinstance(classify(volume_vocab(), -1), tuple)
 
 
+class TestFuzzyInterval:
+    @pytest.mark.parametrize("corners", [
+        (0, 0, 1, 10**400), (0, 0, 1, Fraction(10**400)), (0, 0, 1, 10**5000),
+        (math.nan, 0, 1, 10**5000), (-10**400, 0, 1, 2),
+    ], ids=["int", "fraction", "huge-int", "nan-and-int", "minus-int"])
+    def test_corner_past_the_float_range_raises(self, corners):
+        # Not OverflowError: ValueError naming the interval, not the corner,
+        # which may be an int of more than 4,300 digits, too long to print.
+        with pytest.raises(ValueError, match="^interval 'x' has a corner that is not finite$"):
+            FuzzyInterval("x", *corners)
+
+    @pytest.mark.parametrize("corners", [
+        ("0", "0", "1", "2"), (0, None, 1, 2), (0, 0, 1, [2]),
+    ], ids=["str", "none", "list"])
+    def test_corner_that_is_not_a_number_raises(self, corners):
+        with pytest.raises(TypeError):
+            FuzzyInterval("x", *corners)
+
+    @settings(max_examples=50)
+    @given(corners=st.lists(st.lists(EXACT, min_size=4, max_size=4), min_size=1, max_size=3))
+    def test_exact_corners_mine_as_their_float_twins(self, corners):
+        # Corners are floats from construction, so a vocabulary built from
+        # exact numbers is checked and mined as its float twin is.
+        corners = [sorted(four) for four in corners]
+        exact = Vocabulary("v", [FuzzyInterval(f"L{i}", *four) for i, four in enumerate(corners)])
+        twin = Vocabulary("v", [FuzzyInterval(f"L{i}", *map(float, four))
+                                for i, four in enumerate(corners)])
+        assert all(type(v) is float for iv in exact.intervals for v in iv[1:])
+        assert validate_vocabulary(exact) == validate_vocabulary(twin)
+
+        def config(vocab):
+            names = ("trigger1", "trigger2", "delta_t", "consequence")
+            return MiningConfig(10, 10, *(Vocabulary(name, vocab.intervals) for name in names))
+        assert mine(quickstart_bundle(), config(exact)) == mine(quickstart_bundle(), config(twin))
+
+
 class TestValidateVocabulary:
     def test_quickstart_volume_vocabulary_is_clean(self):
         findings = validate_vocabulary(volume_vocab())
@@ -250,10 +289,9 @@ class TestValidateVocabulary:
                                     FuzzyInterval("Big", 10, 10, 20, 20))))
     @example(vocab=Vocabulary("v", (FuzzyInterval("a\nb", 0, 0, 20, 20),)))
     @example(vocab=Vocabulary("v", (FuzzyInterval("\ud800", 0, 0, 20, 20),)))
-    @example(vocab=Vocabulary("v", (FuzzyInterval("x", "0", "0", "1", "2"),)))
-    @example(vocab=Vocabulary("v", (FuzzyInterval("x", 0, None, 1, 2),)))
     @example(vocab=Vocabulary("v", (FuzzyInterval("x", *map(Decimal, (0, 10, 10, 20))),)))
-    # b - a rounds past the float range although float(b) - a does not.
+    @example(vocab=Vocabulary("v", (FuzzyInterval("x", math.nan, 0, 1, -math.inf),)))
+    # The int just below the float maximum's rounding edge becomes that maximum.
     @example(vocab=Vocabulary("v", (FuzzyInterval("x", -1, *[int(sys.float_info.max)
                                                              + 2**970 - 1] * 3),)))
     def test_a_vocabulary_without_errors_mines_and_renders(self, vocab):
@@ -271,40 +309,16 @@ class TestValidateVocabulary:
             text.encode("utf-8")
 
     def test_non_finite_corner(self):
-        vocab = Vocabulary("v", (FuzzyInterval("inf", 0, 1, 2, math.inf),))
-        findings = validate_vocabulary(vocab)
-        assert any(f.severity == ERROR and f.code == "interval-corners"
-                   for f in findings)
-
-    @pytest.mark.parametrize("corners, message", [
-        ((0, 0, 1, 10**400), "a corner is past the float range"),
-        ((0, 0, 1, Fraction(10**400)), "a corner is past the float range"),
-        ((0, 0, 1, 10**5000), "a corner is past the float range"),
-        ((math.nan, 0, 1, 10**5000), "a corner is past the float range"),
-        ((math.nan, 0, 1, -math.inf), "corners must be finite, got (nan, 0, 1, -inf)"),
-    ], ids=["int", "fraction", "int-too-long-to-print", "nan-and-int", "floats"])
-    def test_corner_past_the_float_range_is_a_finding(self, corners, message):
-        # Validators never raise: not OverflowError from isfinite(), nor
-        # ValueError from printing an int of more than 4,300 digits.
-        vocab = Vocabulary("v", (FuzzyInterval("x", *corners),))
+        vocab = Vocabulary("v", (FuzzyInterval("inf", 0, 1, 2, math.inf),
+                                 FuzzyInterval("x", math.nan, 0, 1, -math.inf)))
         assert validate_vocabulary(vocab) == [
-            Finding(ERROR, "interval-corners", f"v[0] ('x'): {message}")]
-
-    @pytest.mark.parametrize("corners, kinds", [
-        (("0", "0", "1", "2"), "str, str, str, str"),
-        ((0, None, 1, 2), "int, NoneType, int, int"),
-        (tuple(map(Decimal, (0, 10, 10, 20))), "Decimal, Decimal, Decimal, Decimal"),
-    ], ids=["str", "none", "decimal"])
-    def test_corner_that_is_not_a_number_is_a_finding(self, corners, kinds):
-        # classify() does float arithmetic on the corners, which a str, None
-        # or Decimal does not support.
-        vocab = Vocabulary("v", (FuzzyInterval("x", *corners),))
-        assert validate_vocabulary(vocab) == [Finding(
-            ERROR, "interval-corners",
-            f"v[0] ('x'): corners must be int, float or Fraction, got ({kinds})")]
+            Finding(ERROR, "interval-corners",
+                    "v[0] ('inf'): corners must be finite, got (0.0, 1.0, 2.0, inf)"),
+            Finding(ERROR, "interval-corners",
+                    "v[1] ('x'): corners must be finite, got (nan, 0.0, 1.0, -inf)")]
 
     def test_fraction_corners_are_formatted(self):
-        # Python 3.11 has no "g" format for a Fraction.
+        # Corners are floats from construction, so they format as floats do.
         bad = Vocabulary("v", (FuzzyInterval("x", Fraction(3), 0, 1, 2),))
         assert [f.message for f in validate_vocabulary(bad)] == [
             "v[0] ('x'): requires a <= b <= c <= d, got (3, 0, 1, 2)"]

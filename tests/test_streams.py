@@ -468,18 +468,24 @@ class TestEventStream:
         assert shuffled == bundle
 
     # The columns are arrays, which can be changed in place after the
-    # constructor sorted and checked them. mine() checks each stream's order
-    # and range again, rather than mine wrong rules (here 0 in place of 4).
-    @pytest.mark.parametrize("role, index, timestamp", [
-        ("trigger2", 0, 2000.0), ("trigger1", 0, -1.0), ("consequence", -1, inf),
-        ("consequence", 1, nan),
-    ], ids=["out-of-order", "negative", "inf", "nan"])
-    def test_column_changed_in_place_raises_in_mine(self, role, index, timestamp):
+    # constructor sorted and checked them. mine() checks each stream's order,
+    # range and values again, rather than mine wrong rules (here 0 in place
+    # of 4; with the first consequence value NaN, which classifies to no
+    # label, 2 rules of weight 2.0 in place of 4 of weight 3.0).
+    @pytest.mark.parametrize("role, column, index, number", [
+        ("trigger2", "timestamps", 0, 2000.0), ("trigger1", "timestamps", 0, -1.0),
+        ("consequence", "timestamps", -1, inf), ("consequence", "timestamps", 1, nan),
+        ("consequence", "values", 0, nan), ("trigger1", "values", -1, inf),
+        ("trigger2", "values", 1, -inf),
+    ], ids=["out-of-order", "negative", "inf", "nan", "nan-value", "inf-value",
+            "minus-inf-value"])
+    def test_column_changed_in_place_raises_in_mine(self, role, column, index, number):
         bundle = quickstart_bundle()
         changed = getattr(bundle, role)
-        changed.timestamps[index] = timestamp
-        with pytest.raises(ValueError, match=f"^stream '{changed.name}' has timestamps "
-                                             "out of order or range$"):
+        getattr(changed, column)[index] = number
+        problem = ("has timestamps out of order or range" if column == "timestamps" else
+                   "has a value that is not finite")
+        with pytest.raises(ValueError, match=f"^stream '{changed.name}' {problem}$"):
             mine(bundle, quickstart_mining_config())
 
     def test_equal_timestamps_keep_input_order(self):
