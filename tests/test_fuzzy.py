@@ -309,13 +309,20 @@ class TestValidateVocabulary:
             text.encode("utf-8")
 
     def test_non_finite_corner(self):
-        vocab = Vocabulary("v", (FuzzyInterval("inf", 0, 1, 2, math.inf),
-                                 FuzzyInterval("x", math.nan, 0, 1, -math.inf)))
+        vocab = Vocabulary("v", (FuzzyInterval("inf", 0, 1, 2, math.inf),))
         assert validate_vocabulary(vocab) == [
             Finding(ERROR, "interval-corners",
-                    "v[0] ('inf'): corners must be finite, got (0.0, 1.0, 2.0, inf)"),
-            Finding(ERROR, "interval-corners",
-                    "v[1] ('x'): corners must be finite, got (nan, 0.0, 1.0, -inf)")]
+                    "v[0] ('inf'): corners must be finite, got (0.0, 1.0, 2.0, inf)")]
+
+    @pytest.mark.parametrize("corners, message", [
+        ((math.nan, 0, 1, -math.inf), "corners must be finite, got (nan, 0.0, 1.0, -inf)"),
+    ], ids=["floats"])
+    def test_corner_past_the_float_range_is_a_finding(self, corners, message):
+        # Corners past the float range that are not floats raise at
+        # construction; the float infinities and nan stay a finding.
+        vocab = Vocabulary("v", (FuzzyInterval("x", *corners),))
+        assert validate_vocabulary(vocab) == [
+            Finding(ERROR, "interval-corners", f"v[0] ('x'): {message}")]
 
     def test_fraction_corners_are_formatted(self):
         # Corners are floats from construction, so they format as floats do.
