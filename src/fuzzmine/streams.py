@@ -10,12 +10,12 @@ values are reals in a generic volume unit.
 An :class:`EventStream` stores two columns, its timestamps and its values,
 as ``array('d')`` (8 bytes a reading), sorted together by timestamp however
 they were given, for the miner's window walk to read directly. Each layout
-is parsed in one pass straight into such arrays, with no list or tuple of
-floats built, from a binary file (as :func:`open_input` opens it) or a
-text, decoded as UTF-8 a chunk at a time, so a file's text is never held
-whole. Malformed input raises :class:`InputError` naming its line.
-:func:`stream_findings` lists what is legal but notable about one stream,
-for :func:`fuzzmine.validate`.
+is parsed in one pass straight into such arrays, which the streams keep,
+with no list or tuple of floats built, from a binary file (as
+:func:`open_input` opens it) or a text, decoded as UTF-8 a chunk at a
+time, so a file's text is never held whole. Malformed input raises
+:class:`InputError` naming its line. :func:`stream_findings` lists what is
+legal but notable about one stream, for :func:`fuzzmine.validate`.
 """
 
 import csv
@@ -25,7 +25,7 @@ from codecs import BOM_UTF8
 from collections import Counter, namedtuple
 from contextlib import contextmanager
 from itertools import chain
-from math import inf, isfinite
+from math import inf, isfinite, isinf
 from operator import le
 from sys import float_info
 
@@ -43,14 +43,14 @@ _MAX = float_info.max   # -_MAX <= x <= _MAX is False for NaN and ±inf
 class EventStream(namedtuple("EventStream", "name timestamps values")):
     """A named, time-ordered stream of events, held as two columns.
 
-    The constructor copies ``timestamps`` and ``values`` into ``array('d')``
-    columns of floats, sorted together by timestamp, stably, so input
-    order among equal timestamps survives; it sorts only when the
-    timestamps are out of order. It is the one place a stream's fields are
-    checked: an empty name, columns of unequal length, a timestamp that is
-    negative or not a finite float (NaN, infinite, or a number past the
-    float range), or a value that is not a finite float raise ValueError.
-    ``_make`` and ``_replace`` skip the copy, the sort and the checks.
+    The constructor keeps an ``array('d')`` column as it is given, as the
+    parser's are, and copies any other into one, sorting both together by
+    timestamp, stably, into new arrays only if they are out of order. It is
+    the one place a stream's fields are checked: an empty name, columns of
+    unequal length, a timestamp that is negative or not a finite float
+    (NaN, infinite, or a number past the float range), or a value that is
+    not a finite float raise ValueError. ``_make`` and ``_replace`` skip
+    the conversion, the sort and the checks.
     ``mine`` checks this order again (:func:`in_order`): a timestamp changed
     in place out of order or out of range raises ValueError there.
     """
@@ -89,13 +89,24 @@ def in_order(times):
 
 
 def _floats(owner, numbers, what):
-    """``numbers``, each as the float nearest it, in an ``array('d')``: the one
-    place a number given in code becomes a float. ValueError naming ``owner``
-    and ``what`` if one is past the float range; TypeError if one is not a number."""
+    """``numbers`` as an ``array('d')``, the one place a number given in code
+    becomes a float: an ``array('d')`` as it is, anything else copied, each
+    number as the float nearest it. ValueError naming ``owner`` and ``what``
+    if a number is past the float range or a signalling NaN; TypeError if one
+    is not a number, or if ``numbers`` is a str or bytes."""
+    if type(numbers) is array and numbers.typecode == "d":
+        return numbers
+    if isinstance(numbers, (str, bytes, bytearray)):   # array() reads bytes as raw doubles
+        raise TypeError(f"{owner} has {what}s given as {type(numbers).__name__}, not numbers")
     try:
-        return array("d", numbers)
-    except OverflowError:   # an int or fraction past the float range
-        raise ValueError(f"{owner} has a {what} that is not finite") from None
+        floats = array("d", numbers)
+        # float() takes a Decimal past the float range to an infinity it does not
+        # equal. An iterator is read once: a stream rejects infinities itself.
+        if all(map(isfinite, floats)) or all(x == n for x, n in zip(floats, numbers) if isinf(x)):
+            return floats
+    except (OverflowError, ValueError):   # an int or fraction past the float range, a Decimal sNaN
+        pass
+    raise ValueError(f"{owner} has a {what} that is not finite")
 
 
 class StreamBundle(namedtuple("StreamBundle", "trigger1 trigger2 consequence")):

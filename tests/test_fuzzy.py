@@ -192,13 +192,19 @@ class TestClassify:
 class TestFuzzyInterval:
     @pytest.mark.parametrize("corners", [
         (0, 0, 1, 10**400), (0, 0, 1, Fraction(10**400)), (0, 0, 1, 10**5000),
-        (math.nan, 0, 1, 10**5000), (-10**400, 0, 1, 2),
-    ], ids=["int", "fraction", "huge-int", "nan-and-int", "minus-int"])
+        (math.nan, 0, 1, 10**5000), (-10**400, 0, 1, 2), (0, 0, 1, Decimal("1e400")),
+        (Decimal("-1e400"), 0, 1, 2),
+    ], ids=["int", "fraction", "huge-int", "nan-and-int", "minus-int", "decimal",
+            "minus-decimal"])
     def test_corner_past_the_float_range_raises(self, corners):
         # Not OverflowError: ValueError naming the interval, not the corner,
         # which may be an int of more than 4,300 digits, too long to print.
         with pytest.raises(ValueError, match="^interval 'x' has a corner that is not finite$"):
             FuzzyInterval("x", *corners)
+
+    def test_signalling_nan_corner_raises(self):
+        with pytest.raises(ValueError, match="^interval 'x' has a corner that is not finite$"):
+            FuzzyInterval("x", 0, 0, 1, Decimal("sNaN"))
 
     @pytest.mark.parametrize("corners", [
         ("0", "0", "1", "2"), (0, None, 1, 2), (0, 0, 1, [2]),
@@ -316,10 +322,12 @@ class TestValidateVocabulary:
 
     @pytest.mark.parametrize("corners, message", [
         ((math.nan, 0, 1, -math.inf), "corners must be finite, got (nan, 0.0, 1.0, -inf)"),
-    ], ids=["floats"])
+        ((Decimal("NaN"), 0, 1, Decimal("-Infinity")),
+         "corners must be finite, got (nan, 0.0, 1.0, -inf)"),
+    ], ids=["floats", "decimals"])
     def test_corner_past_the_float_range_is_a_finding(self, corners, message):
-        # Corners past the float range that are not floats raise at
-        # construction; the float infinities and nan stay a finding.
+        # Corners past the float range raise at construction; infinities
+        # and a quiet NaN, float or Decimal, stay a finding.
         vocab = Vocabulary("v", (FuzzyInterval("x", *corners),))
         assert validate_vocabulary(vocab) == [
             Finding(ERROR, "interval-corners", f"v[0] ('x'): {message}")]

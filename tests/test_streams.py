@@ -347,58 +347,61 @@ class TestSourceStaysOpen:
 
 
 class TestParseMemory:
-    """Beside the text, the parse holds its UTF-8 bytes, one per ASCII
-    character, and the rows of one chunk. On ``sparse`` (1.5 MB of ASCII)
-    what it allocates beyond the streams it returns peaks at about twice
-    the text; a copy of the text at 4 bytes per character alone would take
-    it past 4 times. A file is read a chunk at a time, as the CLI reads
-    it, with no copy of its text: the peak beyond the streams is about the
-    file's size (three times it when the CLI read the whole text first).
-    The streams it returns hold 8 bytes per timestamp and per value, about
-    16 bytes per event; a tuple slot and a float object per reading, as
-    columns of tuples held them, take 48 or more."""
+    """The streams a parse returns hold 8 bytes per timestamp and per value,
+    about 16 bytes per event; a tuple slot and a float object per reading,
+    as columns of tuples held them, take 48 or more. Each stream keeps the
+    ``array('d')`` columns the parser filled, with no second copy of them.
+    A file is read a chunk at a time, as the CLI reads it, with no copy of
+    its text: on ``sparse`` (1.5 MB of ASCII, 1.2 MB of streams) what the
+    parse allocates beyond the streams it returns peaks at a few tens of
+    KB, the rows of one chunk (about the file's size when the streams
+    copied the parser's columns, three times it when the CLI read the
+    whole text first). A text is parsed from its UTF-8 bytes, one per
+    ASCII character, so that peak is about the text's size; a copy of the
+    text at 4 bytes per character alone would take it past 4 times."""
 
-    def test_sparse_streams_retain_under_24_bytes_per_event(self, tmp_path):
+    @pytest.fixture
+    def sparse(self, tmp_path):
+        """The ``sparse`` seed-1 file's path and its config's roles."""
         csv_path, config_path = write_workload(tmp_path, "sparse", 1)
-        roles = load_config(config_path).roles
+        return csv_path, load_config(config_path).roles
+
+    @staticmethod
+    def traced(parse):
+        """The traced bytes ``parse()`` leaves allocated, and its peak, once
+        it returned the 75,000 events of ``sparse``."""
         gc.collect()
         tracemalloc.start()
         try:
-            with open_input(csv_path) as handle:
-                bundle = parse_streams_csv(handle, roles)
-            retained = tracemalloc.get_traced_memory()[0]
+            bundle = parse()
+            retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert sum(len(s.timestamps) for s in bundle) == 75_000
+        return retained, peak
+
+    @staticmethod
+    def parse_file(csv_path, roles):
+        with open_input(csv_path) as handle:
+            return parse_streams_csv(handle, roles)
+
+    def test_sparse_streams_retain_under_24_bytes_per_event(self, sparse):
+        retained, _ = self.traced(lambda: self.parse_file(*sparse))
         assert retained / 75_000 < 24
 
-    def test_sparse_peak_beyond_the_streams(self, tmp_path):
-        csv_path, config_path = write_workload(tmp_path, "sparse", 1)
+    def test_sparse_peak_beyond_the_streams(self, sparse):
+        csv_path, roles = sparse
         text = Path(csv_path).read_text(encoding="utf-8")
-        roles = load_config(config_path).roles
-        gc.collect()
-        tracemalloc.start()
-        try:
-            bundle = parse_streams_csv(text, roles)
-            retained, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert sum(len(s.timestamps) for s in bundle) == 75_000
+        retained, peak = self.traced(lambda: parse_streams_csv(text, roles))
         assert peak - retained < 3 * len(text)
 
-    def test_sparse_file_peak_beyond_the_streams(self, tmp_path):
-        csv_path, config_path = write_workload(tmp_path, "sparse", 1)
-        roles = load_config(config_path).roles
-        gc.collect()
-        tracemalloc.start()
-        try:
-            with open_input(csv_path) as handle:
-                bundle = parse_streams_csv(handle, roles)
-            retained, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert sum(len(s.timestamps) for s in bundle) == 75_000
-        assert peak - retained < 1.5 * os.path.getsize(csv_path)
+    def test_sparse_file_peak_beyond_the_streams(self, sparse):
+        retained, peak = self.traced(lambda: self.parse_file(*sparse))
+        assert peak - retained < 1.5 * os.path.getsize(sparse[0])
+
+    def test_sparse_file_peak_beyond_the_streams_is_under_a_tenth_of_them(self, sparse):
+        retained, peak = self.traced(lambda: self.parse_file(*sparse))
+        assert peak - retained < 0.1 * retained
 
 
 class TestHeaderAndRoles:
@@ -512,6 +515,43 @@ class TestEventStream:
             hash(built)
         with pytest.raises(ValueError, match="stream 'a' has a value that is not finite"):
             EventStream("a", (1,), (Fraction(10**400),))
+
+    def test_in_order_float_arrays_are_kept(self):
+        times, values = array("d", (1, 2, 2)), array("d", (5, 6, 7))
+        built = EventStream("a", times, values)
+        assert built.timestamps is times and built.values is values
+
+    @pytest.mark.parametrize("make", [list, tuple, lambda numbers: array("f", numbers)],
+                             ids=["list", "tuple", "float32-array"])
+    def test_other_columns_are_copied(self, make):
+        times, values = make((1, 2, 2)), make((5, 6, 7))
+        built = EventStream("a", times, values)
+        assert built == ("a", array("d", (1, 2, 2)), array("d", (5, 6, 7)))
+        assert built.timestamps is not times and built.values is not values
+
+    def test_out_of_order_float_arrays_are_sorted_into_new_arrays(self):
+        times, values = array("d", (2, 1, 2)), array("d", (5, 6, 7))
+        built = EventStream("a", times, values)
+        assert built == ("a", array("d", (1, 2, 2)), array("d", (6, 5, 7)))
+        assert times == array("d", (2, 1, 2)) and values == array("d", (5, 6, 7))
+
+    # array("d", b) reads bytes as raw machine doubles: b"\0" * 8 would be 0.0.
+    @pytest.mark.parametrize("column", [b"\0" * 8, b"\0", bytearray(8), "0"],
+                             ids=["bytes", "short-bytes", "bytearray", "str"])
+    def test_text_or_bytes_column_raises(self, column):
+        with pytest.raises(TypeError, match="^stream 'a' has timestamps given as "):
+            EventStream("a", column, [1])
+        with pytest.raises(TypeError, match="^stream 'a' has values given as "):
+            EventStream("a", [1], column)
+
+    @pytest.mark.parametrize("number, what", [
+        (Decimal("sNaN"), "value"), (Decimal("1e400"), "value"), (Decimal("-1e400"), "value"),
+        (Decimal("sNaN"), "timestamp"), (Decimal("1e400"), "timestamp"),
+    ], ids=["snan-value", "big-value", "minus-big-value", "snan-timestamp", "big-timestamp"])
+    def test_decimal_with_no_finite_float_raises(self, number, what):
+        columns = ([number], [1]) if what == "timestamp" else ([1], [number])
+        with pytest.raises(ValueError, match=f"^stream 'a' has a {what} that is not finite$"):
+            EventStream("a", *columns)
 
     def test_columns_of_unequal_length_raise(self):
         with pytest.raises(ValueError, match="stream 'a' has 2 timestamps but 1 values"):
