@@ -26,7 +26,7 @@ the findings of ``fuzzmine validate`` about a config file and an input.
 import json
 from collections import namedtuple
 
-from .fuzzy import FuzzyInterval, Vocabulary, validate_vocabulary
+from .fuzzy import Vocabulary, validate_vocabulary
 from .mining import MiningConfig
 from .streams import (ROLES, open_input, parse_streams, parse_streams_csv, role_names,
                       stream_findings)
@@ -177,9 +177,9 @@ def _parse_vocabularies(doc):
             extra = set(entry) - {"label", "a", "b", "c", "d"}
             if extra:
                 raise ConfigError(f"'{where}' has unknown keys {sorted(extra)}")
-            intervals.append(FuzzyInterval(entry.get("label"), *(
+            intervals.append((entry.get("label"), *(
                 _number(entry.get(corner), f"{where}.{corner}") for corner in "abcd")))
-        vocabs.append(Vocabulary(name=key, intervals=tuple(intervals)))
+        vocabs.append(Vocabulary(key, intervals))
     return vocabs
 
 

@@ -47,12 +47,14 @@ class FuzzyInterval(namedtuple("FuzzyInterval", "label a b c d")):
 
 
 class Vocabulary(namedtuple("Vocabulary", "name intervals")):
-    """A named, ordered collection of labelled intervals over one dimension."""
+    """A named, ordered collection of labelled intervals over one dimension,
+    each built by :class:`FuzzyInterval` from its five fields, so a plain
+    tuple gets checked float corners (``_make`` skips this)."""
 
     __slots__ = ()
 
     def __new__(cls, name, intervals=()):
-        return super().__new__(cls, name, tuple(intervals))
+        return super().__new__(cls, name, tuple(FuzzyInterval(*iv) for iv in intervals))
 
     @property
     def labels(self):

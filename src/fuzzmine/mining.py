@@ -6,7 +6,8 @@ triple the two windows allow is one instance, weighing the product of
 its four membership degrees. A rule's support is its weight over that of
 all rules, its confidence its weight over that of the rules sharing its
 trigger pair. :func:`mine` does it all in one fused, deterministic pass.
-Its windows are found by indices into the streams' time-sorted columns
+Its trigger window is a queue in time order, which it and the
+consequence windows fill by indices into the streams' sorted columns
 that only move forward, so each timestamp is passed over once per index.
 A trigger value is classified once; a consequence's value and its
 elapsed time once for each trigger-2 event that reaches it. Beyond the
@@ -15,14 +16,14 @@ of totals per trigger label pair, so its memory does not grow with their
 length. Each rule is made once, from its row; the heaviest come first.
 """
 
-from collections import defaultdict, namedtuple
+from collections import defaultdict, deque, namedtuple
 from itertools import product
-from math import isfinite
+from math import isfinite, nan
 from operator import itemgetter
 from sys import float_info
 
 from .fuzzy import Vocabulary, classify
-from .streams import in_order
+from .streams import _floats, in_order
 
 
 class FuzzyRule(namedtuple("FuzzyRule", "l1 l2 l_dt l3 weight support confidence")):
@@ -52,20 +53,28 @@ class MiningConfig(namedtuple("MiningConfig", "trigger_window consequence_window
 
     The closed windows bound the time from a trigger-1 to a trigger-2
     event and from that to a consequence event. The thresholds default to
-    0. A window that is not a positive finite number, or a threshold
-    outside [0, 1], raises ValueError starting with the field's name.
+    0. Each number becomes the float nearest it. A window that is not a
+    positive finite number, or a threshold outside [0, 1], raises
+    ValueError starting with the field's name, as does a number past the
+    float range or a signalling NaN; one that is not a number TypeError.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        for name, value in zip(self._fields, self):   # every range is False for NaN
-            if name.endswith("_window") and not 0 < value <= float_info.max:   # and ints past it
+        numbers = {}
+        for name in self._fields[:2] + self._fields[6:]:   # the windows, the thresholds
+            try:
+                value = _floats(name, (getattr(self, name),), "value")[0]
+            except ValueError:   # past the float range, or a signalling NaN
+                value = nan
+            if name.endswith("_window") and not 0 < value <= float_info.max:   # False for NaN
                 raise ValueError(f"{name} must be a positive finite number")
             if name.startswith("min_") and not 0 <= value <= 1:
                 raise ValueError(f"{name} must be a number in [0, 1]")
-        return self
+            numbers[name] = value
+        return self._replace(**numbers)
 
 
 def mine(bundle, cfg):
@@ -77,7 +86,7 @@ def mine(bundle, cfg):
     It yields one instance per combination of its four readings' labels,
     weighing ``((m1 * m2) * m_dt) * m3``. A trigger value is classified
     once; a consequence's value and its Δt once for each trigger-2 event
-    that reaches it, into that event's combos, which are dropped when
+    that reaches it, into that event's combos, queued in time order until
     the trigger-1 scan has passed it. Instances are added one at a time,
     in (t1, t2, t3) then label order, into their rule's, their trigger
     pair's and the grand total, so every sum is bit-reproducible. A
@@ -100,7 +109,7 @@ def mine(bundle, cfg):
             raise ValueError(f"stream {stream.name!r} has a value that is not finite")
     # Intervals as plain tuples, which classify unpacks faster than named tuples.
     vocab1, vocab2, vocab_dt, vocab3 = (
-        Vocabulary(vocab.name, map(tuple, vocab.intervals))
+        Vocabulary._make((vocab.name, tuple(map(tuple, vocab.intervals))))
         for vocab in (cfg.vocab_t1, cfg.vocab_t2, cfg.vocab_dt, cfg.vocab_c))
     # The rule totals of an (l1, l2) pair sit in a flat row indexed like
     # tails, with the pair's own total in the last slot.
@@ -113,26 +122,20 @@ def mine(bundle, cfg):
     span12, span23 = cfg.trigger_window, cfg.consequence_window
     times2, values2 = bundle.trigger2.timestamps, bundle.trigger2.values
     times3, values3 = bundle.consequence.timestamps, bundle.consequence.values
-    # For the trigger-2 events first, first + 1, ...: None if no labelled
-    # consequence is in reach, else the event's degrees and, per such
-    # consequence, its (l_dt, l3) combos.
-    window, first = [], 0
-    # Windows by indices that only move forward, as the timestamps do:
-    # [lo, hi) into times2 for t1's window, [lo3, hi3) into times3 for t2's.
-    lo = hi = lo3 = hi3 = 0
+    # The trigger-2 events in t1's window that reach a labelled consequence, as
+    # (t2, degrees, one list of (l_dt, l3) combos per such consequence). Indices
+    # only move forward: hi into times2, [lo3, hi3) into times3 for t2's window.
+    live = deque()
+    hi = lo3 = hi3 = 0
     n2, n3 = len(times2), len(times3)
     for t1, v1 in zip(bundle.trigger1.timestamps, bundle.trigger1.values):
         end = t1 + span12
-        while lo < n2 and times2[lo] < t1:
-            lo += 1
-        if lo == n2 or times2[lo] > end:
-            continue
-        while hi < n2 and times2[hi] <= end:
+        while live and live[0][0] < t1:
+            live.popleft()
+        while hi < n2 and times2[hi] < t1:   # in no later window either
             hi += 1
-        del window[:lo - first]
-        first = lo
-        for j in range(lo + len(window), hi):
-            t2, group = times2[j], []
+        while hi < n2 and times2[hi] <= end:
+            t2, group = times2[hi], []
             end3 = t2 + span23
             while lo3 < n3 and times3[lo3] < t2:
                 lo3 += 1
@@ -145,10 +148,11 @@ def mine(bundle, cfg):
                           for l3, m3 in degrees3] if degrees3 else None
                 if combos:
                     group.append(combos)
-            window.append((classify(vocab2, values2[j]), group) if group else None)
-        live = [entry for entry in window if entry]
+            if group:
+                live.append((t2, classify(vocab2, values2[hi]), group))
+            hi += 1
         d1 = classify(vocab1, v1) if live else ()
-        for d2, group in live:
+        for _, d2, group in live:
             pairs = [(rows[l1, l2], m1 * m2) for l1, m1 in d1 for l2, m2 in d2]
             for combos in group:
                 for row, m12 in pairs:

@@ -231,6 +231,26 @@ class TestFuzzyInterval:
         assert mine(quickstart_bundle(), config(exact)) == mine(quickstart_bundle(), config(twin))
 
 
+class TestVocabulary:
+    def test_plain_tuples_become_checked_intervals(self):
+        # So validate_vocabulary, which reads interval fields by name, never
+        # raises on a vocabulary built from tuples.
+        vocab = Vocabulary("v", [("x", 0, 0, 1, Fraction(2)), ("y", 1, 2, 3, 3)])
+        built = Vocabulary("v", [FuzzyInterval("x", 0, 0, 1, 2), FuzzyInterval("y", 1, 2, 3, 3)])
+        assert vocab == built and vocab.labels == ("x", "y")
+        assert all(type(iv) is FuzzyInterval for iv in vocab.intervals)
+        assert all(type(v) is float for iv in vocab.intervals for v in iv[1:])
+        assert validate_vocabulary(vocab) == validate_vocabulary(built)
+        with pytest.raises(ValueError, match="^interval 'x' has a corner that is not finite$"):
+            Vocabulary("v", [("x", 0, 0, 1, 10**400)])
+
+    @pytest.mark.parametrize("interval", [None, ("x", 0, 1, 2), ("x", 0, 0, 1, "2")],
+                             ids=["none", "four-fields", "str-corner"])
+    def test_what_is_not_an_interval_raises_type_error(self, interval):
+        with pytest.raises(TypeError):
+            Vocabulary("v", [interval])
+
+
 class TestValidateVocabulary:
     def test_quickstart_volume_vocabulary_is_clean(self):
         findings = validate_vocabulary(volume_vocab())

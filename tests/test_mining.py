@@ -9,6 +9,7 @@ import math
 import random
 import tracemalloc
 from collections import Counter
+from decimal import Decimal
 from itertools import product
 from pathlib import Path
 
@@ -16,12 +17,14 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import fuzzmine.mining
 from fuzzmine import (
     EventStream,
     FuzzyInterval,
     MiningConfig,
     StreamBundle,
     Vocabulary,
+    classify,
     load_config,
     mine,
     parse_streams_csv,
@@ -538,6 +541,24 @@ class TestMine:
             expected, key=lambda labels: (-expected[labels][0], labels))
         assert (ruleset.total_weight, ruleset.trigger_weights) == oracle_fold(bundle, cfg)
 
+    def test_classifies_only_what_its_windows_reach(self, tmp_path, monkeypatch):
+        # On sparse, 19,950 of the 25,000 trigger-2 events lie in no trigger
+        # window. A trigger value is classified once; a consequence's value
+        # and its elapsed time once for each trigger-2 event that reaches it.
+        csv_path, config_path = write_workload(tmp_path, "sparse", 1)
+        cfg = load_config(config_path)
+        with open(csv_path, "rb") as handle:
+            bundle = parse_streams_csv(handle, cfg.roles)
+        calls = Counter()
+
+        def counted(vocab, x):
+            calls[vocab.name] += 1
+            return classify(vocab, x)
+        monkeypatch.setattr(fuzzmine.mining, "classify", counted)
+        mine(bundle, cfg.mining)
+        assert calls == {"trigger1": 1_022, "trigger2": 1_017,
+                         "consequence": 1_023, "delta_t": 1_023}
+
 
 def aligned_bundle(n, seed=1):
     """Three streams of ``n`` events each, sharing one timestamp per row,
@@ -620,3 +641,19 @@ class TestConfigTypes:
             quickstart_mining_config(min_confidence=-0.1)
         with pytest.raises(ValueError):
             quickstart_mining_config(min_confidence=math.nan)
+
+    def test_decimal_numbers_mine_as_their_float_twins(self):
+        vocabs = quickstart_mining_config()[2:6]
+        exact = MiningConfig(Decimal("10"), Decimal("7.5"), *vocabs, Decimal("0.1"), Decimal(0))
+        twin = MiningConfig(10.0, 7.5, *vocabs, 0.1, 0.0)
+        assert all(type(v) is float for v in exact[:2] + exact[6:])
+        assert mine(quickstart_bundle(), exact) == mine(quickstart_bundle(), twin)
+
+    @pytest.mark.parametrize("number", ["NaN", "sNaN"])
+    @pytest.mark.parametrize("field", ["consequence_window", "min_support"])
+    def test_decimal_nan_raises_value_error_naming_the_field(self, field, number):
+        # Not decimal.InvalidOperation, which a Decimal NaN raises when compared.
+        given = quickstart_mining_config()._asdict()
+        given[field] = Decimal(number)
+        with pytest.raises(ValueError, match=f"^{field} must be a "):
+            MiningConfig(**given)
