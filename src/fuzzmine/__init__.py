@@ -6,7 +6,7 @@ classifies the values and the elapsed time into fuzzy linguistic labels,
 and aggregates the weighted readings into rules of the form
 (trigger1, trigger2) => (elapsed-time, consequence) scored by support
 and confidence. The rule set can be rendered as a table, a JSON report,
-or a decision tree (text or DOT) whose JSON document the report embeds.
+or a decision tree (text or DOT), which the JSON report can also embed.
 """
 
 from .config import load_config, validate
@@ -22,7 +22,7 @@ from .mining import (
     RuleSet,
     mine,
 )
-from .report import build_tree, render_ascii, render_dot, render_json, render_table
+from .report import render_ascii, render_dot, render_json, render_table
 from .streams import EventStream, StreamBundle, parse_streams_csv
 from .validation import ConfigError, Finding, InputError
 
@@ -39,7 +39,6 @@ __all__ = [
     "RuleSet",
     "StreamBundle",
     "Vocabulary",
-    "build_tree",
     "classify",
     "load_config",
     "mine",

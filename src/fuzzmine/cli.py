@@ -16,7 +16,7 @@ import sys
 
 from .config import load_config, validate
 from .mining import mine
-from .report import build_tree, render_ascii, render_dot, render_json, render_table
+from .report import render_ascii, render_dot, render_json, render_table
 from .streams import open_input, parse_streams_csv
 from .validation import ERROR, ConfigError, InputError, shown_path
 
@@ -74,15 +74,14 @@ def cmd_mine(args):
     with open_input(args.input) as handle:
         streams = parse_streams_csv(handle, cfg.roles)
     ruleset = mine(streams, cfg.mining)
-    tree = build_tree(ruleset) if args.tree else None
     if args.format == "json":
-        return EXIT_OK, lambda write: render_json(ruleset, tree, write)
+        return EXIT_OK, lambda write: render_json(ruleset, args.tree is not None, write)
 
     def report(write):
         render_table(ruleset, write)
-        if tree is not None:
+        if args.tree is not None:
             write("\n")
-            {"ascii": render_ascii, "dot": render_dot}[args.tree](tree, write)
+            {"ascii": render_ascii, "dot": render_dot}[args.tree](ruleset, write)
     return EXIT_OK, report
 
 

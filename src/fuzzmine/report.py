@@ -1,9 +1,9 @@
 """Rule-set reports, each passed to a function ``write`` in order, in strings
-of about 64 KiB, so that none is held whole: the JSON document, the
+of about 64 KiB, so that none is held whole: the JSON report, the
 plain-text table and the decision-tree view, as indented text or DOT.
 
 Every rendering is deterministic: identical rule sets produce
-byte-identical output. The JSON document keeps full float precision;
+byte-identical output. The JSON report keeps full float precision;
 the table rounds to 6 significant digits for reading.
 
 The tree arranges rules as root-to-leaf paths in a fixed four-level
@@ -12,17 +12,15 @@ consequence label). Rules sharing a label prefix share the internal
 nodes of that prefix, and each leaf carries its rule's support and
 confidence. At every level children are ordered by descending subtree
 weight with lexicographic tie-break, so the strongest branches come
-first and the layout is reproducible on every Python version. The tree
-is a plain JSON document, the one the JSON report embeds: every node is
-a dict with ``level``, ``label`` and a ``children`` list, and leaves
-(consequence-level nodes) add ``support`` and ``confidence``. The root
-has level ``root`` and an empty label.
+first and the layout is reproducible on every Python version. Each
+renderer draws the tree straight from the rule set. In the JSON report
+every node is an object with ``level``, ``label`` and a ``children``
+list, and leaves (consequence-level nodes) add ``support`` and
+``confidence``. The root has level ``root`` and an empty label.
 """
 
-from functools import reduce
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _string
-from operator import add
 
 LEVELS = ("root", "trigger1", "trigger2", "delta_t", "consequence")
 
@@ -36,11 +34,10 @@ _PIECE = 1 << 16   # characters of report text per write, at least
 
 
 def render_json(ruleset, tree, write):
-    """Pass ``write`` the JSON report: rules, total weight and, unless
-    ``tree`` is None, the tree.
+    """Pass ``write`` the JSON report: rules, total weight and, if ``tree``
+    is true, the tree.
 
-    ``tree`` must be the document of :func:`build_tree`; its nodes are
-    written by that schema. The bytes are those the :mod:`json` encoder
+    The bytes are those the :mod:`json` encoder
     writes with a 2-space indent and sorted keys, plus a final newline.
     They are written here directly because the encoder's fast C path
     does not indent.
@@ -64,32 +61,33 @@ def _json(ruleset, tree):
         separator = ",\n"
     yield "\n  ]" if ruleset.rules else "]"
     yield f',\n  "total_weight": {_number(ruleset.total_weight)}'
-    if tree is not None:
+    if tree:
         yield ',\n  "tree": '
-        yield from _node(tree, "  ")
+        yield from _node(0, "", build_tree(ruleset), "  ")
     yield "\n}\n"
 
 
-def _node(node, pad):
-    """The text of a tree node, not a leaf, whose closing brace is indented by ``pad``."""
+def _node(depth, label, level, pad):
+    """The text of the tree node at ``depth``, not a leaf, with the index
+    ``level`` below it and its closing brace indented by ``pad``."""
     inner = pad + "  "
     nested, leaf = inner + "  ", inner + "    "
     yield f'{{\n{inner}"children": ['
     separator = "\n" + nested
-    for child in node["children"]:
-        if "support" in child:   # a leaf, which has no children
+    for child, (_, below) in _ordered(level):
+        if depth == len(LEVELS) - 2:   # a leaf, which has no children, and its rule
             yield (f'{separator}{{\n{leaf}"children": [],\n'
-                   f'{leaf}"confidence": {_number(child["confidence"])},\n'
-                   f'{leaf}"label": {_string(child["label"])},\n'
-                   f'{leaf}"level": {_string(child["level"])},\n'
-                   f'{leaf}"support": {_number(child["support"])}\n{nested}}}')
+                   f'{leaf}"confidence": {_number(below.confidence)},\n'
+                   f'{leaf}"label": {_string(child)},\n'
+                   f'{leaf}"level": "{LEVELS[-1]}",\n'
+                   f'{leaf}"support": {_number(below.support)}\n{nested}}}')
         else:
             yield separator
-            yield from _node(child, nested)
+            yield from _node(depth + 1, child, below, nested)
         separator = ",\n" + nested
-    yield (f"\n{inner}]" if node["children"] else "]") + (
-        f',\n{inner}"label": {_string(node["label"])},\n'
-        f'{inner}"level": {_string(node["level"])}\n{pad}}}')
+    yield (f"\n{inner}]" if level else "]") + (
+        f',\n{inner}"label": {_string(label)},\n'
+        f'{inner}"level": "{LEVELS[depth]}"\n{pad}}}')
 
 
 def _write(texts, write):
@@ -125,42 +123,39 @@ def render_table(ruleset, write):
 
 
 def build_tree(ruleset):
-    """Arrange a rule set as a prefix-merged tree document.
-
-    An empty rule set yields a bare root. Otherwise every rule maps to
-    exactly one leaf, reachable by following its four labels from the
-    root.
-    """
-    return _subtree(0, "", ruleset.rules)
-
-
-def _subtree(depth, label, rules):
-    groups = {}
-    for rule in rules:
-        groups.setdefault(rule[depth], []).append(rule)   # the rule's label at depth
-    # Weights (rule[4]) add left to right: sum() compensates on Python 3.12+.
-    ordered = sorted(groups.items(), key=lambda item: (-reduce(add, [r[4] for r in item[1]], 0.0),
-                                                       item[0]))
-    if depth == len(LEVELS) - 2:   # leaves, each with its group's first rule's metrics
-        children = [{"level": LEVELS[-1], "label": lab, "children": [],
-                     "support": group[0].support, "confidence": group[0].confidence}
-                    for lab, group in ordered]
-    else:
-        children = [_subtree(depth + 1, lab, group) for lab, group in ordered]
-    return {"level": LEVELS[depth], "label": label, "children": children}
+    """The tree of ``ruleset`` as an index the renderers walk:
+    ``{label: [weight, children]}`` from the trigger-1 labels down, where
+    ``children`` is the next level's index, or for a consequence label its
+    first rule. A weight adds its rules' weights in rule order, from 0.0."""
+    index = {}
+    for rule in ruleset.rules:
+        level, weight = index, rule[4]
+        for depth, label in enumerate(rule[:4]):
+            entry = level.get(label)
+            if entry is None:
+                entry = level[label] = [0.0, {} if depth < 3 else rule]
+            entry[0] += weight   # left to right: sum() compensates on Python 3.12+
+            level = entry[1]
+    return index
 
 
-def render_ascii(tree, write):
+def _ordered(level):
+    """The items of one level of the tree index, heaviest first, then by label."""
+    return sorted(level.items(), key=lambda item: (-item[1][0], item[0]))
+
+
+def render_ascii(ruleset, write):
     """Pass ``write`` the tree as indented text, one node per line.
 
     Leaves are suffixed with their metrics to four decimal places, e.g.
     ``Medium Volume [sup=0.3333, conf=1.0000]``.
     """
-    _write(("  " * depth + _text(node, depth, str, " ") + "\n"
-            for node, depth, _, _ in _walk(tree)), write)
+    nodes = ("  " * depth + _text(label, rule, str, " ") + "\n"
+             for depth, label, _, _, rule in _walk(build_tree(ruleset)))
+    _write(chain(["(root)\n"], nodes), write)
 
 
-def render_dot(tree, write):
+def render_dot(ruleset, write):
     """Pass ``write`` the tree as a DOT digraph.
 
     Node identifiers are the root-to-node label paths (with separator
@@ -168,31 +163,34 @@ def render_dot(tree, write):
     makes the output stable across runs. Leaves show their metrics on a
     second label line.
     """
-    order = list(_walk(tree))
-    nodes = ('  "%s" [label="%s"];\n' % (_dot_escape(path), _text(node, depth, _dot_escape, r"\n"))
-             for node, depth, path, _ in order)
+    tree = build_tree(ruleset)
+    nodes = ('  "%s" [label="%s"];\n' % (_dot_escape(path), _text(label, rule, _dot_escape, r"\n"))
+             for _, label, path, _, rule in _walk(tree))
     edges = ('  "%s" -> "%s";\n' % (_dot_escape(parent), _dot_escape(path))
-             for _, _, path, parent in order[1:])   # every node but the root has a parent
-    _write(chain(["digraph rules {\n  node [shape=box];\n"], nodes, edges, ["}\n"]), write)
+             for _, _, path, parent, _ in _walk(tree))
+    _write(chain(['digraph rules {\n  node [shape=box];\n  "root" [label="(root)"];\n'],
+                 nodes, edges, ["}\n"]), write)
 
 
-def _walk(node, depth=0, path="root", parent=None):
-    """Every node of the tree ``node`` in pre-order, as (node, depth, DOT
-    path, parent's DOT path or None). A path joins the labels from the
-    root, each with its backslashes and slashes escaped."""
-    yield node, depth, path, parent
-    for child in node["children"]:
-        label = child["label"].replace("\\", "\\\\").replace("/", "\\/")
-        yield from _walk(child, depth + 1, f"{path}/{label}", path)
+def _walk(level, depth=1, parent="root"):
+    """Every node below the root of the tree index in pre-order, as (depth,
+    label, DOT path, parent's DOT path, the leaf's rule or None). A path
+    joins the labels from the root, each with its backslashes and slashes
+    escaped."""
+    leaf = depth == len(LEVELS) - 1
+    for label, (_, below) in _ordered(level):
+        path = parent + "/" + label.replace("\\", "\\\\").replace("/", "\\/")
+        yield depth, label, path, parent, below if leaf else None
+        if not leaf:
+            yield from _walk(below, depth + 1, path)
 
 
-def _text(node, depth, escape, separator):
-    """What a node shows: ``(root)``, its escaped label, or for a leaf the
-    label, ``separator`` and its metrics."""
-    text = "(root)" if depth == 0 else escape(node["label"])
-    if "support" in node:
-        text += f"{separator}[sup={node['support']:.4f}, conf={node['confidence']:.4f}]"
-    return text
+def _text(label, rule, escape, separator):
+    """What a node below the root shows: its escaped label, and for a leaf
+    ``separator`` and its rule's metrics."""
+    if rule is None:
+        return escape(label)
+    return f"{escape(label)}{separator}[sup={rule.support:.4f}, conf={rule.confidence:.4f}]"
 
 
 def _dot_escape(text):

@@ -91,9 +91,9 @@ def in_order(times):
 def _floats(owner, numbers, what):
     """``numbers`` as an ``array('d')``, the one place a number given in code
     becomes a float: an ``array('d')`` as it is, anything else copied, each
-    number as the float nearest it. ValueError naming ``owner`` and ``what``
-    if a number is past the float range or a signalling NaN; TypeError if one
-    is not a number, or if ``numbers`` is a str or bytes."""
+    number as the float nearest it. Raises, naming ``owner`` and ``what``,
+    ValueError if a number is past the float range or a signalling NaN, and
+    TypeError if one is not a number, or ``numbers`` is text or not iterable."""
     if type(numbers) is array and numbers.typecode == "d":
         return numbers
     if isinstance(numbers, (str, bytes, bytearray)):   # array() reads bytes as raw doubles
@@ -106,6 +106,8 @@ def _floats(owner, numbers, what):
             return floats
     except (OverflowError, ValueError):   # an int or fraction past the float range, a Decimal sNaN
         pass
+    except TypeError as exc:   # a number that is not one, or no column at all
+        raise TypeError(f"{owner} needs real numbers as its {what}s ({exc})") from None
     raise ValueError(f"{owner} has a {what} that is not finite")
 
 

@@ -1,9 +1,12 @@
 """Shared fixture data: the quickstart example in code and on disk, streams
-built from event pairs, hand-made rule sets for the renderers, and the
-config shape the oracle reads."""
+built from event pairs, hand-made rule sets for the renderers, the config
+shape the oracle reads, and the rule tree the JSON report must embed."""
 
 import importlib.util
+import json
 import sys
+from functools import reduce
+from operator import add
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -131,9 +134,41 @@ def rendered(render, *args):
     return "".join(pieces)
 
 
-def json_report(ruleset, tree=None):
-    """The JSON report as one string."""
+def json_report(ruleset, tree=False):
+    """The JSON report as one string, with the tree if ``tree``."""
     return rendered(render_json, ruleset, tree)
+
+
+def reported_tree(ruleset):
+    """The tree as a reader of the JSON report gets it back."""
+    return json.loads(json_report(ruleset, True))["tree"]
+
+
+TREE_LEVELS = ("root", "trigger1", "trigger2", "delta_t", "consequence")
+
+
+def reference_tree(ruleset):
+    """The rule tree as the JSON report must embed it, built apart from the
+    renderers: one dict per node, with ``level``, ``label`` and ``children``,
+    and at a leaf its label path's first rule's ``support`` and
+    ``confidence``. At every level children go by descending weight (their
+    rules' weights added left to right from 0.0), then by label."""
+    return _subtree(0, "", ruleset.rules)
+
+
+def _subtree(depth, label, rules):
+    groups = {}
+    for rule in rules:
+        groups.setdefault(rule[depth], []).append(rule)   # the rule's label at depth
+    ordered = sorted(groups.items(), key=lambda item: (-reduce(add, [r[4] for r in item[1]], 0.0),
+                                                       item[0]))
+    if depth == len(TREE_LEVELS) - 2:   # leaves, each with its group's first rule's metrics
+        children = [{"level": TREE_LEVELS[-1], "label": lab, "children": [],
+                     "support": group[0].support, "confidence": group[0].confidence}
+                    for lab, group in ordered]
+    else:
+        children = [_subtree(depth + 1, lab, group) for lab, group in ordered]
+    return {"level": TREE_LEVELS[depth], "label": label, "children": children}
 
 
 def load_workloads():

@@ -14,7 +14,6 @@ from hypothesis import HealthCheck, given, settings
 from fuzzmine import (
     FuzzyInterval,
     MiningConfig,
-    build_tree,
     mine,
     render_dot,
 )
@@ -28,6 +27,7 @@ from common import (
     oracle_config,
     points,
     rendered,
+    reported_tree,
 )
 from dot_grammar import check_dot
 from oracle import brute_force_associations, brute_force_rule_table, crisp_rule_counts
@@ -129,13 +129,13 @@ def test_crisp_vocabularies_reduce_to_counting(case):
 
 @pytest.mark.criterion(7, "tree integrity")
 def test_golden_tree_shape_and_metrics(quickstart_bundle, quickstart_config):
-    tree = build_tree(mine(quickstart_bundle, quickstart_config.mining))
-    leaf_metrics = _collect_leaves(tree)
+    ruleset = mine(quickstart_bundle, quickstart_config.mining)
+    leaf_metrics = _collect_leaves(reported_tree(ruleset))
     assert len(leaf_metrics) == 4
     for labels, (_, support, confidence) in QUICKSTART_RULES.items():
         assert leaf_metrics[labels][0] == pytest.approx(support, abs=1e-9)
         assert leaf_metrics[labels][1] == pytest.approx(confidence, abs=1e-9)
-    dot_text = rendered(render_dot, tree)
+    dot_text = rendered(render_dot, ruleset)
     node_count = sum("[label=" in line for line in dot_text.splitlines())
     edge_count = sum(" -> " in line for line in dot_text.splitlines())
     assert node_count == 12
@@ -150,7 +150,7 @@ def test_golden_tree_shape_and_metrics(quickstart_bundle, quickstart_config):
 def test_leaves_biject_with_rules_on_random_cases(case):
     bundle, cfg = case
     ruleset = mine(bundle, cfg)
-    leaf_metrics = _collect_leaves(build_tree(ruleset))
+    leaf_metrics = _collect_leaves(reported_tree(ruleset))
     assert len(leaf_metrics) == len(ruleset.rules)
     for rule in ruleset.rules:
         assert leaf_metrics[rule[:4]] == (rule.support, rule.confidence)

@@ -13,7 +13,6 @@ from fuzzmine import (
     FuzzyInterval,
     MiningConfig,
     Vocabulary,
-    build_tree,
     classify,
     mine,
     render_ascii,
@@ -210,7 +209,8 @@ class TestFuzzyInterval:
         ("0", "0", "1", "2"), (0, None, 1, 2), (0, 0, 1, [2]),
     ], ids=["str", "none", "list"])
     def test_corner_that_is_not_a_number_raises(self, corners):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match=r"^interval 'x' needs real numbers as its corners "
+                                            r"\(must be real number, not "):
             FuzzyInterval("x", *corners)
 
     @settings(max_examples=50)
@@ -244,10 +244,14 @@ class TestVocabulary:
         with pytest.raises(ValueError, match="^interval 'x' has a corner that is not finite$"):
             Vocabulary("v", [("x", 0, 0, 1, 10**400)])
 
-    @pytest.mark.parametrize("interval", [None, ("x", 0, 1, 2), ("x", 0, 0, 1, "2")],
-                             ids=["none", "four-fields", "str-corner"])
-    def test_what_is_not_an_interval_raises_type_error(self, interval):
-        with pytest.raises(TypeError):
+    @pytest.mark.parametrize("interval, message", [
+        (None, r"argument after \* must be an iterable, not NoneType$"),
+        (("x", 0, 1, 2), r"missing 1 required positional argument: 'd'$"),
+        (("x", 0, 0, 1, "2"), r"^interval 'x' needs real numbers as its corners "
+                              r"\(must be real number, not str\)$"),
+    ], ids=["none", "four-fields", "str-corner"])
+    def test_what_is_not_an_interval_raises_type_error(self, interval, message):
+        with pytest.raises(TypeError, match=message):
             Vocabulary("v", [interval])
 
 
@@ -329,9 +333,8 @@ class TestValidateVocabulary:
         cfg = MiningConfig(10, 10,
                            *(Vocabulary(name, vocab.intervals) for name in names))
         ruleset = mine(quickstart_bundle(), cfg)
-        tree = build_tree(ruleset)
-        for text in (rendered(render_table, ruleset), json_report(ruleset, tree),
-                     rendered(render_ascii, tree), rendered(render_dot, tree)):
+        for text in (rendered(render_table, ruleset), json_report(ruleset, True),
+                     rendered(render_ascii, ruleset), rendered(render_dot, ruleset)):
             text.encode("utf-8")
 
     def test_non_finite_corner(self):

@@ -649,6 +649,14 @@ class TestConfigTypes:
         assert all(type(v) is float for v in exact[:2] + exact[6:])
         assert mine(quickstart_bundle(), exact) == mine(quickstart_bundle(), twin)
 
+    @pytest.mark.parametrize("field", ["trigger_window", "min_confidence"])
+    def test_number_that_is_not_a_number_raises_type_error_naming_the_field(self, field):
+        given = quickstart_mining_config()._asdict()
+        given[field] = "10"
+        with pytest.raises(TypeError, match=f"^{field} needs real numbers as its values "
+                                            r"\(must be real number, not str\)$"):
+            MiningConfig(**given)
+
     @pytest.mark.parametrize("number", ["NaN", "sNaN"])
     @pytest.mark.parametrize("field", ["consequence_window", "min_support"])
     def test_decimal_nan_raises_value_error_naming_the_field(self, field, number):

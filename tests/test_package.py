@@ -39,23 +39,23 @@ from common import (
 PUBLIC_NAMES = [
     "ConfigError", "EventStream", "Finding", "FuzzyInterval", "FuzzyRule",
     "InputError", "MiningConfig", "RuleSet", "StreamBundle", "Vocabulary",
-    "build_tree", "classify", "load_config", "mine", "parse_streams_csv",
-    "render_ascii", "render_dot", "render_json", "render_table", "validate",
-    "validate_vocabulary",
+    "classify", "load_config", "mine", "parse_streams_csv", "render_ascii",
+    "render_dot", "render_json", "render_table", "validate", "validate_vocabulary",
 ]
 
 # Names the package no longer exports because a surviving public name or
 # form does their job. Most were deleted; parse_streams, parse_config_dict
 # and PipelineConfig remain in their modules for validate() and load_config,
-# and Event for EventStream.events.
+# Event for EventStream.events, and build_tree for the renderers, which
+# draw the tree from the index it builds.
 REMOVED_NAMES = [
     "Classification", "Event", "FuzzmineError", "NumericalAssociation", "ParseError",
     "PipelineConfig", "RuleInstance", "StreamDataError", "TreeNode",
     "UndefinedMetricError", "WindowConfig", "aggregate", "apply_thresholds",
-    "bundle_to_long_csv", "confidence", "config_findings", "extract_numerical",
-    "fuzzify", "has_errors", "membership", "parse_config_dict", "parse_streams",
-    "ruleset_to_report", "support", "tree_from_structured", "tree_to_structured",
-    "validate_bundle", "validate_stream",
+    "build_tree", "bundle_to_long_csv", "confidence", "config_findings",
+    "extract_numerical", "fuzzify", "has_errors", "membership", "parse_config_dict",
+    "parse_streams", "ruleset_to_report", "support", "tree_from_structured",
+    "tree_to_structured", "validate_bundle", "validate_stream",
 ]
 
 

@@ -1,4 +1,4 @@
-"""Tests for report rendering: table layout, JSON document, and the pieces
+"""Tests for report rendering: table layout, JSON report, and the pieces
 every renderer passes to ``write``."""
 
 import json
@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from fuzzmine import (
     FuzzyRule,
     RuleSet,
-    build_tree,
     load_config,
     mine,
     parse_streams_csv,
@@ -25,6 +24,7 @@ from common import (
     json_report,
     quickstart_bundle,
     quickstart_mining_config,
+    reference_tree,
     rendered,
     ruleset_of,
     write_workload,
@@ -47,9 +47,8 @@ class TestReportDocument:
 
     def test_tree_is_attached_when_given(self):
         ruleset = quickstart_ruleset()
-        tree = build_tree(ruleset)
-        report = json.loads(json_report(ruleset, tree))
-        assert report["tree"] == tree
+        report = json.loads(json_report(ruleset, True))
+        assert report["tree"] == reference_tree(ruleset)
 
     def test_json_keeps_full_precision(self):
         ruleset = quickstart_ruleset()
@@ -64,8 +63,7 @@ class TestReportDocument:
 
     def test_json_rendering_is_deterministic(self):
         ruleset = quickstart_ruleset()
-        tree = build_tree(ruleset)
-        assert json_report(ruleset, tree) == json_report(ruleset, tree)
+        assert json_report(ruleset, True) == json_report(ruleset, True)
 
     def test_empty_rule_set_bytes(self):
         ruleset = RuleSet(rules=(), total_weight=0.0, trigger_weights={})
@@ -74,7 +72,7 @@ class TestReportDocument:
             '  "rules": [],\n'
             '  "total_weight": 0.0\n'
             '}\n')
-        assert json_report(ruleset, build_tree(ruleset)) == (
+        assert json_report(ruleset, True) == (
             '{\n'
             '  "rules": [],\n'
             '  "total_weight": 0.0,\n'
@@ -100,11 +98,11 @@ def wide_vocab_ruleset(tmp_path_factory):
 # Each report of a rule set, as its renderer and the arguments before ``write``:
 # the JSON report without and with its tree, the table, and each text tree.
 REPORTS = {
-    "rules": lambda ruleset: (render_json, ruleset, None),
-    "tree": lambda ruleset: (render_json, ruleset, build_tree(ruleset)),
+    "rules": lambda ruleset: (render_json, ruleset, False),
+    "tree": lambda ruleset: (render_json, ruleset, True),
     "table": lambda ruleset: (render_table, ruleset),
-    "ascii": lambda ruleset: (render_ascii, build_tree(ruleset)),
-    "dot": lambda ruleset: (render_dot, build_tree(ruleset)),
+    "ascii": lambda ruleset: (render_ascii, ruleset),
+    "dot": lambda ruleset: (render_dot, ruleset),
 }
 EVERY_REPORT = pytest.mark.parametrize("report", REPORTS)
 
@@ -180,8 +178,8 @@ class TestReportBytes:
     @settings(max_examples=150, deadline=2000)
     @given(ruleset=rulesets())
     def test_render_json_matches_json_dumps(self, ruleset):
-        for tree in (None, build_tree(ruleset)):
-            assert json_report(ruleset, tree) == dumped_report(ruleset, tree)
+        assert json_report(ruleset) == dumped_report(ruleset, None)
+        assert json_report(ruleset, True) == dumped_report(ruleset, reference_tree(ruleset))
 
 
 class TestTableRendering:

@@ -544,6 +544,16 @@ class TestEventStream:
         with pytest.raises(TypeError, match="^stream 'a' has values given as "):
             EventStream("a", [1], column)
 
+    @pytest.mark.parametrize("column, reason", [
+        ([0, "1"], "must be real number, not str"), ([None], "must be real number, not NoneType"),
+        (5, "'int' object is not iterable"),
+    ], ids=["str", "none", "not-iterable"])
+    def test_column_that_is_not_numbers_raises_naming_the_stream(self, column, reason):
+        for what, columns in (("timestamps", (column, [1, 2])), ("values", ([1, 2], column))):
+            with pytest.raises(TypeError) as exc:
+                EventStream("s", *columns)
+            assert str(exc.value) == f"stream 's' needs real numbers as its {what} ({reason})"
+
     @pytest.mark.parametrize("number, what", [
         (Decimal("sNaN"), "value"), (Decimal("1e400"), "value"), (Decimal("-1e400"), "value"),
         (Decimal("sNaN"), "timestamp"), (Decimal("1e400"), "timestamp"),

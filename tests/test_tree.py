@@ -1,6 +1,6 @@
 """Tests for the rule-tree view and its renderings."""
 
-import json
+import re
 
 import pyparsing
 import pytest
@@ -10,13 +10,19 @@ from hypothesis import strategies as st
 from fuzzmine import (
     FuzzyRule,
     RuleSet,
-    build_tree,
     mine,
     render_ascii,
     render_dot,
 )
 
-from common import json_report, quickstart_bundle, quickstart_mining_config, rendered, ruleset_of
+from common import (
+    quickstart_bundle,
+    quickstart_mining_config,
+    reference_tree,
+    rendered,
+    reported_tree,
+    ruleset_of,
+)
 from dot_grammar import check_dot
 
 GOLDEN_ASCII = """\
@@ -58,9 +64,44 @@ def rule_paths(node, prefix=()):
         yield from rule_paths(child, next_prefix)
 
 
-def reported_tree(ruleset):
-    """The tree document as a reader of the JSON report gets it back."""
-    return json.loads(json_report(ruleset, build_tree(ruleset)))["tree"]
+def preorder(node, depth=0):
+    """(depth, label, leaf metrics as drawn or None) of every node of a
+    reported tree, in pre-order; the root shows as ``(root)``."""
+    metrics = (f"[sup={node['support']:.4f}, conf={node['confidence']:.4f}]"
+               if "support" in node else None)
+    yield depth, node["label"] if depth else "(root)", metrics
+    for child in node["children"]:
+        yield from preorder(child, depth + 1)
+
+
+DOT_STRING = r'"((?:[^"\\]|\\.)*)"'
+DOT_NODE = re.compile(rf"  {DOT_STRING} \[label={DOT_STRING}\];")
+DOT_EDGE = re.compile(rf"  {DOT_STRING} -> {DOT_STRING};")
+
+
+def dot_unescape(text):
+    """A DOT string's characters, with its ``\\n`` line breaks as newlines."""
+    return re.sub(r"\\(.)", lambda m: "\n" if m[1] == "n" else m[1], text)
+
+
+def assert_views_agree(ruleset):
+    """The text and DOT trees of ``ruleset`` draw the (depth, label, leaf
+    metrics) pre-order of the tree its JSON report embeds, and the DOT
+    edges join each node to the nearest node above it one level up."""
+    walk = list(preorder(reported_tree(ruleset)))
+    assert rendered(render_ascii, ruleset) == "".join(
+        "  " * depth + label + (f" {metrics}" if metrics else "") + "\n"
+        for depth, label, metrics in walk)
+    lines = rendered(render_dot, ruleset).splitlines()
+    nodes = [node.groups() for node in map(DOT_NODE.fullmatch, lines) if node]
+    assert [dot_unescape(shown) for _, shown in nodes] == [
+        label if metrics is None else f"{label}\n{metrics}" for _, label, metrics in walk]
+    above, edges = {}, []   # the latest node at each depth, and the edges that implies
+    for (ident, _), (depth, _, _) in zip(nodes, walk):
+        above[depth] = ident
+        if depth:
+            edges.append((above[depth - 1], ident))
+    assert [edge.groups() for edge in map(DOT_EDGE.fullmatch, lines) if edge] == edges
 
 
 def small_rulesets():
@@ -70,9 +111,17 @@ def small_rulesets():
     return st.lists(instance, min_size=1, max_size=25).map(ruleset_of)
 
 
+# Labels with the characters DOT and the node paths escape, sharing prefixes.
+AWKWARD = ruleset_of([
+    ('la "bel', "x/y", "t\\u", "c", 1.0),
+    ("la ", '"bel', "x/y", "t\\u", 1.0),
+    ("la ", '"bel', "x/y", "a\\nb/\\", 0.5),
+])
+
+
 class TestBuildTree:
     def test_quickstart_structure(self):
-        tree = build_tree(quickstart_ruleset())
+        tree = reported_tree(quickstart_ruleset())
         assert tree["level"] == "root" and tree["label"] == ""
         assert [c["label"] for c in tree["children"]] == ["Small Volume", "Medium Volume"]
         small_medium = tree["children"][0]["children"][0]
@@ -82,12 +131,12 @@ class TestBuildTree:
         assert len(leaves(tree)) == 4
 
     def test_heavier_branches_come_first(self):
-        tree = build_tree(quickstart_ruleset())
+        tree = reported_tree(quickstart_ruleset())
         # (Small, Medium, *) carries weight 2.0 vs 1.0 for (Medium, Small, *).
         assert tree["children"][0]["label"] == "Small Volume"
 
     def test_leaf_metrics(self):
-        tree = build_tree(quickstart_ruleset())
+        tree = reported_tree(quickstart_ruleset())
         by_path = dict(rule_paths(tree))
         sup, conf = by_path[("Medium Volume", "Small Volume",
                              "Long Time After", "Medium Volume")]
@@ -100,19 +149,20 @@ class TestBuildTree:
         labels = ("p", "q", "r", "s")
         ruleset = RuleSet((FuzzyRule(*labels, 1.0, 0.25, 0.5),
                            FuzzyRule(*labels, 2.0, 0.5, 1.0)), 4.0, {labels[:2]: 3.0})
-        tree = build_tree(ruleset)
+        tree = reported_tree(ruleset)
         assert leaves(tree) == [{"level": "consequence", "label": "s", "children": [],
                                  "support": 0.25, "confidence": 0.5}]
-        assert list(rule_paths(reported_tree(ruleset))) == [(labels, (0.25, 0.5))]
+        assert list(rule_paths(tree)) == [(labels, (0.25, 0.5))]
+        assert tree == reference_tree(ruleset)
 
     def test_empty_ruleset_gives_bare_root(self):
-        tree = build_tree(ruleset_of([]))
+        tree = reported_tree(ruleset_of([]))
         assert tree["level"] == "root"
         assert tree["children"] == []
         assert "support" not in tree and "confidence" not in tree
 
     def test_single_rule_is_a_path_of_depth_four(self):
-        tree = build_tree(ruleset_of([("a", "b", "t", "c", 1.0)]))
+        tree = reported_tree(ruleset_of([("a", "b", "t", "c", 1.0)]))
         levels = []
         node = tree
         while True:
@@ -126,7 +176,7 @@ class TestBuildTree:
 
     @given(ruleset=small_rulesets())
     def test_leaves_biject_with_rules(self, ruleset):
-        tree = build_tree(ruleset)
+        tree = reported_tree(ruleset)
         found = {path: metrics for path, metrics in rule_paths(tree)}
         assert len(found) == len(ruleset.rules)
         for rule in ruleset.rules:
@@ -134,32 +184,32 @@ class TestBuildTree:
 
     @given(ruleset=small_rulesets())
     def test_leaf_supports_sum_like_rule_supports(self, ruleset):
-        tree = build_tree(ruleset)
+        tree = reported_tree(ruleset)
         leaf_sum = sum(metrics[0] for _, metrics in rule_paths(tree))
         rule_sum = sum(rule.support for rule in ruleset.rules)
         assert leaf_sum == pytest.approx(rule_sum, abs=1e-9)
 
     @given(ruleset=small_rulesets())
     def test_trigger1_children_match_distinct_labels(self, ruleset):
-        tree = build_tree(ruleset)
+        tree = reported_tree(ruleset)
         assert len(tree["children"]) == len({rule.l1 for rule in ruleset.rules})
 
 
 class TestRenderAscii:
     def test_quickstart_render(self):
-        assert rendered(render_ascii, build_tree(quickstart_ruleset())) == GOLDEN_ASCII
+        assert rendered(render_ascii, quickstart_ruleset()) == GOLDEN_ASCII
 
     def test_contains_full_confidence_leaf(self):
-        text = rendered(render_ascii, build_tree(quickstart_ruleset()))
+        text = rendered(render_ascii, quickstart_ruleset())
         assert "Medium Volume [sup=0.3333, conf=1.0000]" in text
 
     def test_empty_tree(self):
-        assert rendered(render_ascii, build_tree(ruleset_of([]))) == "(root)\n"
+        assert rendered(render_ascii, ruleset_of([])) == "(root)\n"
 
     @given(rulesets=st.lists(small_rulesets(), min_size=2, max_size=6))
     def test_distinct_trees_render_distinctly(self, rulesets):
-        trees = [build_tree(rs) for rs in rulesets]
-        renders = [rendered(render_ascii, t) for t in trees]
+        trees = [reference_tree(rs) for rs in rulesets]
+        renders = [rendered(render_ascii, rs) for rs in rulesets]
         for i, tree_a in enumerate(trees):
             for j, tree_b in enumerate(trees):
                 if tree_a != tree_b:
@@ -168,43 +218,42 @@ class TestRenderAscii:
 
 class TestRenderDot:
     def test_quickstart_counts(self):
-        text = rendered(render_dot, build_tree(quickstart_ruleset()))
+        text = rendered(render_dot, quickstart_ruleset())
         node_lines = [l for l in text.splitlines() if "[label=" in l]
         edge_lines = [l for l in text.splitlines() if " -> " in l]
         assert len(node_lines) == 12
         assert len(edge_lines) == 11
 
     def test_quickstart_passes_grammar_check(self):
-        assert check_dot(rendered(render_dot, build_tree(quickstart_ruleset())))
+        assert check_dot(rendered(render_dot, quickstart_ruleset()))
 
     def test_empty_tree_is_one_node_no_edges(self):
-        text = rendered(render_dot, build_tree(ruleset_of([])))
+        text = rendered(render_dot, ruleset_of([]))
         assert check_dot(text)
         assert len([l for l in text.splitlines() if "[label=" in l]) == 1
         assert " -> " not in text
 
     def test_output_is_byte_deterministic(self):
-        tree = build_tree(quickstart_ruleset())
-        assert rendered(render_dot, tree) == rendered(render_dot, tree)
+        ruleset = quickstart_ruleset()
+        assert rendered(render_dot, ruleset) == rendered(render_dot, ruleset)
 
     def test_leaf_labels_carry_metrics(self):
-        text = rendered(render_dot, build_tree(quickstart_ruleset()))
+        text = rendered(render_dot, quickstart_ruleset())
         assert "[sup=0.3333, conf=1.0000]" in text
 
     def test_awkward_labels_stay_valid_and_distinct(self):
-        ruleset = ruleset_of([
-            ('la "bel', "x/y", "t\\u", "c", 1.0),
-            ("la ", '"bel', "x/y", "t\\u", 1.0),
-        ])
-        text = rendered(render_dot, build_tree(ruleset))
+        text = rendered(render_dot, AWKWARD)
         assert check_dot(text)
         ids = [l.split(" [label=")[0].strip()
                for l in text.splitlines() if "[label=" in l]
         assert len(ids) == len(set(ids))
 
+    def test_awkward_labels_draw_the_reported_tree(self):
+        assert_views_agree(AWKWARD)
+
     @given(ruleset=small_rulesets())
     def test_random_trees_always_parse(self, ruleset):
-        assert check_dot(rendered(render_dot, build_tree(ruleset)))
+        assert check_dot(rendered(render_dot, ruleset))
 
     def test_grammar_checker_rejects_garbage(self):
         for bad in ('digraph { a -> }', 'digraph { "x" -> "y" ',
@@ -214,22 +263,19 @@ class TestRenderDot:
 
 
 class TestStructuredTree:
-    """The tree a JSON report embeds reads back as the same document."""
+    """The tree a JSON report embeds is the reference tree, and the text
+    trees draw it node for node."""
 
     def test_round_trip_is_byte_identical(self):
-        ruleset = quickstart_ruleset()
-        tree = build_tree(ruleset)
-        again = reported_tree(ruleset)
-        assert rendered(render_ascii, again) == rendered(render_ascii, tree)
-        assert rendered(render_dot, again) == rendered(render_dot, tree)
+        assert_views_agree(quickstart_ruleset())
 
     def test_round_trip_restores_equal_tree(self):
         ruleset = quickstart_ruleset()
-        assert reported_tree(ruleset) == build_tree(ruleset)
+        assert reported_tree(ruleset) == reference_tree(ruleset)
 
     def test_empty_tree_shape(self):
-        doc = build_tree(ruleset_of([]))
-        assert doc == {"level": "root", "label": "", "children": []}
+        tree = reported_tree(ruleset_of([]))
+        assert tree == {"level": "root", "label": "", "children": []}
 
     def test_metrics_keep_full_precision(self):
         ruleset = ruleset_of([("a", "b", "t", "c", 0.1),
@@ -240,4 +286,8 @@ class TestStructuredTree:
 
     @given(ruleset=small_rulesets())
     def test_round_trip_on_random_trees(self, ruleset):
-        assert reported_tree(ruleset) == build_tree(ruleset)
+        assert reported_tree(ruleset) == reference_tree(ruleset)
+
+    @given(ruleset=small_rulesets())
+    def test_text_trees_draw_the_reported_tree(self, ruleset):
+        assert_views_agree(ruleset)
