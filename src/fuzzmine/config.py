@@ -122,12 +122,12 @@ def parse_config_dict(doc):
         if key not in _TOP_LEVEL_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
 
-    roles = dict(zip(ROLES, role_names(_require(doc, "roles", dict))))
-    windows = _require(doc, "windows", dict)
+    roles = dict(zip(ROLES, role_names(_require(doc, "roles"))))
+    windows = _require(doc, "windows")
     if set(windows) != {"trigger", "consequence"}:
         raise ConfigError("'windows' must have exactly the keys "
                           f"'trigger' and 'consequence'; got {sorted(windows)}")
-    vocabs = _parse_vocabularies(_require(doc, "vocabularies", dict))
+    vocabs = _parse_vocabularies(_require(doc, "vocabularies"))
     given = dict(doc, **{f"windows.{key}": value for key, value in windows.items()})
     raw = {key: given.get(key, 0) for key in _NUMBER_KEYS.values()}
     w12, w23, support, confidence = (_number(value, key) for key, value in raw.items())
@@ -148,14 +148,12 @@ def _config_findings(cfg):
             for finding in validate_vocabulary(vocab)]
 
 
-def _require(doc, key, kind):
+def _require(doc, key):
     if key not in doc:
         raise ConfigError(f"missing config key {key!r}")
-    value = doc[key]
-    if not isinstance(value, kind):
-        raise ConfigError(f"config key {key!r} must be a JSON "
-                          f"{'object' if kind is dict else 'array'}")
-    return value
+    if not isinstance(doc[key], dict):
+        raise ConfigError(f"config key {key!r} must be a JSON object")
+    return doc[key]
 
 
 def _parse_vocabularies(doc):

@@ -113,8 +113,7 @@ def mine(bundle, cfg):
         for vocab in (cfg.vocab_t1, cfg.vocab_t2, cfg.vocab_dt, cfg.vocab_c))
     # The rule totals of an (l1, l2) pair sit in a flat row indexed like
     # tails, with the pair's own total in the last slot.
-    tails = list(product(dict.fromkeys(cfg.vocab_dt.labels),
-                         dict.fromkeys(cfg.vocab_c.labels)))
+    tails = list(product(cfg.vocab_dt.labels, cfg.vocab_c.labels))
     slots = {tail: k for k, tail in enumerate(tails)}
     width = len(tails)
     rows = defaultdict(lambda: [0.0] * (width + 1))

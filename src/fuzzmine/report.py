@@ -24,8 +24,7 @@ from json.encoder import encode_basestring_ascii as _string
 
 LEVELS = ("root", "trigger1", "trigger2", "delta_t", "consequence")
 
-_COLUMNS = ("trigger1", "trigger2", "delta_t", "consequence",
-            "weight", "support", "confidence")
+_COLUMNS = (*LEVELS[1:], "weight", "support", "confidence")
 
 # json's spelling of the floats whose repr is not a JSON number.
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}

@@ -15,7 +15,7 @@ with no list or tuple of floats built, from a binary file (as
 :func:`open_input` opens it) or a text, decoded as UTF-8 a chunk at a
 time, so a file's text is never held whole. Malformed input raises
 :class:`InputError` naming its line. :func:`stream_findings` lists what is
-legal but notable about one stream, for :func:`fuzzmine.validate`.
+legal but notable in a stream, holding only its events at tied timestamps.
 """
 
 import csv
@@ -24,9 +24,9 @@ from array import array
 from codecs import BOM_UTF8
 from collections import Counter, namedtuple
 from contextlib import contextmanager
-from itertools import chain
+from itertools import chain, compress, islice
 from math import inf, isfinite, isinf
-from operator import le
+from operator import eq, le
 from sys import float_info
 
 from .validation import INFO, WARNING, ConfigError, Finding, InputError
@@ -331,14 +331,17 @@ def stream_findings(where, stream):
     ``where`` (how :func:`fuzzmine.validate` names the stream).
 
     An empty stream is a warning, since it makes the mining output
-    trivially empty; each repeated (timestamp, value) event is reported
-    informationally. Every rule a stream's fields must meet is checked by
-    the :class:`EventStream` constructor, so there are no errors to find.
+    trivially empty; each repeated (timestamp, value) event is noted as info.
+    In time order a repeat sits where neighbours share a timestamp, so only
+    the events there are counted and held. The :class:`EventStream`
+    constructor checks a stream's fields, so there are no errors to find.
     """
-    if not stream.timestamps:
+    times = stream.timestamps
+    if not times:
         return [Finding(WARNING, "empty-stream",
                         f"{where} has no events; no associations can involve it")]
-    repeats = Counter(zip(stream.timestamps, stream.values))
+    tied = set(compress(times, map(eq, times, islice(times, 1, None))))
+    repeats = Counter(compress(zip(times, stream.values), map(tied.__contains__, times)))
     return [Finding(INFO, "duplicate-event", f"{where}: repeated event "
                     f"(timestamp {ts:g}, value {value:g})")
             for ts, value in sorted(e for e, n in repeats.items() if n > 1)]

@@ -13,7 +13,7 @@ from math import inf, nan
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fuzzmine import (
@@ -636,3 +636,46 @@ class TestValidateBundle:
         findings = stream_findings("'a'", EventStream("a", (1, 1), (Fraction(1, 2),) * 2))
         assert [str(f) for f in findings] == [
             "info: [duplicate-event] 'a': repeated event (timestamp 1, value 0.5)"]
+
+
+def counted_findings(where, stream):
+    """The findings' text as a Counter over every (timestamp, value) event
+    gives it, for the scan over tied timestamps to match."""
+    if not stream.timestamps:
+        return [f"warning: [empty-stream] {where} has no events; "
+                "no associations can involve it"]
+    repeats = Counter(zip(stream.timestamps, stream.values))
+    return [f"info: [duplicate-event] {where}: repeated event "
+            f"(timestamp {ts:g}, value {value:g})"
+            for ts, value in sorted(e for e, n in repeats.items() if n > 1)]
+
+
+class TestStreamFindings:
+    """stream_findings counts only the events at timestamps a neighbour
+    shares, which the time order makes the only place a repeat can be."""
+
+    # Small sets, so that events tie and repeat; both zeros, whose first
+    # spelling a Counter keeps.
+    @given(events=st.lists(st.tuples(st.sampled_from([0.0, -0.0, 1.0, 2.5, 7.0]),
+                                     st.sampled_from([0.0, -0.0, 0.5, 2.0])), max_size=30))
+    @example(events=[(1.0, 2.0), (1.0, -0.0), (1.0, 2.0), (1.0, 0.0), (1.0, 0.5)])
+    @example(events=[(7.0, 2.0), (0.0, 2.0), (2.5, 2.0), (1.0, 2.0)])
+    def test_same_findings_as_a_counter_over_every_event(self, events):
+        # Unsorted columns: the constructor sorts them, stably.
+        s = EventStream("a", [t for t, _ in events], [v for _, v in events])
+        assert list(map(str, stream_findings("'a'", s))) == counted_findings("'a'", s)
+
+    def test_sparse_peak_is_under_a_quarter_of_the_columns(self, tmp_path):
+        # A Counter over every event peaked at 10.4 times the stream's two
+        # columns (16 bytes an event); sparse has no tied timestamps.
+        with open_input(write_workload(tmp_path, "sparse", 1)[0]) as handle:
+            streams = parse_streams(handle)
+        for s in streams.values():
+            gc.collect()
+            tracemalloc.start()
+            try:
+                stream_findings(repr(s.name), s)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 0.25 * 16 * len(s.timestamps), s.name
