@@ -13,10 +13,11 @@ nodes of that prefix, and each leaf carries its rule's support and
 confidence. At every level children are ordered by descending subtree
 weight with lexicographic tie-break, so the strongest branches come
 first and the layout is reproducible on every Python version. Each
-renderer draws the tree straight from the rule set. In the JSON report
-every node is an object with ``level``, ``label`` and a ``children``
-list, and leaves (consequence-level nodes) add ``support`` and
-``confidence``. The root has level ``root`` and an empty label.
+renderer draws the tree straight from the rule set, one level at a time
+as it descends, with no entry per rule. In the JSON report every node
+is an object with ``level``, ``label`` and a ``children`` list, and
+leaves (consequence-level nodes) add ``support`` and ``confidence``.
+The root has level ``root`` and an empty label.
 """
 
 from itertools import chain
@@ -62,29 +63,29 @@ def _json(ruleset, tree):
     yield f',\n  "total_weight": {_number(ruleset.total_weight)}'
     if tree:
         yield ',\n  "tree": '
-        yield from _node(0, "", build_tree(ruleset), "  ")
+        yield from _node(0, "", ruleset.rules, "  ")
     yield "\n}\n"
 
 
-def _node(depth, label, level, pad):
-    """The text of the tree node at ``depth``, not a leaf, with the index
-    ``level`` below it and its closing brace indented by ``pad``."""
+def _node(depth, label, rules, pad):
+    """The text of the tree node at ``depth``, not a leaf, with ``rules``
+    below it and its closing brace indented by ``pad``."""
     inner = pad + "  "
     nested, leaf = inner + "  ", inner + "    "
     yield f'{{\n{inner}"children": ['
     separator = "\n" + nested
-    for child, (_, below) in _ordered(level):
-        if depth == len(LEVELS) - 2:   # a leaf, which has no children, and its rule
+    for child, (_, below) in _ordered(rules, depth):
+        if depth == len(LEVELS) - 2:   # a leaf, which has no children, and its first rule
             yield (f'{separator}{{\n{leaf}"children": [],\n'
-                   f'{leaf}"confidence": {_number(below.confidence)},\n'
+                   f'{leaf}"confidence": {_number(below[0].confidence)},\n'
                    f'{leaf}"label": {_string(child)},\n'
                    f'{leaf}"level": "{LEVELS[-1]}",\n'
-                   f'{leaf}"support": {_number(below.support)}\n{nested}}}')
+                   f'{leaf}"support": {_number(below[0].support)}\n{nested}}}')
         else:
             yield separator
             yield from _node(depth + 1, child, below, nested)
         separator = ",\n" + nested
-    yield (f"\n{inner}]" if level else "]") + (
+    yield (f"\n{inner}]" if rules else "]") + (
         f',\n{inner}"label": {_string(label)},\n'
         f'{inner}"level": "{LEVELS[depth]}"\n{pad}}}')
 
@@ -121,26 +122,24 @@ def render_table(ruleset, write):
            write)
 
 
-def build_tree(ruleset):
-    """The tree of ``ruleset`` as an index the renderers walk:
-    ``{label: [weight, children]}`` from the trigger-1 labels down, where
-    ``children`` is the next level's index, or for a consequence label its
-    first rule. A weight adds its rules' weights in rule order, from 0.0."""
-    index = {}
-    for rule in ruleset.rules:
-        level, weight = index, rule[4]
-        for depth, label in enumerate(rule[:4]):
-            entry = level.get(label)
-            if entry is None:
-                entry = level[label] = [0.0, {} if depth < 3 else rule]
-            entry[0] += weight   # left to right: sum() compensates on Python 3.12+
-            level = entry[1]
-    return index
+def build_tree(rules, depth):
+    """One level of the tree: ``rules`` grouped by their label at ``depth``
+    (0 for trigger-1) as ``{label: [weight, rules below it in rule order]}``.
+    A weight adds its rules' weights left to right from 0.0: ``sum()``
+    compensates on Python 3.12+."""
+    groups = {}
+    for rule in rules:
+        group = groups.get(rule[depth])
+        if group is None:
+            group = groups[rule[depth]] = [0.0, []]
+        group[0] += rule[4]
+        group[1].append(rule)
+    return groups
 
 
-def _ordered(level):
-    """The items of one level of the tree index, heaviest first, then by label."""
-    return sorted(level.items(), key=lambda item: (-item[1][0], item[0]))
+def _ordered(rules, depth):
+    """The groups of ``rules`` at ``depth``, heaviest first, then by label."""
+    return sorted(build_tree(rules, depth).items(), key=lambda item: (-item[1][0], item[0]))
 
 
 def render_ascii(ruleset, write):
@@ -150,7 +149,7 @@ def render_ascii(ruleset, write):
     ``Medium Volume [sup=0.3333, conf=1.0000]``.
     """
     nodes = ("  " * depth + _text(label, rule, str, " ") + "\n"
-             for depth, label, _, _, rule in _walk(build_tree(ruleset)))
+             for depth, label, _, _, rule in _walk(ruleset.rules))
     _write(chain(["(root)\n"], nodes), write)
 
 
@@ -162,24 +161,23 @@ def render_dot(ruleset, write):
     makes the output stable across runs. Leaves show their metrics on a
     second label line.
     """
-    tree = build_tree(ruleset)
     nodes = ('  "%s" [label="%s"];\n' % (_dot_escape(path), _text(label, rule, _dot_escape, r"\n"))
-             for _, label, path, _, rule in _walk(tree))
+             for _, label, path, _, rule in _walk(ruleset.rules))
     edges = ('  "%s" -> "%s";\n' % (_dot_escape(parent), _dot_escape(path))
-             for _, _, path, parent, _ in _walk(tree))
+             for _, _, path, parent, _ in _walk(ruleset.rules))
     _write(chain(['digraph rules {\n  node [shape=box];\n  "root" [label="(root)"];\n'],
                  nodes, edges, ["}\n"]), write)
 
 
-def _walk(level, depth=1, parent="root"):
-    """Every node below the root of the tree index in pre-order, as (depth,
-    label, DOT path, parent's DOT path, the leaf's rule or None). A path
-    joins the labels from the root, each with its backslashes and slashes
-    escaped."""
+def _walk(rules, depth=1, parent="root"):
+    """Every node of the tree of ``rules`` below the node at ``depth - 1``,
+    in pre-order, as (depth, label, DOT path, parent's DOT path, the leaf's
+    first rule or None). A path joins the labels from the root, each with
+    its backslashes and slashes escaped."""
     leaf = depth == len(LEVELS) - 1
-    for label, (_, below) in _ordered(level):
+    for label, (_, below) in _ordered(rules, depth - 1):
         path = parent + "/" + label.replace("\\", "\\\\").replace("/", "\\/")
-        yield depth, label, path, parent, below if leaf else None
+        yield depth, label, path, parent, below[0] if leaf else None
         if not leaf:
             yield from _walk(below, depth + 1, path)
 

@@ -331,10 +331,11 @@ def stream_findings(where, stream):
     ``where`` (how :func:`fuzzmine.validate` names the stream).
 
     An empty stream is a warning, since it makes the mining output
-    trivially empty; each repeated (timestamp, value) event is noted as info.
-    In time order a repeat sits where neighbours share a timestamp, so only
-    the events there are counted and held. The :class:`EventStream`
-    constructor checks a stream's fields, so there are no errors to find.
+    trivially empty; each repeated (timestamp, value) event is noted as
+    info, its numbers as :func:`_shown` writes them. In time order a repeat
+    sits where neighbours share a timestamp, so only the events there are
+    counted and held. The :class:`EventStream` constructor checks a
+    stream's fields, so there are no errors to find.
     """
     times = stream.timestamps
     if not times:
@@ -343,5 +344,11 @@ def stream_findings(where, stream):
     tied = set(compress(times, map(eq, times, islice(times, 1, None))))
     repeats = Counter(compress(zip(times, stream.values), map(tied.__contains__, times)))
     return [Finding(INFO, "duplicate-event", f"{where}: repeated event "
-                    f"(timestamp {ts:g}, value {value:g})")
+                    f"(timestamp {_shown(ts)}, value {_shown(value)})")
             for ts, value in sorted(e for e, n in repeats.items() if n > 1)]
+
+
+def _shown(number):
+    """``number`` to 6 significant digits, or its repr where those read as another number."""
+    text = f"{number:g}"
+    return text if float(text) == number else repr(number)

@@ -47,7 +47,7 @@ PUBLIC_NAMES = [
 # form does their job. Most were deleted; parse_streams, parse_config_dict
 # and PipelineConfig remain in their modules for validate() and load_config,
 # Event for EventStream.events, and build_tree for the renderers, which
-# draw the tree from the index it builds.
+# draw the tree one level at a time through it.
 REMOVED_NAMES = [
     "Classification", "Event", "FuzzmineError", "NumericalAssociation", "ParseError",
     "PipelineConfig", "RuleInstance", "StreamDataError", "TreeNode",

@@ -646,8 +646,15 @@ def counted_findings(where, stream):
                 "no associations can involve it"]
     repeats = Counter(zip(stream.timestamps, stream.values))
     return [f"info: [duplicate-event] {where}: repeated event "
-            f"(timestamp {ts:g}, value {value:g})"
+            f"(timestamp {shown(ts)}, value {shown(value)})"
             for ts, value in sorted(e for e, n in repeats.items() if n > 1)]
+
+
+def shown(number):
+    """``number`` with ``:g`` where that reads back as the same float, else
+    its repr."""
+    text = f"{number:g}"
+    return text if float(text) == number else repr(number)
 
 
 class TestStreamFindings:
@@ -660,10 +667,14 @@ class TestStreamFindings:
                                      st.sampled_from([0.0, -0.0, 0.5, 2.0])), max_size=30))
     @example(events=[(1.0, 2.0), (1.0, -0.0), (1.0, 2.0), (1.0, 0.0), (1.0, 0.5)])
     @example(events=[(7.0, 2.0), (0.0, 2.0), (2.5, 2.0), (1.0, 2.0)])
+    # Two repeats that read alike to 6 significant digits (1e+06).
+    @example(events=[(1000000.4, 5.0), (1000000.1, 5.0), (1000000.4, 5.0), (1000000.1, 5.0)])
     def test_same_findings_as_a_counter_over_every_event(self, events):
         # Unsorted columns: the constructor sorts them, stably.
         s = EventStream("a", [t for t, _ in events], [v for _, v in events])
-        assert list(map(str, stream_findings("'a'", s))) == counted_findings("'a'", s)
+        found = list(map(str, stream_findings("'a'", s)))
+        assert found == counted_findings("'a'", s)
+        assert len(set(found)) == len(found)
 
     def test_sparse_peak_is_under_a_quarter_of_the_columns(self, tmp_path):
         # A Counter over every event peaked at 10.4 times the stream's two

@@ -111,6 +111,17 @@ def small_rulesets():
     return st.lists(instance, min_size=1, max_size=25).map(ruleset_of)
 
 
+def hand_built_rulesets():
+    """Rule sets drawn directly, as code may build them: rules in any order,
+    repeated label paths and zero weights, with metrics and a total
+    weight of their own."""
+    label = st.sampled_from(["p", "q"])   # 16 label paths: repeats are common
+    quarter = st.integers(0, 16).map(lambda k: k / 4)
+    rules = st.lists(st.builds(FuzzyRule, label, label, label, label, quarter, quarter, quarter),
+                     max_size=25)
+    return rules.map(lambda rules: RuleSet(tuple(rules), 4.0 * len(rules), {}))
+
+
 # Labels with the characters DOT and the node paths escape, sharing prefixes.
 AWKWARD = ruleset_of([
     ('la "bel', "x/y", "t\\u", "c", 1.0),
@@ -284,10 +295,10 @@ class TestStructuredTree:
         for rule in ruleset.rules:
             assert path_metrics[rule[:4]] == (rule.support, rule.confidence)
 
-    @given(ruleset=small_rulesets())
+    @given(ruleset=small_rulesets() | hand_built_rulesets())
     def test_round_trip_on_random_trees(self, ruleset):
         assert reported_tree(ruleset) == reference_tree(ruleset)
 
-    @given(ruleset=small_rulesets())
+    @given(ruleset=small_rulesets() | hand_built_rulesets())
     def test_text_trees_draw_the_reported_tree(self, ruleset):
         assert_views_agree(ruleset)
