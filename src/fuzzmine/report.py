@@ -12,12 +12,12 @@ consequence label). Rules sharing a label prefix share the internal
 nodes of that prefix, and each leaf carries its rule's support and
 confidence. At every level children are ordered by descending subtree
 weight with lexicographic tie-break, so the strongest branches come
-first and the layout is reproducible on every Python version. Each
-renderer draws the tree straight from the rule set, one level at a time
-as it descends, with no entry per rule. In the JSON report every node
-is an object with ``level``, ``label`` and a ``children`` list, and
-leaves (consequence-level nodes) add ``support`` and ``confidence``.
-The root has level ``root`` and an empty label.
+first and the layout is reproducible on every Python version. One
+pre-order walk feeds the JSON, text and DOT trees: it draws the tree from
+the rule set, one ordered level at a time, with no entry per rule. In the
+JSON report every node is an object with ``level``, ``label`` and a
+``children`` list, and leaves (consequence-level nodes) add ``support``
+and ``confidence``. The root has level ``root`` and an empty label.
 """
 
 from itertools import chain
@@ -31,6 +31,9 @@ _COLUMNS = (*LEVELS[1:], "weight", "support", "confidence")
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 _PIECE = 1 << 16   # characters of report text per write, at least
+
+# The indents of a JSON tree node's braces and of its fields, by depth.
+_PADS = [("  " + "    " * depth, "    " + "    " * depth) for depth in range(len(LEVELS))]
 
 
 def render_json(ruleset, tree, write):
@@ -63,31 +66,32 @@ def _json(ruleset, tree):
     yield f',\n  "total_weight": {_number(ruleset.total_weight)}'
     if tree:
         yield ',\n  "tree": '
-        yield from _node(0, "", ruleset.rules, "  ")
+        yield from _tree(ruleset.rules)
     yield "\n}\n"
 
 
-def _node(depth, label, rules, pad):
-    """The text of the tree node at ``depth``, not a leaf, with ``rules``
-    below it and its closing brace indented by ``pad``."""
-    inner = pad + "  "
-    nested, leaf = inner + "  ", inner + "    "
-    yield f'{{\n{inner}"children": ['
-    separator = "\n" + nested
-    for child, (_, below) in _ordered(rules, depth):
-        if depth == len(LEVELS) - 2:   # a leaf, which has no children, and its first rule
-            yield (f'{separator}{{\n{leaf}"children": [],\n'
-                   f'{leaf}"confidence": {_number(below[0].confidence)},\n'
-                   f'{leaf}"label": {_string(child)},\n'
-                   f'{leaf}"level": "{LEVELS[-1]}",\n'
-                   f'{leaf}"support": {_number(below[0].support)}\n{nested}}}')
+def _tree(rules):
+    """The JSON text of the tree of ``rules``, from ``_walk``'s pre-order.
+    ``closes`` holds the closing text of each open inner node below the root."""
+    yield '{\n    "children": ['
+    closes, comma = [], ""   # no comma before a node's first child
+    for depth, label, _, _, rule in _walk(rules):
+        while len(closes) >= depth:   # the previous sibling's subtree ends
+            yield closes.pop()
+        pad, inner = _PADS[depth]
+        if rule is None:
+            closes.append(f'\n{inner}],\n{inner}"label": {_string(label)},\n'
+                          f'{inner}"level": "{LEVELS[depth]}"\n{pad}}}')
+            yield f'{comma}\n{pad}{{\n{inner}"children": ['
         else:
-            yield separator
-            yield from _node(depth + 1, child, below, nested)
-        separator = ",\n" + nested
-    yield (f"\n{inner}]" if rules else "]") + (
-        f',\n{inner}"label": {_string(label)},\n'
-        f'{inner}"level": "{LEVELS[depth]}"\n{pad}}}')
+            yield (f'{comma}\n{pad}{{\n{inner}"children": [],\n'
+                   f'{inner}"confidence": {_number(rule.confidence)},\n'
+                   f'{inner}"label": {_string(label)},\n'
+                   f'{inner}"level": "{LEVELS[depth]}",\n'
+                   f'{inner}"support": {_number(rule.support)}\n{pad}}}')
+        comma = "" if rule is None else ","
+    yield "".join(reversed(closes)) + ("\n    ]" if rules else "]")
+    yield ',\n    "label": "",\n    "level": "root"\n  }'
 
 
 def _write(texts, write):
@@ -124,9 +128,9 @@ def render_table(ruleset, write):
 
 def build_tree(rules, depth):
     """One level of the tree: ``rules`` grouped by their label at ``depth``
-    (0 for trigger-1) as ``{label: [weight, rules below it in rule order]}``.
-    A weight adds its rules' weights left to right from 0.0: ``sum()``
-    compensates on Python 3.12+."""
+    (0 for trigger-1) as ``(label, [weight, rules below it in rule order])``
+    pairs, heaviest first, then by label. A weight adds its rules' weights
+    left to right from 0.0: ``sum()`` compensates on Python 3.12+."""
     groups = {}
     for rule in rules:
         group = groups.get(rule[depth])
@@ -134,12 +138,7 @@ def build_tree(rules, depth):
             group = groups[rule[depth]] = [0.0, []]
         group[0] += rule[4]
         group[1].append(rule)
-    return groups
-
-
-def _ordered(rules, depth):
-    """The groups of ``rules`` at ``depth``, heaviest first, then by label."""
-    return sorted(build_tree(rules, depth).items(), key=lambda item: (-item[1][0], item[0]))
+    return sorted(groups.items(), key=lambda item: (-item[1][0], item[0]))
 
 
 def render_ascii(ruleset, write):
@@ -171,11 +170,11 @@ def render_dot(ruleset, write):
 
 def _walk(rules, depth=1, parent="root"):
     """Every node of the tree of ``rules`` below the node at ``depth - 1``,
-    in pre-order, as (depth, label, DOT path, parent's DOT path, the leaf's
-    first rule or None). A path joins the labels from the root, each with
-    its backslashes and slashes escaped."""
+    in the pre-order all three trees are drawn in, as (depth, label, DOT path,
+    parent's DOT path, the leaf's first rule or None). A path joins the labels
+    from the root, each with its backslashes and slashes escaped."""
     leaf = depth == len(LEVELS) - 1
-    for label, (_, below) in _ordered(rules, depth - 1):
+    for label, (_, below) in build_tree(rules, depth - 1):
         path = parent + "/" + label.replace("\\", "\\\\").replace("/", "\\/")
         yield depth, label, path, parent, below[0] if leaf else None
         if not leaf:

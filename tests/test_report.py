@@ -5,7 +5,7 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fuzzmine import (
@@ -177,6 +177,13 @@ def rulesets(draw):
 class TestReportBytes:
     @settings(max_examples=150, deadline=2000)
     @given(ruleset=rulesets())
+    # The shapes the JSON tree's stack of closing texts must close: one rule,
+    # after whose leaf four nodes close; rules apart at trigger-1, between
+    # whose leaves three inner nodes close; and rules apart only at the
+    # consequence, sibling leaves with nothing closed between them.
+    @example(ruleset=ruleset_of([("a", "b", "t", "c", 1.0)]))
+    @example(ruleset=ruleset_of([("a", "b", "t", "c", 2.0), ("x", "b", "t", "c", 1.0)]))
+    @example(ruleset=ruleset_of([("a", "b", "t", "c", 2.0), ("a", "b", "t", "x", 1.0)]))
     def test_render_json_matches_json_dumps(self, ruleset):
         assert json_report(ruleset) == dumped_report(ruleset, None)
         assert json_report(ruleset, True) == dumped_report(ruleset, reference_tree(ruleset))
