@@ -33,15 +33,10 @@ class FuzzyRule(namedtuple("FuzzyRule", "l1 l2 l_dt l3 weight support confidence
     __slots__ = ()
 
 
-class RuleSet(namedtuple("RuleSet", "rules total_weight trigger_weights")):
-    """Aggregated rules plus the weight totals their metrics divide by.
-
-    ``total_weight`` is the combined weight of all aggregated instances
-    and ``trigger_weights`` maps each (l1, l2) pair to the combined
-    weight of its rules. :func:`mine` keeps only the rules meeting its
-    config's thresholds but the totals of all, so the kept rules retain
-    the metrics they were filtered on.
-    """
+class RuleSet(namedtuple("RuleSet", "rules total_weight")):
+    """Aggregated rules plus the combined weight of all aggregated instances.
+    :func:`mine` keeps only the rules meeting its config's thresholds but
+    the totals of all, so the kept rules retain the metrics they were filtered on."""
 
     __slots__ = ()
 
@@ -164,10 +159,9 @@ def mine(bundle, cfg):
                             total += weight
                     row[width] = pair_total
 
-    trigger_weights = {pair: row[width] for pair, row in rows.items() if row[width]}
     rules = [FuzzyRule._make((*pair, *tail, w, w / total, w / row[width]))
              for pair, row in rows.items() for tail, w in zip(tails, row) if w]
     rules.sort()   # by labels, which no two rules share
     rules.sort(key=itemgetter(4), reverse=True)   # by weight, stable: ties stay in label order
     return RuleSet(tuple(rule for rule in rules if rule.support >= cfg.min_support
-                         and rule.confidence >= cfg.min_confidence), total, trigger_weights)
+                         and rule.confidence >= cfg.min_confidence), total)

@@ -75,7 +75,7 @@ def _tree(rules):
     ``closes`` holds the closing text of each open inner node below the root."""
     yield '{\n    "children": ['
     closes, comma = [], ""   # no comma before a node's first child
-    for depth, label, _, _, rule in _walk(rules):
+    for depth, label, rule in _walk(rules):
         while len(closes) >= depth:   # the previous sibling's subtree ends
             yield closes.pop()
         pad, inner = _PADS[depth]
@@ -148,37 +148,42 @@ def render_ascii(ruleset, write):
     ``Medium Volume [sup=0.3333, conf=1.0000]``.
     """
     nodes = ("  " * depth + _text(label, rule, str, " ") + "\n"
-             for depth, label, _, _, rule in _walk(ruleset.rules))
+             for depth, label, rule in _walk(ruleset.rules))
     _write(chain(["(root)\n"], nodes), write)
 
 
 def render_dot(ruleset, write):
     """Pass ``write`` the tree as a DOT digraph.
 
-    Node identifiers are the root-to-node label paths (with separator
-    escaping, so they stay unique whatever the labels contain), which
-    makes the output stable across runs. Leaves show their metrics on a
-    second label line.
+    Node identifiers are the root-to-node label paths, escaped so that they
+    stay unique whatever the labels contain and the output is stable across
+    runs. Leaves show their metrics on a second label line.
     """
-    nodes = ('  "%s" [label="%s"];\n' % (_dot_escape(path), _text(label, rule, _dot_escape, r"\n"))
-             for _, label, path, _, rule in _walk(ruleset.rules))
-    edges = ('  "%s" -> "%s";\n' % (_dot_escape(parent), _dot_escape(path))
-             for _, _, path, parent, _ in _walk(ruleset.rules))
     _write(chain(['digraph rules {\n  node [shape=box];\n  "root" [label="(root)"];\n'],
-                 nodes, edges, ["}\n"]), write)
+                 _dot_lines(ruleset.rules, False), _dot_lines(ruleset.rules, True), ["}\n"]),
+           write)
 
 
-def _walk(rules, depth=1, parent="root"):
-    """Every node of the tree of ``rules`` below the node at ``depth - 1``,
-    in the pre-order all three trees are drawn in, as (depth, label, DOT path,
-    parent's DOT path, the leaf's first rule or None). A path joins the labels
-    from the root, each with its backslashes and slashes escaped."""
+def _dot_lines(rules, edges):
+    """The DOT line of each node ``_walk`` yields or, if ``edges``, of the edge from
+    its parent. A node's id is its parent's, a slash and its label with backslashes
+    and slashes escaped, all DOT-escaped."""
+    ids = ["root"] * len(LEVELS)   # the id of the latest node at each depth
+    for depth, label, rule in _walk(rules):
+        path = label.replace("\\", "\\\\").replace("/", "\\/")
+        ids[depth] = ids[depth - 1] + "/" + _dot_escape(path)
+        yield ('  "%s" -> "%s";\n' % (ids[depth - 1], ids[depth]) if edges else
+               '  "%s" [label="%s"];\n' % (ids[depth], _text(label, rule, _dot_escape, r"\n")))
+
+
+def _walk(rules, depth=1):
+    """Every node of the tree of ``rules`` below the node at ``depth - 1``, in the
+    pre-order all three trees are drawn in, as (depth, label, leaf's first rule or None)."""
     leaf = depth == len(LEVELS) - 1
     for label, (_, below) in build_tree(rules, depth - 1):
-        path = parent + "/" + label.replace("\\", "\\\\").replace("/", "\\/")
-        yield depth, label, path, parent, below[0] if leaf else None
+        yield depth, label, below[0] if leaf else None
         if not leaf:
-            yield from _walk(below, depth + 1, path)
+            yield from _walk(below, depth + 1)
 
 
 def _text(label, rule, escape, separator):

@@ -123,7 +123,7 @@ def ruleset_of(rows):
         FuzzyRule(*key, weight=w, support=w / total, confidence=w / pairs[key[:2]])
         for key, w in sorted(weights.items(), key=lambda item: (-item[1], item[0]))
     )
-    return RuleSet(rules=rules, total_weight=total, trigger_weights=pairs)
+    return RuleSet(rules=rules, total_weight=total)
 
 
 def rendered(render, *args):

@@ -84,10 +84,10 @@ def rule_table(ruleset):
 
 
 def oracle_fold(bundle, cfg):
-    """(total_weight, trigger_weights) added up one instance at a time in
-    the oracle's order: triples in (t1, t2, t3) order, then intervals in
-    vocabulary order, each product taken left to right."""
-    total, pairs = 0.0, {}
+    """The total weight added up one instance at a time in the oracle's
+    order: triples in (t1, t2, t3) order, then intervals in vocabulary
+    order, each product taken left to right."""
+    total = 0.0
     dims = (cfg.vocab_t1, cfg.vocab_t2, cfg.vocab_dt, cfg.vocab_c)
     triples = brute_force_associations(bundle, cfg.trigger_window, cfg.consequence_window)
     for v1, v2, dt, v3, *_ in triples:
@@ -96,10 +96,8 @@ def oracle_fold(bundle, cfg):
             for iv, x in zip(ivs, (v1, v2, dt, v3)):
                 weight *= trapezoid_degree(iv.a, iv.b, iv.c, iv.d, x)
             if weight > 0.0:
-                pair = (ivs[0].label, ivs[1].label)
-                pairs[pair] = pairs.get(pair, 0.0) + weight
                 total += weight
-    return total, pairs
+    return total
 
 
 def one_triple_rules(e1, e2, e3):
@@ -341,7 +339,6 @@ class TestRuleTotals:
         ruleset = mine(bundle, quickstart_mining_config())
         assert len(ruleset.rules) == 0
         assert ruleset.total_weight == 0.0
-        assert ruleset.trigger_weights == {}
 
     def test_zero_weight_instances_are_skipped(self):
         # An underflowed degree product adds no rule, trigger pair or total,
@@ -349,7 +346,7 @@ class TestRuleTotals:
         bundle, cfg = SUBNORMAL
         ruleset = mine(bundle, cfg)
         assert ruleset.rules and all(r.weight > 0.0 for r in ruleset.rules)
-        assert all(w > 0.0 for w in ruleset.trigger_weights.values())
+        assert all(0.0 < r.confidence <= 1.0 for r in ruleset.rules)
         assert not any(r[:4].count("faint") >= 3 for r in ruleset.rules)
         # Values 100 only read as faint (degree ~3e-159), so every product
         # of the one triple underflows to 0.0.
@@ -376,18 +373,9 @@ class TestRuleTotals:
     def test_total_weight_is_plain_sum(self, settings_pair):
         bundle, cfg = settings_pair
         ruleset = mine(bundle, cfg)
-        assert ruleset.total_weight == oracle_fold(bundle, cfg)[0]
+        assert ruleset.total_weight == oracle_fold(bundle, cfg)
         assert sum(r.weight for r in ruleset.rules) == pytest.approx(
             ruleset.total_weight, abs=1e-9)
-
-    @given(settings_pair=arbitrary_settings(max_events=6))
-    @settings(max_examples=40)
-    def test_trigger_weights_are_consistent(self, settings_pair):
-        bundle, cfg = settings_pair
-        ruleset = mine(bundle, cfg)
-        for pair, total in ruleset.trigger_weights.items():
-            rules = [r for r in ruleset.rules if (r.l1, r.l2) == pair]
-            assert sum(r.weight for r in rules) == pytest.approx(total, abs=1e-9)
 
 
 class TestMetrics:
@@ -398,8 +386,6 @@ class TestMetrics:
             rule = by_labels[labels]
             assert rule.weight == pytest.approx(weight, abs=1e-9)
             assert rule.weight / ruleset.total_weight == pytest.approx(sup, abs=1e-9)
-            assert (rule.weight / ruleset.trigger_weights[labels[:2]]
-                    == pytest.approx(conf, abs=1e-9))
             assert rule.support == pytest.approx(sup, abs=1e-9)
             assert rule.confidence == pytest.approx(conf, abs=1e-9)
 
@@ -442,7 +428,7 @@ class TestThresholds:
         ruleset = mine(quickstart_bundle(), quickstart_mining_config())
         pruned = mine(quickstart_bundle(), quickstart_mining_config(min_support=0.3))
         assert pruned.total_weight == ruleset.total_weight
-        assert pruned.trigger_weights == ruleset.trigger_weights
+        # Each kept rule keeps the support and confidence it has unpruned.
         assert set(pruned.rules) < set(ruleset.rules)
         rule = {r[:4]: r for r in pruned.rules}[
             ("Small Volume", "Medium Volume", "Long Time After", "Large Volume")]
@@ -463,7 +449,6 @@ class TestThresholds:
                                      if rule.support >= min_support
                                      and rule.confidence >= min_confidence)
         assert pruned.total_weight == full.total_weight
-        assert pruned.trigger_weights == full.trigger_weights
 
 
 class TestMine:
@@ -539,7 +524,7 @@ class TestMine:
         assert rule_table(ruleset) == expected
         assert [r[:4] for r in ruleset.rules] == sorted(
             expected, key=lambda labels: (-expected[labels][0], labels))
-        assert (ruleset.total_weight, ruleset.trigger_weights) == oracle_fold(bundle, cfg)
+        assert ruleset.total_weight == oracle_fold(bundle, cfg)
 
     def test_classifies_only_what_its_windows_reach(self, tmp_path, monkeypatch):
         # On sparse, 19,950 of the 25,000 trigger-2 events lie in no trigger

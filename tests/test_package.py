@@ -43,6 +43,20 @@ PUBLIC_NAMES = [
     "render_dot", "render_json", "render_table", "validate", "validate_vocabulary",
 ]
 
+# The fields of every public record, in order: adding or removing one is
+# a change to the surface, as a public name is.
+RECORD_FIELDS = {
+    "EventStream": ("name", "timestamps", "values"),
+    "StreamBundle": ("trigger1", "trigger2", "consequence"),
+    "FuzzyInterval": ("label", "a", "b", "c", "d"),
+    "Vocabulary": ("name", "intervals"),
+    "FuzzyRule": ("l1", "l2", "l_dt", "l3", "weight", "support", "confidence"),
+    "RuleSet": ("rules", "total_weight"),
+    "MiningConfig": ("trigger_window", "consequence_window", "vocab_t1", "vocab_t2",
+                     "vocab_dt", "vocab_c", "min_support", "min_confidence"),
+    "Finding": ("severity", "code", "message"),
+}
+
 # Names the package no longer exports because a surviving public name or
 # form does their job. Most were deleted; parse_streams, parse_config_dict
 # and PipelineConfig remain in their modules for validate() and load_config,
@@ -62,6 +76,11 @@ REMOVED_NAMES = [
 class TestPublicSurface:
     def test_exports_exactly_the_listed_names(self):
         assert sorted(fuzzmine.__all__) == sorted(PUBLIC_NAMES)
+
+    def test_public_records_have_exactly_the_listed_fields(self):
+        fields = {name: getattr(fuzzmine, name)._fields for name in fuzzmine.__all__
+                  if hasattr(getattr(fuzzmine, name), "_fields")}
+        assert fields == RECORD_FIELDS
 
     def test_every_listed_name_resolves(self):
         for name in PUBLIC_NAMES:
@@ -94,7 +113,7 @@ RECORDS = pytest.mark.parametrize("record, field", [
     (quickstart_mining_config(), "min_support"),
     (PipelineConfig({"trigger1": "a"}, quickstart_mining_config()), "roles"),
     (RULE, "weight"),
-    (RuleSet((RULE,), 1.0, {("S", "M"): 1.0}), "rules"),
+    (RuleSet((RULE,), 1.0), "rules"),
 ], ids=lambda value: value if isinstance(value, str) else type(value).__name__)
 
 
@@ -132,8 +151,8 @@ class TestRecords:
         assert (label, corners) == ("S", [0, 1, 2, 3])
         assert Finding("info", "code", "text") == ("info", "code", "text")
         assert Vocabulary("v", [("S", 0, 1, 2, 3)]).intervals == (("S", 0, 1, 2, 3),)
-        rules, total, weights = mine(quickstart_bundle(), quickstart_mining_config())
-        assert (len(rules), total, len(weights)) == (4, 3.0, 2)
+        rules, total = mine(quickstart_bundle(), quickstart_mining_config())
+        assert (len(rules), total) == (4, 3.0)
         name, times, values = EventStream("s", (2, 1), (20, 10))
         assert (name, times, values) == ("s", array("d", (1, 2)), array("d", (10, 20)))
 

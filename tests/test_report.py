@@ -66,7 +66,7 @@ class TestReportDocument:
         assert json_report(ruleset, True) == json_report(ruleset, True)
 
     def test_empty_rule_set_bytes(self):
-        ruleset = RuleSet(rules=(), total_weight=0.0, trigger_weights={})
+        ruleset = RuleSet(rules=(), total_weight=0.0)
         assert json_report(ruleset) == (
             '{\n'
             '  "rules": [],\n'
@@ -129,7 +129,7 @@ class TestStreamedReport:
 
     @EVERY_REPORT
     def test_empty_rule_set_is_one_piece(self, report):
-        ruleset = RuleSet(rules=(), total_weight=0.0, trigger_weights={})
+        ruleset = RuleSet(rules=(), total_weight=0.0)
         assert len(streamed(report, ruleset)) == 1
 
 
@@ -171,7 +171,7 @@ def rulesets(draw):
     rules = draw(st.lists(st.builds(
         FuzzyRule, st.sampled_from(l1), st.sampled_from(l2), st.sampled_from(l_dt),
         st.sampled_from(l3), METRICS, METRICS, METRICS), max_size=6))
-    return RuleSet(rules=tuple(rules), total_weight=draw(METRICS), trigger_weights={})
+    return RuleSet(rules=tuple(rules), total_weight=draw(METRICS))
 
 
 class TestReportBytes:

@@ -119,7 +119,7 @@ def hand_built_rulesets():
     quarter = st.integers(0, 16).map(lambda k: k / 4)
     rules = st.lists(st.builds(FuzzyRule, label, label, label, label, quarter, quarter, quarter),
                      max_size=25)
-    return rules.map(lambda rules: RuleSet(tuple(rules), 4.0 * len(rules), {}))
+    return rules.map(lambda rules: RuleSet(tuple(rules), 4.0 * len(rules)))
 
 
 # Labels with the characters DOT and the node paths escape, sharing prefixes.
@@ -128,6 +128,34 @@ AWKWARD = ruleset_of([
     ("la ", '"bel', "x/y", "t\\u", 1.0),
     ("la ", '"bel', "x/y", "a\\nb/\\", 0.5),
 ])
+
+# AWKWARD's DOT text, written by hand. An id joins the labels to "root"
+# with slashes, each label with its backslashes and slashes escaped by a
+# backslash; the whole id is then DOT-escaped, its backslashes doubled
+# again and its double quotes escaped.
+AWKWARD_DOT = r"""digraph rules {
+  node [shape=box];
+  "root" [label="(root)"];
+  "root/la " [label="la "];
+  "root/la /\"bel" [label="\"bel"];
+  "root/la /\"bel/x\\/y" [label="x/y"];
+  "root/la /\"bel/x\\/y/t\\\\u" [label="t\\u\n[sup=0.4000, conf=0.6667]"];
+  "root/la /\"bel/x\\/y/a\\\\nb\\/\\\\" [label="a\\nb/\\\n[sup=0.2000, conf=0.3333]"];
+  "root/la \"bel" [label="la \"bel"];
+  "root/la \"bel/x\\/y" [label="x/y"];
+  "root/la \"bel/x\\/y/t\\\\u" [label="t\\u"];
+  "root/la \"bel/x\\/y/t\\\\u/c" [label="c\n[sup=0.4000, conf=1.0000]"];
+  "root" -> "root/la ";
+  "root/la " -> "root/la /\"bel";
+  "root/la /\"bel" -> "root/la /\"bel/x\\/y";
+  "root/la /\"bel/x\\/y" -> "root/la /\"bel/x\\/y/t\\\\u";
+  "root/la /\"bel/x\\/y" -> "root/la /\"bel/x\\/y/a\\\\nb\\/\\\\";
+  "root" -> "root/la \"bel";
+  "root/la \"bel" -> "root/la \"bel/x\\/y";
+  "root/la \"bel/x\\/y" -> "root/la \"bel/x\\/y/t\\\\u";
+  "root/la \"bel/x\\/y/t\\\\u" -> "root/la \"bel/x\\/y/t\\\\u/c";
+}
+"""
 
 
 class TestBuildTree:
@@ -159,7 +187,7 @@ class TestBuildTree:
         # first such rule's in rule-set order, not the heavier one's.
         labels = ("p", "q", "r", "s")
         ruleset = RuleSet((FuzzyRule(*labels, 1.0, 0.25, 0.5),
-                           FuzzyRule(*labels, 2.0, 0.5, 1.0)), 4.0, {labels[:2]: 3.0})
+                           FuzzyRule(*labels, 2.0, 0.5, 1.0)), 4.0)
         tree = reported_tree(ruleset)
         assert leaves(tree) == [{"level": "consequence", "label": "s", "children": [],
                                  "support": 0.25, "confidence": 0.5}]
@@ -258,6 +286,9 @@ class TestRenderDot:
         ids = [l.split(" [label=")[0].strip()
                for l in text.splitlines() if "[label=" in l]
         assert len(ids) == len(set(ids))
+
+    def test_awkward_labels_give_the_escaped_ids(self):
+        assert rendered(render_dot, AWKWARD) == AWKWARD_DOT
 
     def test_awkward_labels_draw_the_reported_tree(self):
         assert_views_agree(AWKWARD)
