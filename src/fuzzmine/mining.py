@@ -13,7 +13,7 @@ A trigger value is classified once; a consequence's value and its
 elapsed time once for each trigger-2 event that reaches it. Beyond the
 streams, the pass holds only what its trigger window reaches and one row
 of totals per trigger label pair, so its memory does not grow with their
-length. Each rule is made once, from its row; the heaviest come first.
+length. Each rule meeting the thresholds is made once, heaviest first.
 """
 
 from collections import defaultdict, deque, namedtuple
@@ -35,8 +35,8 @@ class FuzzyRule(namedtuple("FuzzyRule", "l1 l2 l_dt l3 weight support confidence
 
 class RuleSet(namedtuple("RuleSet", "rules total_weight")):
     """Aggregated rules plus the combined weight of all aggregated instances.
-    :func:`mine` keeps only the rules meeting its config's thresholds but
-    the totals of all, so the kept rules retain the metrics they were filtered on."""
+    :func:`mine` makes only the rules meeting its config's thresholds but
+    adds up the weights of all, so each rule's metrics are those it was tested on."""
 
     __slots__ = ()
 
@@ -73,21 +73,20 @@ class MiningConfig(namedtuple("MiningConfig", "trigger_window consequence_window
 
 
 def mine(bundle, cfg):
-    """Mine a bundle's rules in one fused pass, keeping those that meet
+    """Mine a bundle's rules in one fused pass, making only those that meet
     ``cfg.min_support`` and ``cfg.min_confidence``.
 
     A window triple has ``t1 <= t2 <= t1 + trigger_window`` and
     ``t2 <= t3 <= t2 + consequence_window``, each sum a float addition.
     It yields one instance per combination of its four readings' labels,
-    weighing ``((m1 * m2) * m_dt) * m3``. A trigger value is classified
-    once; a consequence's value and its Δt once for each trigger-2 event
-    that reaches it, into that event's combos, queued in time order until
-    the trigger-1 scan has passed it. Instances are added one at a time,
-    in (t1, t2, t3) then label order, into their rule's, their trigger
-    pair's and the grand total, so every sum is bit-reproducible. A
-    product that underflows to 0.0 adds nothing. Each rule is then made
-    once, as a :class:`FuzzyRule` straight from its pair's row, and the
-    list is sorted by labels, then stably by descending weight.
+    weighing ``((m1 * m2) * m_dt) * m3``; a consequence's labels are queued
+    with its trigger-2 event until the trigger-1 scan has passed it.
+    Instances are added one at a time, in (t1, t2, t3) then label order,
+    into their rule's, their trigger pair's and the grand total, so every
+    sum is bit-reproducible; one that underflows to 0.0 changes no sum.
+    Only a rule meeting both thresholds is then made, as a :class:`FuzzyRule`
+    straight from its pair's row, so they bound memory too; the list is
+    sorted by labels, then stably by descending weight.
 
     A stream whose timestamps are out of order or out of [0, float max],
     or with a value that is not finite, as a column changed in place can
@@ -153,15 +152,14 @@ def mine(bundle, cfg):
                     pair_total = row[width]
                     for k, m_dt, m3 in combos:
                         weight = m12 * m_dt * m3
-                        if weight:
-                            row[k] += weight
-                            pair_total += weight
-                            total += weight
+                        row[k] += weight
+                        pair_total += weight
+                        total += weight
                     row[width] = pair_total
 
     rules = [FuzzyRule._make((*pair, *tail, w, w / total, w / row[width]))
-             for pair, row in rows.items() for tail, w in zip(tails, row) if w]
+             for pair, row in rows.items() for tail, w in zip(tails, row)
+             if w and w / total >= cfg.min_support and w / row[width] >= cfg.min_confidence]
     rules.sort()   # by labels, which no two rules share
     rules.sort(key=itemgetter(4), reverse=True)   # by weight, stable: ties stay in label order
-    return RuleSet(tuple(rule for rule in rules if rule.support >= cfg.min_support
-                         and rule.confidence >= cfg.min_confidence), total)
+    return RuleSet(tuple(rules), total)

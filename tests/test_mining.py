@@ -595,6 +595,27 @@ class TestMemory:
         assert len(ruleset.rules) == 6_445
         assert peak <= 1.25 * size
 
+    def test_thresholds_bound_what_it_builds(self, tmp_path):
+        # On wide-vocab these thresholds keep 781 of the 6,445 rules. A rule
+        # under one is never made, so the peak follows the kept rules (about
+        # 0.41 MB against 1.41 MB with none kept out); building every rule
+        # and filtering afterwards leaves it where it was.
+        csv_path, config_path = write_workload(tmp_path, "wide-vocab", 1)
+        cfg = load_config(config_path)
+        streams = parse_streams_csv(Path(csv_path).read_text(encoding="utf-8"), cfg.roles)
+        thresholded = MiningConfig(*cfg.mining[:6], min_support=2e-4, min_confidence=0.02)
+        peaks, kept = [], []
+        for mining in (cfg.mining, thresholded):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                kept.append(len(mine(streams, mining).rules))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert kept == [6_445, 781]
+        assert peaks[1] <= peaks[0] / 2
+
 
 class TestConfigTypes:
     def test_window_config_rejects_non_positive(self):

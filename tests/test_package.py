@@ -1,5 +1,6 @@
 """Tests for the package surface and for the README's worked examples."""
 
+import ast
 import inspect
 import json
 import os
@@ -166,6 +167,26 @@ class TestRecords:
         child = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                                capture_output=True, text=True, check=True)
         assert child.stdout == "[]\n"
+
+
+class TestLeftFolds:
+    def test_no_module_sums_but_by_a_left_fold(self):
+        # sum() compensates on Python 3.12+, and fsum and statistics round
+        # otherwise too, so a total could differ by Python version; the
+        # package adds in order from 0.0.
+        found = []
+        for path in sorted((REPO_ROOT / "src" / "fuzzmine").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if name in ("sum", "fsum"):
+                        found.append(f"{path.name}:{node.lineno} calls {name}")
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names = {alias.name for alias in node.names} | {getattr(node, "module", None)}
+                    if names & {"statistics", "fsum"}:
+                        found.append(f"{path.name}:{node.lineno} imports {sorted(names - {None})}")
+        assert found == []
 
 
 def library_use_blocks():

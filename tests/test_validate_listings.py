@@ -3,7 +3,8 @@
 
 Each case runs ``cli.main`` in-process from one directory that holds the
 quickstart files, each benchmark workload at seeds 1 and 2 (generated by
-``perfbench/workloads.py``, imported without writing bytecode) and a few
+``perfbench/workloads.py``, imported without writing bytecode), copies of
+the quickstart and ``wide-vocab`` configs with thresholds set, and a few
 faulty configs and CSVs. Every path is relative to that directory, so a
 listing or message names the same path on every machine.
 
@@ -35,6 +36,12 @@ WORKLOADS = ("quickstart", "dense", "sparse", "wide-vocab")
 BAD_CONFIGS = ("bad-vocabulary", "bad-roles", "not-json", "missing")
 BAD_INPUTS = ("empty", "duplicate-event", "unparseable", "missing")
 SEED_CSVS = {1: "streams.csv", 2: "streams2.csv"}   # each workload's CSV at each seed
+# Copies of a config with thresholds set, as (min_support, min_confidence):
+# wide-vocab keeps 2,843 of its 6,445 rules at seed 1, and the quickstart 2
+# of its 4, one of them at a confidence of exactly 0.5.
+THRESHOLDED = {"quickstart": (0, 0.5), "wide-vocab": (1e-4, 0.01)}
+PRUNED_REPORTS = {"json-dot": ["--format", "json", "--tree", "dot"],
+                  "table-ascii": ["--format", "table", "--tree", "ascii"]}
 REPORTS = {f"{fmt}{tree and '-' + tree}": ["--format", fmt, *(tree and ["--tree", tree])]
            for fmt in ("table", "json") for tree in ("", "ascii", "dot")}
 
@@ -57,6 +64,12 @@ CASES = {
                                         "--input", f"{name}/{csv_name}", *argv]
        for name in WORKLOADS[1:] for seed, csv_name in SEED_CSVS.items()
        for report, argv in REPORTS.items()},
+    **{f"mine-quickstart-thresholded-{report}": ["mine", "--config", "quickstart/thresholded.json",
+                                                 "--input", "quickstart/streams.csv", *argv]
+       for report, argv in PRUNED_REPORTS.items()},
+    **{f"mine-wide-vocab-thresholded-{seed}-{report}": [
+        "mine", "--config", "wide-vocab/thresholded.json", "--input", f"wide-vocab/{csv_name}",
+        *argv] for seed, csv_name in SEED_CSVS.items() for report, argv in PRUNED_REPORTS.items()},
     **{f"mine-config-{name}": ["mine", "--config", f"bad/{name}.json",
                                "--input", "quickstart/streams.csv"] for name in BAD_CONFIGS},
     **{f"mine-input-{name}": ["mine", "--config", "quickstart/config.json",
@@ -76,6 +89,10 @@ def write_inputs(root):
             workloads.write_csv(root / name / csv_name, workloads.generate(spec, seed),
                                 spec.layout)
         workloads.write_config(root / name / "config.json", spec)
+    for name, (min_support, min_confidence) in THRESHOLDED.items():
+        doc = json.loads((root / name / "config.json").read_text(encoding="utf-8"))
+        doc["min_support"], doc["min_confidence"] = min_support, min_confidence
+        (root / name / "thresholded.json").write_text(json.dumps(doc), encoding="utf-8")
 
     bad = root / "bad"
     bad.mkdir()
